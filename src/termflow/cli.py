@@ -26,8 +26,8 @@ from .depgraph import DependencyGraph, add_source_loops, dependency_graph, to_do
 from .dsl import parse, render
 from .errors import (BudgetError, ParseError, PreconditionError, TermflowError,
                      ValidationError)
-from .flownet import (build_dag, build_network, cut_certificate,
-                      decide_threshold, dispersion_exponent, network_dot)
+from .flownet import (build_dag, build_network, decide_threshold,
+                      dispersion_exponent, network_dot)
 from .normalize import diversify, pipeline
 from .oracle import (DEFAULT_BUDGET, SearchBudget, brute_dispersion,
                      brute_guessing, brute_max_solutions, check_embedding,
@@ -38,9 +38,13 @@ from .terms import DispersionSpec, TermSystem, instance_size
 def _load(path: Path, kind: str):
     try:
         data = path.read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
-    obj = parse(data.decode("utf-8"), kind)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
+    obj = parse(text, kind)
     meta = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     return obj, meta
 
@@ -127,7 +131,7 @@ def cmd_exponent(args) -> tuple[dict, int]:
     result = {"D": res.D, "max_flow_value": res.max_flow_value,
               "min_cut": list(res.min_cut)}
     if args.certificate:
-        result["certificate"] = cut_certificate(spec)
+        result["certificate"] = res.certificate()
     if args.dot is not None:
         Path(args.dot).write_text(network_dot(build_network(build_dag(spec))))
         result["dot_path"] = args.dot
@@ -271,26 +275,19 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+_EXIT_CODES = {ParseError: 2, ValidationError: 2, PreconditionError: 3,
+               BudgetError: 4, TermflowError: 1}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except TermflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
+                    if cls in _EXIT_CODES)
     print(json.dumps(report, indent=2, sort_keys=True))
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Dispersion exponent by max flow over the shared term DAG.
 
 The output terms of a spec are hash-consed into a DAG (one node per input
-variable, one per distinct application subterm).  Every DAG node is split
+variable, one per distinct application subterm) by `terms.term_dag`;
+`TermDag` lives in `terms` and is re-exported here.  Every DAG node is split
 into an in/out pair joined by a unit-capacity edge; child wiring, and the
 super-source's edges into the inputs, are effectively uncapacitated
 (capacity r+1 exceeds any possible flow).  Each distinct output root gets a
@@ -22,43 +23,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .terms import DispersionSpec, Ident, Term, Var, render_term, term_vars
-
-
-@dataclass(frozen=True)
-class TermDag:
-    """Shared term DAG: inputs first, then ops in first-encounter order."""
-
-    inputs: tuple[Ident, ...]
-    ops: tuple[tuple[Ident, tuple[int, ...]], ...]  # (symbol, child node ids)
-    outputs: tuple[int, ...]  # root node id per output position
-    labels: tuple[str, ...]  # per node id: variable name or rendered term
-
-    @property
-    def node_count(self) -> int:
-        return len(self.inputs) + len(self.ops)
+from .terms import DispersionSpec, TermDag, term_dag, term_vars
 
 
 def build_dag(spec: DispersionSpec) -> TermDag:
-    ids: dict[Term, int] = {}
-    labels: list[str] = []
-    ops: list[tuple[Ident, tuple[int, ...]]] = []
-    for name in spec.inputs:
-        ids[Var(name)] = len(labels)
-        labels.append(name)
-
-    def cons(t: Term) -> int:
-        if t in ids:
-            return ids[t]
-        # inputs are pre-seeded, so t is an application here
-        children = tuple(cons(a) for a in t.args)
-        ids[t] = node = len(labels)
-        labels.append(render_term(t))
-        ops.append((t.symbol, children))
-        return node
-
-    outputs = tuple(cons(t) for t in spec.outputs)
-    return TermDag(spec.inputs, tuple(ops), outputs, tuple(labels))
+    return term_dag(spec.inputs, spec.outputs)
 
 
 @dataclass(frozen=True)
@@ -109,6 +78,19 @@ class ExponentResult:
     D: int
     max_flow_value: int
     min_cut: tuple[str, ...]  # sorted saturated-bottleneck identifiers
+    # every unit bottleneck in network order: (id, capacity, saturated, in_cut)
+    bottlenecks: tuple[tuple[str, int, bool, bool], ...]
+
+    def certificate(self) -> dict:
+        """JSON-ready certificate: every unit bottleneck with its
+        saturation and cut membership."""
+        return {
+            "flow_value": self.max_flow_value,
+            "cut": list(self.min_cut),
+            "bottlenecks": [{"id": name, "capacity": cap, "saturated": sat,
+                             "in_cut": in_cut}
+                            for name, cap, sat, in_cut in self.bottlenecks],
+        }
 
 
 class _Dinic:
@@ -128,7 +110,8 @@ class _Dinic:
         self.cap.append(0)
         return idx
 
-    def _levels(self, s: int, t: int):
+    def _levels(self, s: int) -> list[int]:
+        """Residual BFS distance from s; -1 where unreachable."""
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
@@ -139,67 +122,65 @@ class _Dinic:
                 if self.cap[e] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
-    def _push(self, u: int, t: int, limit: int, level, it) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                got = self._push(v, t, min(limit, self.cap[e]), level, it)
-                if got:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
+    def _push(self, s: int, t: int, level, it) -> int:
+        """Augment along one level-graph path, found depth-first on an
+        explicit stack so path length is not bounded by recursion."""
+        path: list[int] = []  # edges from s to u
+        u = s
+        while u != t:
+            head = self.head[u]
+            while it[u] < len(head):
+                e = head[it[u]]
+                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:  # dead end: step back and skip the edge that led here
+                if not path:
+                    return 0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(e)
+            u = self.to[e]
+        got = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= got
+            self.cap[e ^ 1] += got
+        return got
 
-    def run(self, s: int, t: int) -> int:
+    def run(self, s: int, t: int) -> tuple[int, list[int]]:
+        """The max-flow value, and the final residual levels: the nodes at
+        level >= 0 are the source side of the canonical min cut."""
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow, level
             it = [0] * self.n
-            while True:
-                got = self._push(s, t, 1 << 60, level, it)
-                if not got:
-                    break
+            while got := self._push(s, t, level, it):
                 flow += got
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
 
 def max_flow(network: FlowNetwork) -> ExponentResult:
-    """Integral max flow plus the canonical min-cut witness."""
+    """Integral max flow plus the canonical min-cut witness; the same run
+    records every bottleneck's saturation and cut membership."""
     dinic = _Dinic(network.node_count)
-    edge_handles = [dinic.add(u, v, c) for u, v, c in network.edges]
-    value = dinic.run(network.source, network.sink)
-    reachable = dinic.residual_reachable(network.source)
-    ident = dict(network.bottleneck_ids)
-    cut = []
-    for edge_idx, handle in enumerate(edge_handles):
-        u, v, _ = network.edges[edge_idx]
-        if u in reachable and v not in reachable:
-            # a crossing edge of the canonical cut is always saturated
-            assert dinic.cap[handle] == 0
-            cut.append(ident[edge_idx])
+    handles = [dinic.add(u, v, c) for u, v, c in network.edges]
+    value, level = dinic.run(network.source, network.sink)
+    rows = []
+    for edge_idx, name in network.bottleneck_ids:
+        u, v, cap = network.edges[edge_idx]
+        rows.append((name, cap, dinic.cap[handles[edge_idx]] == 0,
+                     level[u] >= 0 > level[v]))
+    cut = sorted(name for name, _, _, in_cut in rows if in_cut)
+    # a crossing edge of the canonical cut is always saturated
+    assert all(sat for _, _, sat, in_cut in rows if in_cut)
     if len(cut) != value:
         raise AssertionError("min cut does not match flow value")
-    return ExponentResult(D=value, max_flow_value=value,
-                          min_cut=tuple(sorted(cut)))
+    return ExponentResult(D=value, max_flow_value=value, min_cut=tuple(cut),
+                          bottlenecks=tuple(rows))
 
 
 def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:
@@ -212,27 +193,8 @@ def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:
 
 
 def cut_certificate(spec: DispersionSpec) -> dict:
-    """JSON-ready certificate: every unit bottleneck with its saturation
-    and cut membership."""
-    network = build_network(build_dag(spec))
-    dinic = _Dinic(network.node_count)
-    handles = [dinic.add(u, v, c) for u, v, c in network.edges]
-    value = dinic.run(network.source, network.sink)
-    reachable = dinic.residual_reachable(network.source)
-    rows = []
-    for edge_idx, name in network.bottleneck_ids:
-        u, v, cap = network.edges[edge_idx]
-        rows.append({
-            "id": name,
-            "capacity": cap,
-            "saturated": dinic.cap[handles[edge_idx]] == 0,
-            "in_cut": u in reachable and v not in reachable,
-        })
-    return {
-        "flow_value": value,
-        "cut": sorted(r["id"] for r in rows if r["in_cut"]),
-        "bottlenecks": rows,
-    }
+    """JSON-ready certificate of `dispersion_exponent(spec)`."""
+    return dispersion_exponent(spec).certificate()
 
 
 def network_dot(network: FlowNetwork) -> str:

@@ -3,11 +3,13 @@
 Flattening rewrites every equation into depth-1 shape `f(u1,...,uk) = v` by
 minting auxiliary variables ("_z0", "_z1", ... in post-order, left-to-right,
 equations in order) for application subterms, recording leftover `u = v`
-facts as variable equalities.  Quotienting merges equality classes onto a
-deterministic representative, and collision quotienting merges the defined
-variables of equations that share a (symbol, argument-tuple) key until a
-fixpoint.  Every stage preserves the solution count of the original system
-for every interpretation (the exhaustive oracle checks this in tests).
+facts as variable equalities.  The auxiliaries are the ops of the shared
+term DAG that `terms.term_dag` builds over the equations that need them.
+Quotienting merges equality classes onto a deterministic representative,
+and collision quotienting merges the defined variables of equations that
+share a (symbol, argument-tuple) key until a fixpoint.  Every stage
+preserves the solution count of the original system for every
+interpretation (the exhaustive oracle checks this in tests).
 
 The terminal shapes:
 
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
-from .terms import (App, DispersionSpec, Equation, Ident, Signature, Term,
-                    TermSystem, Var, render_term)
+from .terms import (App, DispersionSpec, Equation, Ident, Signature,
+                    TermSystem, Var, term_dag)
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,18 @@ class PipelineReport:
     is_cfnf: bool
 
 
-def _is_flat_app(t: Term) -> bool:
-    return isinstance(t, App) and all(isinstance(a, Var) for a in t.args)
+def _shallow(eq: Equation):
+    """`f(vars) = v` (either way round) as a NormalEquation, `x = y` as an
+    equality pair, anything else as None: it needs auxiliaries."""
+    lhs, rhs = eq.lhs, eq.rhs
+    for app, var in ((lhs, rhs), (rhs, lhs)):
+        if (isinstance(app, App) and isinstance(var, Var)
+                and all(isinstance(a, Var) for a in app.args)):
+            return NormalEquation(app.symbol, tuple(a.name for a in app.args),
+                                  var.name)
+    if isinstance(lhs, Var) and isinstance(rhs, Var):
+        return (lhs.name, rhs.name)
+    return None
 
 
 def flatten(system: TermSystem) -> NormalSystem:
@@ -156,40 +168,37 @@ def flatten(system: TermSystem) -> NormalSystem:
     through untouched.  `x = y` becomes a variable equality.  Anything else
     gets one auxiliary per distinct application subterm, shared across the
     whole system, with a variable equality tying the two sides' handles.
+    `_z<i>` is op i of the term DAG over those equations' sides; each
+    equation defines the ops its two sides add.
     """
-    aux_of: dict[App, Ident] = {}
-    origin: list[tuple[Ident, str]] = []
+    shallow = [_shallow(eq) for eq in system.equations]
+    dag = term_dag(system.variables, [
+        t for eq, flat in zip(system.equations, shallow) if flat is None
+        for t in (eq.lhs, eq.rhs)])
+    k = len(system.variables)
+    names = system.variables + tuple(f"_z{i}" for i in range(len(dag.ops)))
+    roots = iter(dag.outputs)
     equations: list[NormalEquation] = []
     equalities: list[tuple[Ident, Ident]] = []
-
-    def handle(t: Term) -> Ident:
-        if isinstance(t, Var):
-            return t.name
-        if t in aux_of:
-            return aux_of[t]
-        arg_handles = tuple(handle(a) for a in t.args)
-        name = f"_z{len(aux_of)}"
-        aux_of[t] = name
-        origin.append((name, render_term(t)))
-        equations.append(NormalEquation(t.symbol, arg_handles, name))
-        return name
-
-    for eq in system.equations:
-        lhs, rhs = eq.lhs, eq.rhs
-        if _is_flat_app(lhs) and isinstance(rhs, Var):
-            equations.append(NormalEquation(
-                lhs.symbol, tuple(a.name for a in lhs.args), rhs.name))
-        elif _is_flat_app(rhs) and isinstance(lhs, Var):
-            equations.append(NormalEquation(
-                rhs.symbol, tuple(a.name for a in rhs.args), lhs.name))
-        elif isinstance(lhs, Var) and isinstance(rhs, Var):
-            equalities.append((lhs.name, rhs.name))
+    added = k  # DAG nodes already turned into equations
+    for flat in shallow:
+        if isinstance(flat, NormalEquation):
+            equations.append(flat)
+        elif flat is not None:
+            equalities.append(flat)
         else:
-            equalities.append((handle(lhs), handle(rhs)))
-
-    variables = system.variables + tuple(name for name, _ in origin)
-    return NormalSystem(variables, system.signature, tuple(equations),
-                        tuple(equalities), tuple(origin))
+            lhs, rhs = next(roots), next(roots)
+            # post-order: a side's new ops end at its root
+            end = max(added, lhs + 1, rhs + 1)
+            for node in range(added, end):
+                symbol, children = dag.ops[node - k]
+                equations.append(NormalEquation(
+                    symbol, tuple(names[c] for c in children), names[node]))
+            added = end
+            equalities.append((names[lhs], names[rhs]))
+    origin = tuple(zip(names[k:], dag.labels[k:]))
+    return NormalSystem(names, system.signature, tuple(equations),
+                        tuple(equalities), origin)
 
 
 def _substitute(system: NormalSystem, uf: UnionFind, stage: str,
@@ -216,26 +225,30 @@ def _substitute(system: NormalSystem, uf: UnionFind, stage: str,
                         equalities, origin)
 
 
-def _quotient_vars(system: NormalSystem, merges: list[Merge]) -> NormalSystem:
+def quotient_vars(system: NormalSystem,
+                  merges: list[Merge] | None = None) -> NormalSystem:
+    """Eliminate variable equalities by merging each class onto its
+    representative (originals beat auxiliaries, then lexicographic).
+    Each merge is appended to `merges` when given."""
     if not system.var_equalities:
         return system
     uf = UnionFind(system.variables, system.auxiliaries)
     for a, b in system.var_equalities:
         uf.union(a, b)
-    out = _substitute(system, uf, "quotient_vars", merges)
+    out = _substitute(system, uf, "quotient_vars",
+                      [] if merges is None else merges)
     assert not out.var_equalities
     return out
 
 
-def quotient_vars(system: NormalSystem) -> NormalSystem:
-    """Eliminate variable equalities by merging each class onto its
-    representative (originals beat auxiliaries, then lexicographic)."""
-    return _quotient_vars(system, [])
-
-
-def _collision_quotient(system: NormalSystem, merges: list[Merge]) -> NormalSystem:
+def collision_quotient(system: NormalSystem,
+                       merges: list[Merge] | None = None) -> NormalSystem:
+    """Merge defined variables of equations sharing a (symbol, args) key,
+    re-substituting until no collision remains.  Each merge is appended to
+    `merges` when given."""
     if system.var_equalities:
         raise PreconditionError("collision quotient expects a quotiented system")
+    merges = [] if merges is None else merges
     while True:
         uf = UnionFind(system.variables, system.auxiliaries)
         first: dict[tuple, Ident] = {}
@@ -250,12 +263,6 @@ def _collision_quotient(system: NormalSystem, merges: list[Merge]) -> NormalSyst
         if not changed:
             return system
         system = _substitute(system, uf, "collision_quotient", merges)
-
-
-def collision_quotient(system: NormalSystem) -> NormalSystem:
-    """Merge defined variables of equations sharing a (symbol, args) key,
-    re-substituting until no collision remains."""
-    return _collision_quotient(system, [])
 
 
 def classify(system: NormalSystem) -> Classification:
@@ -279,8 +286,8 @@ def pipeline(system: TermSystem) -> tuple[NormalSystem, PipelineReport]:
     classify, with a report of merges, auxiliaries, and final flags."""
     merges: list[Merge] = []
     flat = flatten(system)
-    quot = _quotient_vars(flat, merges)
-    out = _collision_quotient(quot, merges)
+    quot = quotient_vars(flat, merges)
+    out = collision_quotient(quot, merges)
     cls = classify(out)
     report = PipelineReport(
         stages=("flatten", "quotient_vars", "collision_quotient", "classify"),

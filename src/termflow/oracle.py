@@ -10,9 +10,11 @@ prod_f n^(n^arity(f)) * n^|V|; a search either fits or is refused whole.
 Two evaluation routes coexist on purpose.  The scalar route
 (`count_solutions`, `image_of`, `count_winning`) walks terms with
 `eval_term` and is the reference semantics.  The engine route vectorizes
-the interpretation axis with numpy for the big scans; tests pin the two
-against each other, and every reported witness can be replayed through the
-scalar route to reproduce its value.
+the interpretation axis with numpy for the big scans: it evaluates the
+search's term DAG (`terms.term_dag`, built once per search) node by node in
+topological order, once per assignment.  Tests pin the two routes against
+each other, and every reported witness can be replayed through the scalar
+route to reproduce its value.
 
 Results are independent of chunking and of the `jobs` worker count: ranges
 merge by (max value, then least interpretation index), and early-exit
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .depgraph import DependencyGraph, GuessingStrategy, dependency_graph
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (App, DispersionSpec, Ident, Interpretation, Signature,
-                    Term, TermSystem, Var, assignments, eval_term,
-                    table_index)
+                    Term, TermDag, TermSystem, Var, assignments, eval_term,
+                    table_index, term_dag)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 
@@ -156,10 +158,7 @@ def table_space(n: int, arity: int) -> int:
 
 
 def interpretation_count(signature: Signature, n: int) -> int:
-    total = 1
-    for _, arity in signature.symbols:
-        total *= table_space(n, arity)
-    return total
+    return _used_space(signature.symbols, n)
 
 
 def _space_log2(symbols, n: int) -> float:
@@ -185,8 +184,10 @@ def _admit(signature: Signature, n: int, assign_vars: int,
     bits = _space_log2(signature.symbols, n)
     abits = assign_vars * (math.log2(n) if n > 1 else 0.0)
     if bits > _INDEX_BITS or bits + abits > 2 * _INDEX_BITS:
+        size = (f"~2^{bits:.0f}" if bits < math.inf
+                else f"above 2^{_INDEX_BITS}")
         raise BudgetError(
-            f"interpretation space ~2^{bits:.0f} exceeds the engine's index "
+            f"interpretation space {size} exceeds the engine's index "
             "range; refusing")
     total = interpretation_count(signature, n)
     factor = per_interp if per_interp is not None else n ** assign_vars
@@ -204,27 +205,14 @@ def _admit(signature: Signature, n: int, assign_vars: int,
     return total
 
 
-def _tables_at(symbols, n: int, index: int) -> dict[Ident, tuple[int, ...]]:
-    tables = {}
-    rem = index
-    for name, arity in reversed(symbols):
-        size = n ** arity
-        count = n ** size
-        sub = rem % count
-        rem //= count
-        entries = [0] * size
-        for j in range(size - 1, -1, -1):
-            entries[j] = sub % n
-            sub //= n
-        tables[name] = tuple(entries)
-    if rem:
-        raise ValidationError("interpretation index out of range")
-    return tables
-
-
 def interpretation_at(signature: Signature, n: int, index: int) -> Interpretation:
     """The index-th interpretation in canonical order."""
-    return Interpretation(n, _tables_at(signature.symbols, n, index))
+    if _space_log2(signature.symbols, n) > _INDEX_BITS:
+        raise BudgetError(
+            "interpretation space exceeds the engine's index range")
+    if not 0 <= index < interpretation_count(signature, n):
+        raise ValidationError("interpretation index out of range")
+    return _witness(signature, signature.symbols, n, index)
 
 
 def enumerate_interpretations(signature: Signature, n: int,
@@ -251,13 +239,10 @@ def enumerate_interpretations(signature: Signature, n: int,
 
 def _system_view(system) -> tuple[tuple[Ident, ...], Signature,
                                   tuple[tuple[Term, Term], ...]]:
+    if isinstance(system, NormalSystem):
+        system = system.to_term_system()
     if isinstance(system, TermSystem):
         pairs = tuple((eq.lhs, eq.rhs) for eq in system.equations)
-        return system.variables, system.signature, pairs
-    if isinstance(system, NormalSystem):
-        pairs = tuple((App(eq.symbol, tuple(Var(u) for u in eq.args)),
-                       Var(eq.defined)) for eq in system.equations)
-        pairs += tuple((Var(a), Var(b)) for a, b in system.var_equalities)
         return system.variables, system.signature, pairs
     raise PreconditionError(f"not a term system: {type(system).__name__}")
 
@@ -300,17 +285,9 @@ def count_winning(graph: DependencyGraph, strategy: GuessingStrategy) -> int:
 # ---- vectorized engine -------------------------------------------------------
 
 
-def _used_symbols(signature: Signature, terms) -> tuple[tuple[Ident, int], ...]:
-    used = set()
-
-    def walk(t: Term):
-        if isinstance(t, App):
-            used.add(t.symbol)
-            for a in t.args:
-                walk(a)
-
-    for t in terms:
-        walk(t)
+def _enumerated(signature: Signature, *dags: TermDag):
+    """The symbols some DAG applies, in signature order: a scan's space."""
+    used = {symbol for dag in dags for symbol, _ in dag.ops}
     return tuple((s, a) for s, a in signature.symbols if s in used)
 
 
@@ -331,51 +308,55 @@ def _decode_tables(symbols, n: int, lo: int, hi: int) -> dict[str, np.ndarray]:
     return out
 
 
-def _eval_vec(term: Term, tables, assign, n: int, c: int):
-    """Evaluate under a fixed assignment for all chunk interpretations at
-    once; returns a plain int when no symbol is involved."""
-    if isinstance(term, Var):
-        return assign[term.name]
-    vals = [_eval_vec(a, tables, assign, n, c) for a in term.args]
-    idx = 0
-    for v in vals:
-        idx = idx * n + v
-    tbl = tables[term.symbol]
-    if isinstance(idx, int):
-        return tbl[:, idx]
-    return tbl[np.arange(c), idx]
+def _node_values(dag: TermDag, drops, tables, assign: tuple[int, ...],
+                 n: int, rows: np.ndarray) -> list:
+    """Node values under one assignment of `dag.inputs`, for all chunk
+    interpretations at once, in topological order.  Inputs stay plain ints,
+    so a node whose arguments are all inputs is one table column.  `drops`
+    lists per op the values to free after it, so a deep chain keeps a few
+    arrays live, not one per node."""
+    vals = list(assign)
+    for (symbol, children), dead in zip(dag.ops, drops):
+        idx = 0
+        for c in children:
+            idx = idx * n + vals[c]
+        tbl = tables[symbol]
+        vals.append(tbl[:, idx] if isinstance(idx, int) else tbl[rows, idx])
+        for c in dead:
+            vals[c] = None
+    return vals
 
 
-def _solution_counts(pairs, tables, assigns, c: int, n: int) -> np.ndarray:
+def _solution_counts(dag: TermDag, drops, tables, assigns, c: int,
+                     n: int) -> np.ndarray:
+    """Per interpretation, the assignments satisfying every equation whose
+    sides are the DAG's outputs, (lhs, rhs) in turn."""
+    k = len(dag.inputs)
+    pairs = list(zip(dag.outputs[::2], dag.outputs[1::2]))
+    var_pairs = [p for p in pairs if max(p) < k]
+    app_pairs = [p for p in pairs if max(p) >= k]
+    rows = np.arange(c)
     counts = np.zeros(c, dtype=np.int64)
     for assign in assigns:
-        sat = None
-        dead = False
-        for lhs, rhs in pairs:
-            lv = _eval_vec(lhs, tables, assign, n, c)
-            rv = _eval_vec(rhs, tables, assign, n, c)
-            if isinstance(lv, int) and isinstance(rv, int):
-                if lv != rv:
-                    dead = True
-                    break
-                continue
-            m = lv == rv
-            sat = m if sat is None else sat & m
-        if dead:
+        if any(assign[a] != assign[b] for a, b in var_pairs):
             continue
-        if sat is None:
-            counts += 1
-        else:
-            counts += sat
+        vals = _node_values(dag, drops, tables, assign, n, rows)
+        sat = True
+        for a, b in app_pairs:
+            sat = sat & (vals[a] == vals[b])
+        counts += sat
     return counts
 
 
-def _image_sizes(outputs, tables, assigns, c: int, n: int) -> np.ndarray:
+def _image_sizes(dag: TermDag, drops, tables, assigns, c: int,
+                 n: int) -> np.ndarray:
+    rows = np.arange(c)
     codes = np.empty((c, len(assigns)), dtype=np.int64)
     for col, assign in enumerate(assigns):
+        vals = _node_values(dag, drops, tables, assign, n, rows)
         code = 0
-        for t in outputs:
-            code = code * n + _eval_vec(t, tables, assign, n, c)
+        for root in dag.outputs:
+            code = code * n + vals[root]
         codes[:, col] = code
     codes.sort(axis=1)
     if codes.shape[1] == 1:
@@ -384,25 +365,24 @@ def _image_sizes(outputs, tables, assigns, c: int, n: int) -> np.ndarray:
 
 
 def _payload_fn(kind: str, payload, n: int):
-    """Chunk evaluator plus a chunk size keeping working memory modest."""
-    if kind == "count":
-        variables, symbols, pairs = payload
-        assigns = list(assignments(variables, n))
-        width = sum(n ** ar for _, ar in symbols) + 1
+    """Chunk evaluator plus a chunk size keeping working memory modest,
+    for a payload of (symbols to enumerate, term DAG to evaluate)."""
+    symbols, dag = payload
+    evaluate = {"count": _solution_counts, "image": _image_sizes}[kind]
+    last = {c: i for i, (_, children) in enumerate(dag.ops) for c in children}
+    roots = set(dag.outputs)
+    drops: list[list[int]] = [[] for _ in dag.ops]
+    for node, i in last.items():
+        if node not in roots:
+            drops[i].append(node)
+    assigns = list(itertools.product(range(n), repeat=len(dag.inputs)))
+    width = sum(n ** ar for _, ar in symbols) + 1
+    if kind == "image":
+        width += len(assigns)  # the output codes of every assignment
 
-        def fn(lo, hi):
-            tables = _decode_tables(symbols, n, lo, hi)
-            return _solution_counts(pairs, tables, assigns, hi - lo, n)
-    elif kind == "image":
-        inputs, symbols, outputs = payload
-        assigns = list(assignments(inputs, n))
-        width = sum(n ** ar for _, ar in symbols) + len(assigns) + 1
-
-        def fn(lo, hi):
-            tables = _decode_tables(symbols, n, lo, hi)
-            return _image_sizes(outputs, tables, assigns, hi - lo, n)
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(kind)
+    def fn(lo, hi):
+        tables = _decode_tables(symbols, n, lo, hi)
+        return evaluate(dag, drops, tables, assigns, hi - lo, n)
     chunk = max(1, min(1 << 14, (1 << 21) // width))
     return fn, chunk
 
@@ -462,10 +442,11 @@ def _scan(kind, payload, n: int, total: int, jobs: int,
 
 
 def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:
-    tables = _tables_at(used, n, index)
-    for name, arity in signature.symbols:
-        if name not in tables:
-            tables[name] = (0,) * (n ** arity)
+    """Interpretation `index` of the `used` symbols; every other symbol of
+    the signature gets the all-zero table."""
+    tables = {name: (0,) * (n ** arity) for name, arity in signature.symbols}
+    tables.update((name, tuple(tbl[0].tolist())) for name, tbl
+                  in _decode_tables(used, n, index, index + 1).items())
     return Interpretation(n, tables)
 
 
@@ -476,13 +457,22 @@ def _rate(value: int, n: int) -> float | None:
 
 
 def _used_space(used, n: int) -> int:
-    total = 1
-    for _, arity in used:
-        total *= table_space(n, arity)
-    return total
+    return math.prod(table_space(n, arity) for _, arity in used)
 
 
 # ---- search operations -------------------------------------------------------
+
+
+def _max_solutions(signature: Signature, dag: TermDag, n: int,
+                   budget: SearchBudget, jobs: int) -> OracleResult:
+    """Maximum solution count of the equations whose sides are the DAG's
+    outputs, (lhs, rhs) in turn, over the DAG's inputs."""
+    _admit(signature, n, len(dag.inputs), budget)
+    used = _enumerated(signature, dag)
+    total = _used_space(used, n)
+    value, index, _ = _scan("count", (used, dag), n, total, jobs)
+    return OracleResult(value, _witness(signature, used, n, index),
+                        _rate(value, n), total * n ** len(dag.inputs))
 
 
 def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
@@ -490,25 +480,27 @@ def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
     """Maximum solution count over every interpretation, with the least
     witness attaining it."""
     variables, signature, pairs = _system_view(system)
-    _admit(signature, n, len(variables), budget)
-    used = _used_symbols(signature, [t for pair in pairs for t in pair])
+    dag = term_dag(variables, [t for pair in pairs for t in pair])
+    return _max_solutions(signature, dag, n, budget, jobs)
+
+
+def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
+                jobs: int, target: int | None = None):
+    """(enumerated symbols, their interpretation count, `_scan` result)."""
+    _admit(spec.signature, n, spec.k, budget)
+    if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
+        raise BudgetError("output tuple codes exceed the engine's index range")
+    dag = term_dag(spec.inputs, spec.outputs)
+    used = _enumerated(spec.signature, dag)
     total = _used_space(used, n)
-    value, index, _ = _scan("count", (variables, used, pairs), n, total, jobs)
-    return OracleResult(value, _witness(signature, used, n, index),
-                        _rate(value, n), total * n ** len(variables))
+    return used, total, _scan("image", (used, dag), n, total, jobs, target)
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
                      budget: SearchBudget = DEFAULT_BUDGET, *,
                      jobs: int = 1) -> OracleResult:
     """Maximum image size of the dispersion map over every interpretation."""
-    _admit(spec.signature, n, spec.k, budget)
-    if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
-        raise BudgetError("output tuple codes exceed the engine's index range")
-    used = _used_symbols(spec.signature, spec.outputs)
-    total = _used_space(used, n)
-    value, index, _ = _scan("image", (spec.inputs, used, spec.outputs), n,
-                            total, jobs)
+    used, total, (value, index, _) = _image_scan(spec, n, budget, jobs)
     return OracleResult(value, _witness(spec.signature, used, n, index),
                         _rate(value, n), total * n ** spec.k)
 
@@ -520,14 +512,9 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
 
     Early-exits on the first witness; otherwise the refutation carries the
     best image found over the full scan."""
-    _admit(spec.signature, n, spec.k, budget)
-    if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
-        raise BudgetError("output tuple codes exceed the engine's index range")
     target = n ** spec.r
-    used = _used_symbols(spec.signature, spec.outputs)
-    total = _used_space(used, n)
-    value, index, hit = _scan("image", (spec.inputs, used, spec.outputs), n,
-                              total, jobs, target=target)
+    used, total, (value, index, hit) = _image_scan(spec, n, budget, jobs,
+                                                   target)
     if hit is not None:
         return PerfectDecision(True, target, target,
                                _witness(spec.signature, used, n, hit),
@@ -537,14 +524,6 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
                            total, total * n ** spec.k)
 
 
-def _graph_view(graph: DependencyGraph):
-    players = [v for v in graph.vertices if v not in graph.sources]
-    pseudo = Signature(tuple((v, len(graph.in_neighbors(v))) for v in players))
-    pairs = tuple((App(v, tuple(Var(u) for u in graph.in_neighbors(v))), Var(v))
-                  for v in players)
-    return pseudo, pairs
-
-
 def brute_guessing(graph: DependencyGraph, n: int,
                    budget: SearchBudget = DEFAULT_BUDGET, *,
                    jobs: int = 1) -> OracleResult:
@@ -552,15 +531,16 @@ def brute_guessing(graph: DependencyGraph, n: int,
 
     The rate field is the guessing value log_n W.  Sources are free; each
     non-source vertex guesses from its ordered in-neighborhood (which may
-    include itself if a loop is present)."""
-    pseudo, pairs = _graph_view(graph)
-    _admit(pseudo, n, len(graph.vertices), budget)
-    total = _used_space(pseudo.symbols, n)
-    value, index, _ = _scan("count", (graph.vertices, pseudo.symbols, pairs),
-                            n, total, jobs)
-    strategy = GuessingStrategy(n, _tables_at(pseudo.symbols, n, index))
-    return OracleResult(value, strategy, _rate(value, n),
-                        total * n ** len(graph.vertices))
+    include itself if a loop is present).  The search counts solutions of
+    `v(in-neighbours) = v` over one pseudo-symbol per player."""
+    nbrs = {v: graph.in_neighbors(v) for v in graph.vertices
+            if v not in graph.sources}
+    pseudo = Signature(tuple((v, len(us)) for v, us in nbrs.items()))
+    dag = term_dag(graph.vertices, [
+        t for v, us in nbrs.items()
+        for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
+    res = _max_solutions(pseudo, dag, n, budget, jobs)
+    return replace(res, witness=GuessingStrategy(n, dict(res.witness.tables)))
 
 
 def check_solutions_equal_winning(system: NormalSystem, n: int,
@@ -592,11 +572,12 @@ def check_counts_preserved(before, after, n: int,
         raise PreconditionError("count comparison needs a shared signature")
     per = n ** len(vars_a) + n ** len(vars_b)
     _admit(sig_a, n, 0, budget, per_interp=per)
-    terms = [t for pair in pairs_a + pairs_b for t in pair]
-    used = _used_symbols(sig_a, terms)
+    dag_a = term_dag(vars_a, [t for pair in pairs_a for t in pair])
+    dag_b = term_dag(vars_b, [t for pair in pairs_b for t in pair])
+    used = _enumerated(sig_a, dag_a, dag_b)
     total = _used_space(used, n)
-    fa, chunk_a = _payload_fn("count", (vars_a, used, pairs_a), n)
-    fb, chunk_b = _payload_fn("count", (vars_b, used, pairs_b), n)
+    fa, chunk_a = _payload_fn("count", (used, dag_a), n)
+    fb, chunk_b = _payload_fn("count", (used, dag_b), n)
     chunk = min(chunk_a, chunk_b)
     pos = 0
     while pos < total:
@@ -701,7 +682,7 @@ def check_embedding(spec: DispersionSpec, n: int,
     dispersion = brute_dispersion(spec, n, budget)
 
     decoder_names = embedded.signature.names[len(spec.signature.names):]
-    used = _used_symbols(spec.signature, spec.outputs)
+    used = _enumerated(spec.signature, term_dag(spec.inputs, spec.outputs))
     total = _used_space(used, n)
     best_value, best_witness = -1, None
     for index in range(total):

@@ -109,6 +109,56 @@ def render_term(t: Term) -> str:
     return f"{t.symbol}({', '.join(render_term(a) for a in t.args)})"
 
 
+@dataclass(frozen=True)
+class TermDag:
+    """Shared term DAG: inputs first, then ops in first-encounter order."""
+
+    inputs: tuple[Ident, ...]
+    ops: tuple[tuple[Ident, tuple[int, ...]], ...]  # (symbol, child node ids)
+    outputs: tuple[int, ...]  # root node id per term, in order
+    labels: tuple[str, ...]  # per node id: variable name or rendered term
+
+    @property
+    def node_count(self) -> int:
+        return len(self.inputs) + len(self.ops)
+
+
+def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
+    """Hash-cons `terms` over the variables `inputs` into one DAG: the only
+    place terms are hash-consed.  Nodes are keyed on (symbol, child node
+    ids), not on term trees, and an explicit stack replaces recursion, so
+    any nesting depth costs linear time.  Ops come out in first-encounter
+    post-order; a label equals `render_term` of its subterm."""
+    # variables are keyed by name, ops by (symbol, child node ids)
+    ids: dict[object, int] = {name: i for i, name in enumerate(inputs)}
+    labels = list(inputs)
+    ops: list[tuple[Ident, tuple[int, ...]]] = []
+    outputs = []
+    for term in terms:
+        stack: list[tuple[Term, bool]] = [(term, False)]
+        done: list[int] = []  # node ids of finished subterms, left to right
+        while stack:
+            t, expanded = stack.pop()
+            if isinstance(t, Var):
+                done.append(ids[t.name])
+            elif not expanded:
+                stack.append((t, True))
+                stack.extend((a, False) for a in reversed(t.args))
+            else:
+                split = len(done) - len(t.args)
+                key = (t.symbol, tuple(done[split:]))
+                del done[split:]
+                node = ids.get(key)
+                if node is None:
+                    ids[key] = node = len(labels)
+                    labels.append(
+                        f"{t.symbol}({', '.join(labels[c] for c in key[1])})")
+                    ops.append(key)
+                done.append(node)
+        outputs.append(done[0])
+    return TermDag(tuple(inputs), tuple(ops), tuple(outputs), tuple(labels))
+
+
 def check_term(t: Term, signature: Signature, variables: frozenset[Ident]) -> None:
     if isinstance(t, Var):
         if t.name not in variables:

@@ -2,14 +2,9 @@
 
 import pytest
 
-from termflow.corpus import corpus_path
-from termflow.dsl import parse
+from corpus_loader import load
 
 _ACCEPTANCE: list[tuple[int, str, str]] = []
-
-
-def load(name: str, kind: str = "auto"):
-    return parse(corpus_path(name).read_text(), kind)
 
 
 @pytest.fixture(name="load")

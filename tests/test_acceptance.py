@@ -20,7 +20,7 @@ from termflow.oracle import (brute_dispersion, brute_max_solutions,
                              check_perfect_fixed,
                              check_solutions_equal_winning, sandwich_check)
 from termflow.terms import App
-from conftest import load
+from corpus_loader import load
 
 
 def _cli(*args):

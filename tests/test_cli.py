@@ -84,6 +84,17 @@ def test_parse_errors_exit_2(tmp_path):
     assert b"expected ')'" in proc.stderr
 
 
+def test_non_utf8_file_exits_2(tmp_path):
+    bad = tmp_path / "latin1.disp"
+    bad.write_bytes(b"dispersion { inputs x; sig f/1; outputs f(x); }\n"
+                    b"# \xe9\n")
+    proc = run_cli("exponent", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"not UTF-8" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_2():
     proc = run_cli("exponent", "/nonexistent/nowhere.disp")
     assert proc.returncode == 2
@@ -112,6 +123,16 @@ def test_budget_refusal_exits_4():
     proc = run_cli("brute", "disp", path("diamond.disp"), "-n", "4")
     assert proc.returncode == 4
     assert b"4294967296" in proc.stderr
+
+
+def test_index_range_refusal_names_no_infinity(tmp_path):
+    wide = tmp_path / "wide.disp"
+    wide.write_text("dispersion { inputs x; sig f/40; outputs f("
+                    + ", ".join(["x"] * 40) + "); }\n")
+    proc = run_cli("brute", "disp", str(wide), "-n", "3")
+    assert proc.returncode == 4
+    assert b"index range" in proc.stderr
+    assert b"inf" not in proc.stderr
 
 
 def test_env_budget_is_honored_and_flag_wins():

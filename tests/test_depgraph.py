@@ -6,7 +6,7 @@ from termflow.depgraph import (DependencyGraph, add_source_loops,
                                dependency_graph, to_dot)
 from termflow.errors import PreconditionError, ValidationError
 from termflow.normalize import pipeline
-from conftest import load
+from corpus_loader import load
 
 
 def _graph_of(name):

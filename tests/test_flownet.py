@@ -1,19 +1,24 @@
 """Dispersion exponent via max-flow, verified against brute vertex cuts."""
 
+import contextlib
+import io
+import json
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termflow.corpus import corpus_names
+from termflow import cli
+from termflow.corpus import corpus_names, corpus_path
 from termflow.errors import PreconditionError
-from termflow.flownet import (build_dag, build_network, cut_certificate,
-                              decide_perfect_r1, decide_threshold,
-                              dispersion_exponent, max_flow, network_dot)
+from termflow.flownet import (_Dinic, build_dag, build_network,
+                              cut_certificate, decide_perfect_r1,
+                              decide_threshold, dispersion_exponent,
+                              max_flow, network_dot)
 from termflow.normalize import pad_dispersion
-from termflow.terms import App, DispersionSpec, Signature, Var
-from conftest import load
+from termflow.terms import App, DispersionSpec, Signature, Var, render_term
+from corpus_loader import load
 
 
 def _brute_min_cut(spec) -> int:
@@ -220,3 +225,47 @@ def test_min_cut_certificate_disconnects(spec):
     alive = [r for r in roots
              if reach[r] and f"sink:{dag.labels[r]}" not in cut]
     assert not alive
+
+
+def _recursive_dag(spec):
+    """Hash-consing keyed on whole subterms, walked recursively: the
+    builder's reference, for terms shallow enough to recurse on."""
+    ids = {Var(name): i for i, name in enumerate(spec.inputs)}
+    labels, ops = list(spec.inputs), []
+
+    def cons(t):
+        if t not in ids:
+            children = tuple(cons(a) for a in t.args)
+            ids[t] = len(labels)
+            labels.append(render_term(t))
+            ops.append((t.symbol, children))
+        return ids[t]
+
+    outputs = tuple(cons(t) for t in spec.outputs)
+    return spec.inputs, tuple(ops), outputs, tuple(labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_specs())
+def test_dag_matches_recursive_hash_consing(spec):
+    dag = build_dag(spec)
+    assert (dag.inputs, dag.ops, dag.outputs, dag.labels) == _recursive_dag(spec)
+
+
+def test_certificate_comes_from_the_exponent_run(monkeypatch):
+    runs = []
+    run = _Dinic.run
+    monkeypatch.setattr(_Dinic, "run",
+                        lambda self, s, t: runs.append(1) or run(self, s, t))
+    spec = load("diamond.disp")
+    res = dispersion_exponent(spec)
+    assert runs == [1]
+    assert cut_certificate(spec) == res.certificate()
+    assert res.certificate()["cut"] == list(res.min_cut)
+    runs.clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["exponent", str(corpus_path("diamond.disp")),
+                         "--certificate"]) == 0
+    assert runs == [1]
+    assert json.loads(out.getvalue())["result"]["certificate"] == \
+        res.certificate()

@@ -10,8 +10,8 @@ from termflow.normalize import (Merge, classify, collision_quotient, diversify,
                                 embed_dispersion, flatten, pad_dispersion,
                                 pipeline, quotient_vars)
 from termflow.terms import (App, Equation, Signature, TermSystem, Var,
-                            term_vars)
-from conftest import load
+                            render_term, term_vars)
+from corpus_loader import load
 
 
 def _eqs(norm):
@@ -265,3 +265,52 @@ def test_diversify_keeps_shape(system):
         assert after.args == before.args
         assert after.defined == before.defined
         assert after.symbol.startswith(before.symbol + "@")
+
+
+@pytest.mark.parametrize("name", ["cascade.inst", "flatten_nested.inst",
+                                  "two_sided.inst"])
+def test_quotients_append_to_a_merges_sink(name):
+    merges = []
+    quot = quotient_vars(flatten(load(name)), merges)
+    out = collision_quotient(quot, merges)
+    norm, rep = pipeline(load(name))
+    assert out == norm
+    assert tuple(merges) == rep.merges
+
+
+def _recursive_flatten(system):
+    """Flattening as a recursive walk keyed on whole subterms: the
+    reference for auxiliary numbering and equation order."""
+    aux, equations, equalities = {}, [], []
+
+    def handle(t):
+        if isinstance(t, Var):
+            return t.name
+        if t not in aux:
+            args = tuple(handle(a) for a in t.args)
+            aux[t] = f"_z{len(aux)}"
+            equations.append((t.symbol, args, aux[t]))
+        return aux[t]
+
+    for eq in system.equations:
+        flat = [(app, var) for app, var in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
+                if isinstance(app, App) and isinstance(var, Var)
+                and all(isinstance(a, Var) for a in app.args)]
+        if flat:
+            app, var = flat[0]
+            equations.append((app.symbol, tuple(a.name for a in app.args),
+                              var.name))
+        elif isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var):
+            equalities.append((eq.lhs.name, eq.rhs.name))
+        else:
+            equalities.append((handle(eq.lhs), handle(eq.rhs)))
+    origin = tuple((name, render_term(t)) for t, name in aux.items())
+    return equations, tuple(equalities), origin
+
+
+@settings(max_examples=100, deadline=None)
+@given(_term_systems())
+def test_flatten_matches_recursive_reference(system):
+    flat = flatten(system)
+    assert (_eqs(flat), flat.var_equalities, flat.origin_map) == \
+        _recursive_flatten(system)

@@ -25,7 +25,7 @@ from termflow.oracle import (BlockEncoding, SearchBudget, brute_dispersion,
                              sandwich_check, table_space)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
                             Signature, TermSystem, Var)
-from conftest import load
+from corpus_loader import load
 
 
 # ---- enumeration ------------------------------------------------------------
@@ -51,6 +51,14 @@ def test_enumeration_is_canonical_big_endian():
     assert interps[15].tables == {"f": (1, 1), "g": (1, 1)}
     for idx in (0, 5, 11, 15):
         assert interpretation_at(sig, 2, idx) == interps[idx]
+
+
+def test_interpretation_index_out_of_range():
+    sig = Signature(symbols=(("f", 1), ("g", 1)))
+    assert interpretation_at(sig, 2, 15).tables == {"f": (1, 1), "g": (1, 1)}
+    for index in (16, -1, 2 ** 70):
+        with pytest.raises(ValidationError, match="index out of range"):
+            interpretation_at(sig, 2, index)
 
 
 def test_enumeration_slicing():

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from termflow.errors import EvalError, ValidationError
+from termflow.flownet import build_dag, dispersion_exponent
+from termflow.normalize import NormalEquation, flatten
+from termflow.oracle import brute_dispersion, brute_max_solutions
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
                             Signature, TermSystem, Var, argument_tuples,
                             assignments, check_ident, eval_term,
@@ -149,3 +152,26 @@ def test_instance_size_counts_all_term_nodes():
         equations=(Equation(App("f", (App("g", (Var("x"),)),)), Var("y")),))
     # f(g(x)) has 3 occurrences, y has 1, plus 1 for the equation itself
     assert instance_size(system) == 5
+
+
+def test_600_deep_term_needs_no_recursion():
+    """f(...f(x)...) nested 600 deep, built without the parser: the DAG
+    builder, flatten, the flow and the scan kernels walk it iteratively."""
+    term = Var("x")
+    for _ in range(600):
+        term = App("f", (term,))
+    sig = Signature(symbols=(("f", 1),))
+    spec = DispersionSpec(inputs=("x",), signature=sig, outputs=(term,))
+    dag = build_dag(spec)
+    assert dag.node_count == 601
+    assert dag.ops[-1] == ("f", (599,))
+    assert dag.labels[-1] == "f(" * 600 + "x" + ")" * 600
+    assert dispersion_exponent(spec).D == 1
+    system = TermSystem(variables=("x", "y"), signature=sig,
+                        equations=(Equation(term, Var("y")),))
+    flat = flatten(system)
+    assert len(flat.auxiliaries) == 600
+    assert flat.equations[-1] == NormalEquation("f", ("_z598",), "_z599")
+    assert flat.var_equalities == (("_z599", "y"),)
+    assert brute_max_solutions(system, 2).value == 2
+    assert brute_dispersion(spec, 2).value == 2
