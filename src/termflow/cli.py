@@ -26,8 +26,7 @@ from .depgraph import DependencyGraph, add_source_loops, dependency_graph, to_do
 from .dsl import parse, render
 from .errors import (BudgetError, ParseError, PreconditionError, TermflowError,
                      ValidationError)
-from .flownet import (build_dag, build_network, decide_threshold,
-                      dispersion_exponent, network_dot)
+from .flownet import decide_threshold, dispersion_exponent, network_dot
 from .normalize import diversify, pipeline
 from .oracle import (DEFAULT_BUDGET, SearchBudget, brute_dispersion,
                      brute_guessing, brute_max_solutions, check_embedding,
@@ -133,7 +132,7 @@ def cmd_exponent(args) -> tuple[dict, int]:
     if args.certificate:
         result["certificate"] = res.certificate()
     if args.dot is not None:
-        Path(args.dot).write_text(network_dot(build_network(build_dag(spec))))
+        Path(args.dot).write_text(network_dot(res.network))
         result["dot_path"] = args.dot
     report = _report("exponent", meta,
                      {"certificate": args.certificate, "dot": args.dot}, result)

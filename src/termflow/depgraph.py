@@ -9,7 +9,8 @@ oracle's brute_guessing maximizes the number of winning configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ValidationError
 from .normalize import classify
@@ -21,6 +22,7 @@ class DependencyGraph:
     vertices: tuple[Ident, ...]
     edges: frozenset[tuple[Ident, Ident]]
     sources: frozenset[Ident]
+    _in: dict[Ident, tuple[Ident, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.vertices)
@@ -31,19 +33,23 @@ class DependencyGraph:
                 raise ValidationError(f"edge ({u!r}, {v!r}) off the vertex set")
         if not self.sources <= declared:
             raise ValidationError("sources must be vertices")
+        order = {v: i for i, v in enumerate(self.vertices)}
+        nbrs: dict[Ident, list[Ident]] = {v: [] for v in self.vertices}
+        for u, v in sorted(self.edges, key=lambda e: order[e[0]]):
+            nbrs[v].append(u)
+        object.__setattr__(self, "_in", {v: tuple(us) for v, us in nbrs.items()})
 
     def in_neighbors(self, v: Ident) -> tuple[Ident, ...]:
         """In-neighborhood as a set, ordered by vertex order."""
-        nbrs = {u for u, w in self.edges if w == v}
-        return tuple(u for u in self.vertices if u in nbrs)
+        return self._in.get(v, ())
 
 
 def dependency_graph(system) -> DependencyGraph:
     """Graph of a functional-normal-form system; rejects anything else."""
     cls = classify(system)
     if not cls.is_fnf:
-        over = [v for v in cls.defined
-                if sum(1 for eq in system.equations if eq.defined == v) > 1]
+        count = Counter(eq.defined for eq in system.equations)
+        over = [v for v in cls.defined if count[v] > 1]
         raise PreconditionError(
             "dependency graph needs functional normal form; "
             f"multiply-defined: {', '.join(over) if over else '(none)'}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .depgraph import DependencyGraph
 from .errors import ParseError
 from .terms import (App, DispersionSpec, Equation, Ident, Signature, Term,
-                    TermSystem, Var, is_reserved_ident, render_term)
+                    TermSystem, Var, is_reserved_ident)
 
 KEYWORDS = frozenset({
     "instance", "dispersion", "graph", "vars", "inputs", "outputs",
@@ -136,29 +136,36 @@ class _Parser:
             self.take(",")
 
     def term(self, signature: Signature, variables: frozenset[Ident]) -> Term:
-        tok = self.ident("term")
-        if self.here.text != "(":
-            if tok.text in signature:
-                self.fail(f"symbol {tok.text!r} used without arguments "
-                          "(constants are written c())", tok)
-            if tok.text not in variables:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
-            return Var(tok.text)
-        self.take("(")
-        if tok.text not in signature:
-            self.fail(f"unknown symbol {tok.text!r}", tok)
-        args = []
-        if self.here.text != ")":
-            args.append(self.term(signature, variables))
-            while self.here.text == ",":
-                self.take(",")
-                args.append(self.term(signature, variables))
-        self.take(")")
-        want = signature.arity(tok.text)
-        if len(args) != want:
-            self.fail(f"arity mismatch: {tok.text!r} declared /{want}, "
-                      f"applied to {len(args)}", tok)
-        return App(tok.text, tuple(args))
+        """One term, parsed on an explicit stack of open applications."""
+        frames: list[tuple[_Token | None, list[Term]]] = [(None, [])]
+        while True:
+            tok = self.ident("term")
+            if self.here.text == "(":
+                self.take("(")
+                if tok.text not in signature:
+                    self.fail(f"unknown symbol {tok.text!r}", tok)
+                frames.append((tok, []))
+                if self.here.text != ")":
+                    continue  # on to the first argument
+            else:
+                if tok.text in signature:
+                    self.fail(f"symbol {tok.text!r} used without arguments "
+                              "(constants are written c())", tok)
+                if tok.text not in variables:
+                    self.fail(f"undeclared variable {tok.text!r}", tok)
+                frames[-1][1].append(Var(tok.text))
+            # close applications until one takes a further argument
+            while len(frames) > 1 and self.here.text != ",":
+                tok, args = frames.pop()
+                self.take(")")
+                want = signature.arity(tok.text)
+                if len(args) != want:
+                    self.fail(f"arity mismatch: {tok.text!r} declared /{want}, "
+                              f"applied to {len(args)}", tok)
+                frames[-1][1].append(App(tok.text, tuple(args)))
+            if len(frames) == 1:
+                return frames[0][1][0]
+            self.take(",")
 
     # ---- top-level forms -------------------------------------------------
 
@@ -295,12 +302,12 @@ def render(obj) -> str:
         lines = ["instance {",
                  f"  vars {', '.join(obj.variables)};",
                  f"  sig {_render_sig(obj.signature)};"]
-        for eq in obj.equations:
-            lines.append(f"  eq {render_term(eq.lhs)} = {render_term(eq.rhs)};")
+        sides = obj.dag.labels(obj.dag.outputs)
+        lines += [f"  eq {lhs} = {rhs};" for lhs, rhs in zip(sides[::2], sides[1::2])]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if isinstance(obj, DispersionSpec):
-        outs = ", ".join(render_term(t) for t in obj.outputs)
+        outs = ", ".join(obj.dag.labels(obj.dag.outputs))
         return ("dispersion {\n"
                 f"  inputs {', '.join(obj.inputs)};\n"
                 f"  sig {_render_sig(obj.signature)};\n"

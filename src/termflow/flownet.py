@@ -1,12 +1,13 @@
 """Dispersion exponent by max flow over the shared term DAG.
 
 The output terms of a spec are hash-consed into a DAG (one node per input
-variable, one per distinct application subterm) by `terms.term_dag`;
-`TermDag` lives in `terms` and is re-exported here.  Every DAG node is split
-into an in/out pair joined by a unit-capacity edge; child wiring, and the
-super-source's edges into the inputs, are effectively uncapacitated
-(capacity r+1 exceeds any possible flow).  Each distinct output root gets a
-unit edge to the super-sink, so duplicated outputs share one sink edge.
+variable, one per distinct application subterm) as the spec is built:
+`build_dag` returns `spec.dag`, a `terms.TermDag` (re-exported here).  Every
+DAG node is split into an in/out pair joined by a unit-capacity edge; child
+wiring, and the super-source's edges into the inputs, are effectively
+uncapacitated (capacity r+1 exceeds any possible flow).  Each distinct
+output root gets a unit edge to the super-sink, so duplicated outputs share
+one sink edge.
 
 Unit capacity applies to input nodes too: a spec like (f(x), g(x)) funnels
 both outputs through the single value of x and must get exponent 1, not 2.
@@ -15,6 +16,7 @@ The integral max-flow value D is the dispersion exponent: the image of the
 spec's map is Theta(n^D) in the best interpretation, and at most n^D for
 every n.  The min-cut witness is canonicalized as the saturated unit edges
 on the boundary of the residual source side (reachable-side-first).
+Bottleneck identifiers (term text) are rendered only for reports.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .terms import DispersionSpec, TermDag, term_dag, term_vars
+from .terms import DispersionSpec, TermDag, term_vars
 
 
 def build_dag(spec: DispersionSpec) -> TermDag:
-    return term_dag(spec.inputs, spec.outputs)
+    return spec.dag
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,15 @@ class FlowNetwork:
     source: int
     sink: int
     edges: tuple[tuple[int, int, int], ...]  # (u, v, capacity)
-    bottleneck_ids: tuple[tuple[int, str], ...]  # edge index -> identifier
+    bottlenecks: tuple[int, ...]  # unit edges' indices: split, then sink
     inf: int
+    dag: TermDag
+
+    def names(self, edges) -> list[str]:
+        """Unit edges' identifiers: node text, `sink:`-prefixed on sink edges."""
+        ends = [self.edges[e][:2] for e in edges]  # u: the node's in or out end
+        texts = self.dag.labels([(u - 2) // 2 for u, _ in ends])
+        return [f"sink:{t}" if v == self.sink else t for t, (_, v) in zip(texts, ends)]
 
 
 def build_network(dag: TermDag) -> FlowNetwork:
@@ -56,9 +65,9 @@ def build_network(dag: TermDag) -> FlowNetwork:
 
     source, sink = 0, 1
     edges: list[tuple[int, int, int]] = []
-    bottlenecks: list[tuple[int, str]] = []
+    bottlenecks: list[int] = []
     for v in range(dag.node_count):
-        bottlenecks.append((len(edges), dag.labels[v]))
+        bottlenecks.append(len(edges))
         edges.append((n_in(v), n_out(v), 1))
     for v in range(k):
         edges.append((source, n_in(v), inf))
@@ -67,10 +76,10 @@ def build_network(dag: TermDag) -> FlowNetwork:
         for c in children:
             edges.append((n_out(c), n_in(v), inf))
     for root in distinct_roots:
-        bottlenecks.append((len(edges), f"sink:{dag.labels[root]}"))
+        bottlenecks.append(len(edges))
         edges.append((n_out(root), sink, 1))
     return FlowNetwork(2 + 2 * dag.node_count, source, sink, tuple(edges),
-                       tuple(bottlenecks), inf)
+                       tuple(bottlenecks), inf, dag)
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,20 @@ class ExponentResult:
     D: int
     max_flow_value: int
     min_cut: tuple[str, ...]  # sorted saturated-bottleneck identifiers
-    # every unit bottleneck in network order: (id, capacity, saturated, in_cut)
-    bottlenecks: tuple[tuple[str, int, bool, bool], ...]
+    network: FlowNetwork
+    # every unit bottleneck in network order: (edge index, saturated, in_cut)
+    bottlenecks: tuple[tuple[int, bool, bool], ...]
 
     def certificate(self) -> dict:
         """JSON-ready certificate: every unit bottleneck with its
         saturation and cut membership."""
+        names = self.network.names([edge for edge, _, _ in self.bottlenecks])
         return {
             "flow_value": self.max_flow_value,
             "cut": list(self.min_cut),
-            "bottlenecks": [{"id": name, "capacity": cap, "saturated": sat,
-                             "in_cut": in_cut}
-                            for name, cap, sat, in_cut in self.bottlenecks],
+            "bottlenecks": [{"id": name, "capacity": self.network.edges[edge][2],
+                             "saturated": sat, "in_cut": cut}
+                            for name, (edge, sat, cut) in zip(names, self.bottlenecks)],
         }
 
 
@@ -170,17 +181,17 @@ def max_flow(network: FlowNetwork) -> ExponentResult:
     handles = [dinic.add(u, v, c) for u, v, c in network.edges]
     value, level = dinic.run(network.source, network.sink)
     rows = []
-    for edge_idx, name in network.bottleneck_ids:
-        u, v, cap = network.edges[edge_idx]
-        rows.append((name, cap, dinic.cap[handles[edge_idx]] == 0,
+    for edge in network.bottlenecks:
+        u, v, _ = network.edges[edge]
+        rows.append((edge, dinic.cap[handles[edge]] == 0,
                      level[u] >= 0 > level[v]))
-    cut = sorted(name for name, _, _, in_cut in rows if in_cut)
+    cut = sorted(network.names([edge for edge, _, in_cut in rows if in_cut]))
     # a crossing edge of the canonical cut is always saturated
-    assert all(sat for _, _, sat, in_cut in rows if in_cut)
+    assert all(sat for _, sat, in_cut in rows if in_cut)
     if len(cut) != value:
         raise AssertionError("min cut does not match flow value")
     return ExponentResult(D=value, max_flow_value=value, min_cut=tuple(cut),
-                          bottlenecks=tuple(rows))
+                          network=network, bottlenecks=tuple(rows))
 
 
 def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:
@@ -200,12 +211,9 @@ def cut_certificate(spec: DispersionSpec) -> dict:
 def network_dot(network: FlowNetwork) -> str:
     """Debug rendering of the split network with capacities."""
     names = {network.source: "s", network.sink: "t"}
-    for edge_idx, name in network.bottleneck_ids:
-        if name.startswith("sink:"):
-            continue
-        u, v, _ = network.edges[edge_idx]
-        names[u] = f"{name}.in"
-        names[v] = f"{name}.out"
+    dag = network.dag
+    for v, text in enumerate(dag.labels(range(dag.node_count))):
+        names[2 + 2 * v], names[3 + 2 * v] = f"{text}.in", f"{text}.out"
     lines = ["digraph network {"]
     for u, v, c in network.edges:
         label = "inf" if c == network.inf else str(c)

@@ -48,15 +48,14 @@ class NormalEquation:
 class NormalSystem:
     """A flattened system plus any still-unresolved variable equalities.
 
-    origin_map records, for every live auxiliary variable, the application
-    subterm it stands for (rendered text), for reporting.
+    auxiliaries lists the live variables that flattening minted.
     """
 
     variables: tuple[Ident, ...]
     signature: Signature
     equations: tuple[NormalEquation, ...]
     var_equalities: tuple[tuple[Ident, Ident], ...] = ()
-    origin_map: tuple[tuple[Ident, str], ...] = ()
+    auxiliaries: tuple[Ident, ...] = ()
 
     def __post_init__(self):
         declared = set(self.variables)
@@ -73,10 +72,6 @@ class NormalSystem:
         for a, b in self.var_equalities:
             if a not in declared or b not in declared:
                 raise ValidationError("undeclared variable in equality")
-
-    @property
-    def auxiliaries(self) -> tuple[Ident, ...]:
-        return tuple(name for name, _ in self.origin_map)
 
     def to_term_system(self) -> TermSystem:
         eqs = [Equation(App(e.symbol, tuple(Var(u) for u in e.args)),
@@ -196,9 +191,8 @@ def flatten(system: TermSystem) -> NormalSystem:
                     symbol, tuple(names[c] for c in children), names[node]))
             added = end
             equalities.append((names[lhs], names[rhs]))
-    origin = tuple(zip(names[k:], dag.labels[k:]))
     return NormalSystem(names, system.signature, tuple(equations),
-                        tuple(equalities), origin)
+                        tuple(equalities), names[k:])
 
 
 def _substitute(system: NormalSystem, uf: UnionFind, stage: str,
@@ -219,10 +213,9 @@ def _substitute(system: NormalSystem, uf: UnionFind, stage: str,
             equations.append(new)
     equalities = tuple((rep[a], rep[b]) for a, b in system.var_equalities
                        if rep[a] != rep[b])
-    origin = tuple((name, text) for name, text in system.origin_map
-                   if rep[name] == name)
+    auxiliaries = tuple(a for a in system.auxiliaries if rep[a] == a)
     return NormalSystem(variables, system.signature, tuple(equations),
-                        equalities, origin)
+                        equalities, auxiliaries)
 
 
 def quotient_vars(system: NormalSystem,
@@ -320,7 +313,7 @@ def diversify(system: NormalSystem) -> NormalSystem:
         equations.append(NormalEquation(name, eq.args, eq.defined))
     return NormalSystem(system.variables, Signature(tuple(symbols)),
                         tuple(equations), system.var_equalities,
-                        system.origin_map)
+                        system.auxiliaries)
 
 
 def _fresh(base: str, taken: set[str]) -> str:

@@ -11,8 +11,8 @@ Two evaluation routes coexist on purpose.  The scalar route
 (`count_solutions`, `image_of`, `count_winning`) walks terms with
 `eval_term` and is the reference semantics.  The engine route vectorizes
 the interpretation axis with numpy for the big scans: it evaluates the
-search's term DAG (`terms.term_dag`, built once per search) node by node in
-topological order, once per assignment.  Tests pin the two routes against
+DAG that the system or spec built at construction (`.dag`) node by node
+in topological order, once per assignment.  Tests pin the two routes against
 each other, and every reported witness can be replayed through the scalar
 route to reproduce its value.
 
@@ -34,7 +34,7 @@ from .depgraph import DependencyGraph, GuessingStrategy, dependency_graph
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (App, DispersionSpec, Ident, Interpretation, Signature,
-                    Term, TermDag, TermSystem, Var, assignments, eval_term,
+                    TermDag, TermSystem, Var, assignments, eval_term,
                     table_index, term_dag)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
@@ -237,24 +237,23 @@ def enumerate_interpretations(signature: Signature, n: int,
 # ---- scalar reference route ------------------------------------------------
 
 
-def _system_view(system) -> tuple[tuple[Ident, ...], Signature,
-                                  tuple[tuple[Term, Term], ...]]:
+def _term_system(system) -> TermSystem:
+    """Term systems pass through; normal systems are read as one."""
     if isinstance(system, NormalSystem):
-        system = system.to_term_system()
+        return system.to_term_system()
     if isinstance(system, TermSystem):
-        pairs = tuple((eq.lhs, eq.rhs) for eq in system.equations)
-        return system.variables, system.signature, pairs
+        return system
     raise PreconditionError(f"not a term system: {type(system).__name__}")
 
 
 def count_solutions(system, interp: Interpretation) -> int:
     """Reference count of satisfying assignments for one interpretation."""
-    variables, signature, pairs = _system_view(system)
-    interp.validate_against(signature)
+    system = _term_system(system)
+    interp.validate_against(system.signature)
     total = 0
-    for assign in assignments(variables, interp.n):
-        if all(eval_term(lhs, interp, assign) == eval_term(rhs, interp, assign)
-               for lhs, rhs in pairs):
+    for assign in assignments(system.variables, interp.n):
+        if all(eval_term(eq.lhs, interp, assign) == eval_term(eq.rhs, interp, assign)
+               for eq in system.equations):
             total += 1
     return total
 
@@ -479,9 +478,8 @@ def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
                         *, jobs: int = 1) -> OracleResult:
     """Maximum solution count over every interpretation, with the least
     witness attaining it."""
-    variables, signature, pairs = _system_view(system)
-    dag = term_dag(variables, [t for pair in pairs for t in pair])
-    return _max_solutions(signature, dag, n, budget, jobs)
+    system = _term_system(system)
+    return _max_solutions(system.signature, system.dag, n, budget, jobs)
 
 
 def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
@@ -490,10 +488,9 @@ def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
     _admit(spec.signature, n, spec.k, budget)
     if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
-    dag = term_dag(spec.inputs, spec.outputs)
-    used = _enumerated(spec.signature, dag)
+    used = _enumerated(spec.signature, spec.dag)
     total = _used_space(used, n)
-    return used, total, _scan("image", (used, dag), n, total, jobs, target)
+    return used, total, _scan("image", (used, spec.dag), n, total, jobs, target)
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
@@ -566,18 +563,15 @@ def check_counts_preserved(before, after, n: int,
     """Exhaustively compare per-interpretation solution counts of two
     systems over the same signature (the normalization-preservation
     oracle)."""
-    vars_a, sig_a, pairs_a = _system_view(before)
-    vars_b, sig_b, pairs_b = _system_view(after)
-    if sig_a != sig_b:
+    before, after = _term_system(before), _term_system(after)
+    if before.signature != after.signature:
         raise PreconditionError("count comparison needs a shared signature")
-    per = n ** len(vars_a) + n ** len(vars_b)
-    _admit(sig_a, n, 0, budget, per_interp=per)
-    dag_a = term_dag(vars_a, [t for pair in pairs_a for t in pair])
-    dag_b = term_dag(vars_b, [t for pair in pairs_b for t in pair])
-    used = _enumerated(sig_a, dag_a, dag_b)
+    per = n ** len(before.variables) + n ** len(after.variables)
+    _admit(before.signature, n, 0, budget, per_interp=per)
+    used = _enumerated(before.signature, before.dag, after.dag)
     total = _used_space(used, n)
-    fa, chunk_a = _payload_fn("count", (used, dag_a), n)
-    fb, chunk_b = _payload_fn("count", (used, dag_b), n)
+    fa, chunk_a = _payload_fn("count", (used, before.dag), n)
+    fb, chunk_b = _payload_fn("count", (used, after.dag), n)
     chunk = min(chunk_a, chunk_b)
     pos = 0
     while pos < total:
@@ -682,7 +676,7 @@ def check_embedding(spec: DispersionSpec, n: int,
     dispersion = brute_dispersion(spec, n, budget)
 
     decoder_names = embedded.signature.names[len(spec.signature.names):]
-    used = _enumerated(spec.signature, term_dag(spec.inputs, spec.outputs))
+    used = _enumerated(spec.signature, spec.dag)
     total = _used_space(used, n)
     best_value, best_witness = -1, None
     for index in range(total):

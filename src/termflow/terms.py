@@ -10,13 +10,16 @@ Tables are stored row-major with argument tuples enumerated
 lexicographically (first argument most significant), which fixes a canonical
 integer encoding of every table; the oracle module's enumerator counts
 through exactly that encoding.
+
+A system or spec hash-conses its terms into one `TermDag` (`.dag`) as it
+is built; equality and hashing compare the DAG.  No term walk recurses.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import EvalError, ValidationError
 
@@ -47,25 +50,26 @@ class Signature:
     """Ordered function symbols with fixed arities.  Names are unique."""
 
     symbols: tuple[tuple[Ident, int], ...]
+    _arity: dict[Ident, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        seen: dict[Ident, int] = {}
         for name, arity in self.symbols:
             check_ident(name)
             if not isinstance(arity, int) or arity < 0:
                 raise ValidationError(f"bad arity for {name!r}: {arity!r}")
             if name in seen:
                 raise ValidationError(f"duplicate symbol {name!r}")
-            seen.add(name)
+            seen[name] = arity
+        object.__setattr__(self, "_arity", seen)
 
     def arity(self, name: Ident) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise ValidationError(f"unknown symbol {name!r}")
+        if name not in self._arity:
+            raise ValidationError(f"unknown symbol {name!r}")
+        return self._arity[name]
 
     def __contains__(self, name: object) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in self._arity
 
     @property
     def names(self) -> tuple[Ident, ...]:
@@ -86,27 +90,31 @@ class App:
 Term = Union[Var, App]
 
 
+def _preorder(t: Term) -> list[Term]:
+    """Every subterm occurrence in pre-order, left to right, without recursion."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, App):
+            stack.extend(reversed(t.args))
+    return out
+
+
 def term_size(t: Term) -> int:
     """Occurrence count: every variable and symbol occurrence is one node."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return len(_preorder(t))
 
 
 def term_vars(t: Term) -> Iterator[Ident]:
     """Variable occurrences in left-to-right order (with repeats)."""
-    if isinstance(t, Var):
-        yield t.name
-    else:
-        for a in t.args:
-            yield from term_vars(a)
+    return (s.name for s in _preorder(t) if isinstance(s, Var))
 
 
 def render_term(t: Term) -> str:
     """Prefix text for a term; constants keep explicit parens (`c()`)."""
-    if isinstance(t, Var):
-        return t.name
-    return f"{t.symbol}({', '.join(render_term(a) for a in t.args)})"
+    dag = term_dag(tuple(dict.fromkeys(term_vars(t))), [t])
+    return dag.label(dag.outputs[0])
 
 
 @dataclass(frozen=True)
@@ -116,22 +124,43 @@ class TermDag:
     inputs: tuple[Ident, ...]
     ops: tuple[tuple[Ident, tuple[int, ...]], ...]  # (symbol, child node ids)
     outputs: tuple[int, ...]  # root node id per term, in order
-    labels: tuple[str, ...]  # per node id: variable name or rendered term
 
     @property
     def node_count(self) -> int:
         return len(self.inputs) + len(self.ops)
 
+    def label(self, node: int) -> str:
+        """Prefix text of a node's term, as `render_term` prints it."""
+        return self.labels([node])[0]
+
+    def labels(self, nodes: Sequence[int]) -> list[str]:
+        """Prefix text of each node's term, made on demand: the only renderer.
+        Earlier nodes' text is reused, so id order costs the output's length."""
+        done = dict(enumerate(self.inputs))  # node id -> text
+        for node in nodes:
+            parts, stack = [], [node]  # stack: node ids and literal text
+            while stack:
+                item = stack.pop()
+                if isinstance(item, str):
+                    parts.append(item)
+                elif item in done:
+                    parts.append(done[item])
+                else:
+                    symbol, args = self.ops[item - len(self.inputs)]
+                    parts.append(f"{symbol}(")
+                    # children separated by ", ", first child on top
+                    stack += [")", *[x for c in reversed(args) for x in (c, ", ")][:-1]]
+            done[node] = "".join(parts)
+        return [done[node] for node in nodes]
+
 
 def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
-    """Hash-cons `terms` over the variables `inputs` into one DAG: the only
-    place terms are hash-consed.  Nodes are keyed on (symbol, child node
-    ids), not on term trees, and an explicit stack replaces recursion, so
-    any nesting depth costs linear time.  Ops come out in first-encounter
-    post-order; a label equals `render_term` of its subterm."""
+    """Hash-cons `terms` over the variables `inputs` into one DAG, keying
+    nodes on (symbol, child node ids) and walking an explicit stack, so any
+    depth costs linear time.  Ops come out in first-encounter post-order.
+    A variable outside `inputs` raises ValidationError."""
     # variables are keyed by name, ops by (symbol, child node ids)
     ids: dict[object, int] = {name: i for i, name in enumerate(inputs)}
-    labels = list(inputs)
     ops: list[tuple[Ident, tuple[int, ...]]] = []
     outputs = []
     for term in terms:
@@ -140,6 +169,8 @@ def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
         while stack:
             t, expanded = stack.pop()
             if isinstance(t, Var):
+                if t.name not in ids:
+                    raise ValidationError(f"undeclared variable {t.name!r}")
                 done.append(ids[t.name])
             elif not expanded:
                 stack.append((t, True))
@@ -150,26 +181,31 @@ def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
                 del done[split:]
                 node = ids.get(key)
                 if node is None:
-                    ids[key] = node = len(labels)
-                    labels.append(
-                        f"{t.symbol}({', '.join(labels[c] for c in key[1])})")
+                    ids[key] = node = len(inputs) + len(ops)
                     ops.append(key)
                 done.append(node)
         outputs.append(done[0])
-    return TermDag(tuple(inputs), tuple(ops), tuple(outputs), tuple(labels))
+    return TermDag(tuple(inputs), tuple(ops), tuple(outputs))
 
 
-def check_term(t: Term, signature: Signature, variables: frozenset[Ident]) -> None:
-    if isinstance(t, Var):
-        if t.name not in variables:
-            raise ValidationError(f"undeclared variable {t.name!r}")
-        return
-    ar = signature.arity(t.symbol)
-    if len(t.args) != ar:
-        raise ValidationError(
-            f"arity mismatch: {t.symbol!r} declared /{ar}, applied to {len(t.args)}")
-    for a in t.args:
-        check_term(a, signature, variables)
+def _validated_dag(names, what: str, signature: Signature, terms) -> TermDag:
+    """Check `names`, build the DAG of `terms`, check each distinct op's arity."""
+    seen = set()
+    for v in names:
+        check_ident(v)
+        if v in seen:
+            raise ValidationError(f"duplicate {what} {v!r}")
+        if v in signature:
+            article = "an" if what[0] in "aeiou" else "a"
+            raise ValidationError(f"{v!r} is both {article} {what} and a symbol")
+        seen.add(v)
+    dag = term_dag(names, terms)
+    for symbol, args in dag.ops:
+        ar = signature.arity(symbol)
+        if len(args) != ar:
+            raise ValidationError(
+                f"arity mismatch: {symbol!r} declared /{ar}, applied to {len(args)}")
+    return dag
 
 
 @dataclass(frozen=True)
@@ -181,25 +217,17 @@ class Equation:
 @dataclass(frozen=True)
 class TermSystem:
     """Variables, signature, and term equations; every variable used in an
-    equation must be declared."""
+    equation must be declared.  `dag` holds each equation's (lhs, rhs)."""
 
     variables: tuple[Ident, ...]
     signature: Signature
-    equations: tuple[Equation, ...]
+    equations: tuple[Equation, ...] = field(compare=False)
+    dag: TermDag = field(init=False, repr=False)
 
     def __post_init__(self):
-        seen = set()
-        for v in self.variables:
-            check_ident(v)
-            if v in seen:
-                raise ValidationError(f"duplicate variable {v!r}")
-            if v in self.signature:
-                raise ValidationError(f"{v!r} is both a variable and a symbol")
-            seen.add(v)
-        declared = frozenset(self.variables)
-        for eq in self.equations:
-            check_term(eq.lhs, self.signature, declared)
-            check_term(eq.rhs, self.signature, declared)
+        object.__setattr__(self, "dag", _validated_dag(
+            self.variables, "variable", self.signature,
+            [t for eq in self.equations for t in (eq.lhs, eq.rhs)]))
 
 
 @dataclass(frozen=True)
@@ -208,24 +236,16 @@ class DispersionSpec:
 
     inputs: tuple[Ident, ...]
     signature: Signature
-    outputs: tuple[Term, ...]
+    outputs: tuple[Term, ...] = field(compare=False)
+    dag: TermDag = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.inputs:
             raise ValidationError("dispersion spec needs at least one input")
         if not self.outputs:
             raise ValidationError("dispersion spec needs at least one output")
-        seen = set()
-        for v in self.inputs:
-            check_ident(v)
-            if v in seen:
-                raise ValidationError(f"duplicate input {v!r}")
-            if v in self.signature:
-                raise ValidationError(f"{v!r} is both an input and a symbol")
-            seen.add(v)
-        declared = frozenset(self.inputs)
-        for t in self.outputs:
-            check_term(t, self.signature, declared)
+        object.__setattr__(self, "dag", _validated_dag(
+            self.inputs, "input", self.signature, self.outputs))
 
     @property
     def k(self) -> int:
@@ -293,13 +313,16 @@ Assignment = Mapping[Ident, int]
 
 
 def eval_term(t: Term, interp: Interpretation, assignment: Assignment) -> int:
-    if isinstance(t, Var):
-        try:
-            return assignment[t.name]
-        except KeyError:
-            raise EvalError(f"no binding for variable {t.name!r}") from None
-    args = tuple(eval_term(a, interp, assignment) for a in t.args)
-    return interp.apply(t.symbol, args)
+    """A term's value by a walk of the tree, sharing no code with the DAG."""
+    vals: list[int] = []  # values of finished subterms, first argument on top
+    for s in reversed(_preorder(t)):
+        if isinstance(s, App):
+            vals.append(interp.apply(s.symbol, tuple(vals.pop() for _ in s.args)))
+        elif s.name in assignment:
+            vals.append(assignment[s.name])
+        else:
+            raise EvalError(f"no binding for variable {s.name!r}")
+    return vals[0]
 
 
 def satisfies(system: TermSystem, interp: Interpretation,

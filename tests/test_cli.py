@@ -1,14 +1,19 @@
 """Command-line behavior: canonical reports, exit codes, environment."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import termflow
+from termflow import cli
 from termflow.corpus import corpus_path
 
 
@@ -237,3 +242,115 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert termflow.__version__.encode() in proc.stdout
+
+
+def _main(*argv):
+    """cli.main in-process: (exit code, stdout, stderr)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+DEEP = 10 ** 5
+
+
+def test_deep_term_through_the_cli(tmp_path):
+    """f(...f(x)...) nested 10^5 deep: the parser, the DAG, the flow and
+    the pipeline all walk it without recursion."""
+    term = "f(" * DEEP + "x" + ")" * DEEP
+    disp = tmp_path / "deep.disp"
+    disp.write_text(f"dispersion {{ inputs x; sig f/1; outputs {term}; }}\n")
+    inst = tmp_path / "deep.inst"
+    inst.write_text(f"instance {{ vars x, y; sig f/1; eq {term} = y; }}\n")
+    for argv in (["exponent", str(disp)], ["threshold", str(disp), "-d", "0"]):
+        code, out, err = _main(*argv)
+        assert code == 0 and "Traceback" not in err
+        result = json.loads(out)["result"]
+        assert result["D"] == 1 and result["min_cut"] == ["x"]
+    code, out, err = _main("normalize", str(inst))
+    assert code == 0 and "Traceback" not in err
+    result = json.loads(out)["result"]
+    assert len(result["auxiliaries"]) == DEEP and result["is_cfnf"]
+
+
+# per input kind: (command words before the file, words after it)
+_BRUTE = ["-n", "2", "--budget", "4096"]
+_COMMANDS = {
+    "dispersion": [(["exponent"], []), (["exponent"], ["--certificate"]),
+                   (["threshold"], ["-d", "1"]), (["brute", "disp"], _BRUTE),
+                   (["brute", "perfect"], _BRUTE),
+                   (["brute", "embed"], _BRUTE)],
+    "instance": [(["normalize"], ["--diversify"]),
+                 (["normalize"], ["--fnf-check"]), (["graph"], []),
+                 (["brute", "solve"], _BRUTE), (["brute", "guess"], _BRUTE),
+                 (["brute", "sandwich"], _BRUTE)],
+    "graph": [(["graph"], ["--loops"]), (["brute", "guess"], _BRUTE)],
+}
+
+
+@st.composite
+def _cli_input(draw):
+    """A command and its input file's bytes: DSL text, mostly well formed,
+    with empty id-lists and blocks, arity 70 and nesting past the
+    interpreter's recursion limit, then maybe a splice of arbitrary (often
+    non-UTF-8) bytes.  The command mostly suits the input's kind."""
+    kind = draw(st.sampled_from(["dispersion", "instance", "graph"]))
+    command = draw(st.sampled_from(_COMMANDS[draw(st.sampled_from(
+        [kind] * 8 + list(_COMMANDS)))]))
+    names = draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=3,
+                          unique=True))
+    sig = draw(st.lists(st.tuples(st.sampled_from(["f", "g", "c"]),
+                                  st.sampled_from([0, 1, 1, 2, 70])),
+                        max_size=3, unique_by=lambda p: p[0]))
+    leaves = names or ["x"]
+
+    def term(depth):
+        if depth == 0 or not sig or draw(st.booleans()):
+            return draw(st.sampled_from(leaves))
+        sym, arity = draw(st.sampled_from(sig))
+        return f"{sym}({', '.join(term(depth - 1) for _ in range(arity))})"
+
+    def deep_term():
+        unary = [s for s, a in sig if a == 1]
+        if not unary or draw(st.booleans()):
+            return term(2)
+        sym = draw(st.sampled_from(unary))
+        return f"{sym}(" * 5000 + term(2) + ")" * 5000
+
+    sigs = ", ".join(f"{s}/{a}" for s, a in sig)
+    if kind == "dispersion":
+        outs = ", ".join(deep_term() for _ in range(draw(st.sampled_from(
+            [0, 1, 1, 2]))))
+        text = (f"dispersion {{ inputs {', '.join(names)}; sig {sigs}; "
+                f"outputs {outs}; }}")
+    elif kind == "instance":
+        eqs = "".join(f" eq {deep_term()} = {term(1)};"
+                      for _ in range(draw(st.integers(0, 2))))
+        text = f"instance {{ vars {', '.join(names)}; sig {sigs};{eqs} }}"
+    else:
+        edges = "".join(f" edge {u} -> {v};" for u, v in draw(st.lists(
+            st.tuples(st.sampled_from(leaves), st.sampled_from(leaves)),
+            max_size=3)))
+        sources = draw(st.lists(st.sampled_from(leaves), max_size=2,
+                                unique=True))
+        text = (f"graph {{ nodes {', '.join(names)}; "
+                f"sources {', '.join(sources)};{edges} }}")
+    data = text.encode()
+    if not draw(st.integers(0, 2)):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.binary(max_size=3)) + data[at + cut:]
+    return command, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_input())
+def test_fuzzed_inputs_exit_only_0_2_3_or_4(tmp_path_factory, case):
+    (head, tail), data = case
+    file = tmp_path_factory.mktemp("fuzz") / "input"
+    file.write_bytes(data)
+    code, out, err = _main(*head, str(file), *tail)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert code != 0 or out

@@ -8,7 +8,8 @@ from termflow.corpus import corpus_names, corpus_path
 from termflow.depgraph import DependencyGraph
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import ParseError
-from termflow.terms import DispersionSpec, TermSystem
+from termflow.terms import (App, DispersionSpec, Equation, Signature,
+                            TermSystem, Var)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -149,3 +150,19 @@ def _systems(draw):
 @given(_systems())
 def test_render_parse_round_trip_random(system):
     assert parse(render(system)) == system
+
+
+def test_round_trip_and_hash_at_depth_100000():
+    """Equality and hashing read the flat DAG, never the 10^5-deep tree."""
+    term = Var("x")
+    for _ in range(10 ** 5):
+        term = App("f", (term,))
+    sig = Signature(symbols=(("f", 1),))
+    spec = DispersionSpec(inputs=("x",), signature=sig, outputs=(term,))
+    system = TermSystem(variables=("x", "y"), signature=sig,
+                        equations=(Equation(term, Var("y")),))
+    for obj in (spec, system):
+        again = parse(render(obj))
+        assert again == obj and hash(again) == hash(obj)
+    assert spec != DispersionSpec(inputs=("x",), signature=sig,
+                                  outputs=(term.args[0],))

@@ -98,7 +98,8 @@ def test_exponent_matches_brute_vertex_cut(name):
 
 def test_shared_subterm_appears_once_in_dag():
     dag = build_dag(load("shared_subterm.disp"))
-    assert dag.labels.count("g(x)") == 1
+    labels = [dag.label(v) for v in range(dag.node_count)]
+    assert labels.count("g(x)") == 1
     assert dag.node_count == 3  # x, g(x), f(g(x))
 
 
@@ -217,13 +218,13 @@ def test_min_cut_certificate_disconnects(spec):
     roots = list(dict.fromkeys(dag.outputs))
     reach = [False] * dag.node_count
     for v in range(k):
-        reach[v] = dag.labels[v] not in cut
+        reach[v] = dag.label(v) not in cut
     for i, (_, children) in enumerate(dag.ops):
         v = k + i
-        if dag.labels[v] not in cut:
+        if dag.label(v) not in cut:
             reach[v] = any(reach[c] for c in children)
     alive = [r for r in roots
-             if reach[r] and f"sink:{dag.labels[r]}" not in cut]
+             if reach[r] and f"sink:{dag.label(r)}" not in cut]
     assert not alive
 
 
@@ -249,7 +250,8 @@ def _recursive_dag(spec):
 @given(_specs())
 def test_dag_matches_recursive_hash_consing(spec):
     dag = build_dag(spec)
-    assert (dag.inputs, dag.ops, dag.outputs, dag.labels) == _recursive_dag(spec)
+    labels = tuple(dag.label(v) for v in range(dag.node_count))
+    assert (dag.inputs, dag.ops, dag.outputs, labels) == _recursive_dag(spec)
 
 
 def test_certificate_comes_from_the_exponent_run(monkeypatch):

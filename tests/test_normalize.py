@@ -9,8 +9,7 @@ from termflow.errors import PreconditionError
 from termflow.normalize import (Merge, classify, collision_quotient, diversify,
                                 embed_dispersion, flatten, pad_dispersion,
                                 pipeline, quotient_vars)
-from termflow.terms import (App, Equation, Signature, TermSystem, Var,
-                            render_term, term_vars)
+from termflow.terms import App, Equation, Signature, TermSystem, Var
 from corpus_loader import load
 
 
@@ -22,7 +21,7 @@ def test_flatten_nested_introduces_auxiliaries():
     flat = flatten(load("flatten_nested.inst"))
     assert _eqs(flat) == [("g", ("x",), "_z0"), ("f", ("_z0",), "_z1")]
     assert flat.var_equalities == (("_z1", "y"),)
-    assert flat.origin_map == (("_z0", "g(x)"), ("_z1", "f(g(x))"))
+    assert flat.auxiliaries == ("_z0", "_z1")
     assert flat.variables == ("x", "y", "_z0", "_z1")
 
 
@@ -244,9 +243,8 @@ def test_pipeline_output_is_normal_and_idempotent(system):
 @given(_term_systems())
 def test_flatten_preserves_structure_via_origins(system):
     flat = flatten(system)
-    origins = dict(flat.origin_map)
-    for aux in (v for v in flat.variables if v.startswith("_")):
-        assert aux in origins
+    assert flat.auxiliaries == tuple(v for v in flat.variables
+                                     if v.startswith("_"))
     # auxiliaries never leak into the original variable list
     for v in system.variables:
         assert v in flat.variables
@@ -304,13 +302,12 @@ def _recursive_flatten(system):
             equalities.append((eq.lhs.name, eq.rhs.name))
         else:
             equalities.append((handle(eq.lhs), handle(eq.rhs)))
-    origin = tuple((name, render_term(t)) for t, name in aux.items())
-    return equations, tuple(equalities), origin
+    return equations, tuple(equalities), tuple(aux.values())
 
 
 @settings(max_examples=100, deadline=None)
 @given(_term_systems())
 def test_flatten_matches_recursive_reference(system):
     flat = flatten(system)
-    assert (_eqs(flat), flat.var_equalities, flat.origin_map) == \
+    assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
         _recursive_flatten(system)

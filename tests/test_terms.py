@@ -165,7 +165,7 @@ def test_600_deep_term_needs_no_recursion():
     dag = build_dag(spec)
     assert dag.node_count == 601
     assert dag.ops[-1] == ("f", (599,))
-    assert dag.labels[-1] == "f(" * 600 + "x" + ")" * 600
+    assert dag.label(600) == "f(" * 600 + "x" + ")" * 600
     assert dispersion_exponent(spec).D == 1
     system = TermSystem(variables=("x", "y"), signature=sig,
                         equations=(Equation(term, Var("y")),))
