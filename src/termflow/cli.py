@@ -14,6 +14,7 @@ overrides the default search budget; --budget beats the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ from .normalize import diversify, pipeline
 from .oracle import (DEFAULT_BUDGET, SearchBudget, brute_dispersion,
                      brute_guessing, brute_max_solutions, check_embedding,
                      check_perfect_fixed, sandwich_check)
-from .terms import DispersionSpec, TermSystem, instance_size
+from .terms import TermSystem, instance_size
 
 
 def _load(path: Path, kind: str):
@@ -218,6 +219,7 @@ def _report(command: str, meta: dict, parameters: dict, result: dict) -> dict:
             "result": result, "version": __version__}
 
 
+@functools.cache  # built on first use, shared by every `main` call
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="termflow",

@@ -24,10 +24,11 @@ Rendering is deterministic and `parse(render(obj))` returns an equal object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .depgraph import DependencyGraph
 from .errors import ParseError
+from .normalize import NormalSystem
 from .terms import (App, DispersionSpec, Equation, Ident, Signature, Term,
                     TermSystem, Var, is_reserved_ident)
 
@@ -37,47 +38,41 @@ KEYWORDS = frozenset({
 })
 
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>\s+|\#[^\n]*)
   | (?P<id>[A-Za-z_][A-Za-z0-9_@]*)
   | (?P<nat>[0-9]+)
   | (?P<punct>->|[{}();,=/])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "id" | "nat" | "punct" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             *_line_col(text, m.start()))
+        if kind != "skip":
+            tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, allow_reserved: bool):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allow_reserved = allow_reserved
@@ -88,7 +83,7 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.here
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_line_col(self.text, tok.offset))
 
     def take(self, text: str) -> _Token:
         tok = self.here
@@ -277,14 +272,11 @@ def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):
         if lead not in ("instance", "dispersion", "graph"):
             p.fail("expected 'instance', 'dispersion', or 'graph'")
         kind = {"instance": "system"}.get(lead, lead)
-    if kind == "system":
-        obj = p.system()
-    elif kind == "dispersion":
-        obj = p.dispersion()
-    elif kind == "graph":
-        obj = p.graph()
-    else:
+    form = {"system": p.system, "dispersion": p.dispersion,
+            "graph": p.graph}.get(kind)
+    if form is None:
         raise ParseError(f"unknown input kind {kind!r}")
+    obj = form()
     p.finish()
     return obj
 
@@ -296,35 +288,35 @@ def _render_sig(signature: Signature) -> str:
     return ", ".join(f"{name}/{arity}" for name, arity in signature.symbols)
 
 
+def _block(keyword: str, *lines: str) -> str:
+    return "\n".join([f"{keyword} {{", *(f"  {x}" for x in lines), "}\n"])
+
+
+def _instance(system, equations) -> str:
+    """`equations` yields (lhs, rhs) text pairs."""
+    return _block("instance", f"vars {', '.join(system.variables)};",
+                  f"sig {_render_sig(system.signature)};",
+                  *(f"eq {lhs} = {rhs};" for lhs, rhs in equations))
+
+
 def render(obj) -> str:
     """Deterministic text for any parseable object; inverse of parse."""
     if isinstance(obj, TermSystem):
-        lines = ["instance {",
-                 f"  vars {', '.join(obj.variables)};",
-                 f"  sig {_render_sig(obj.signature)};"]
         sides = obj.dag.labels(obj.dag.outputs)
-        lines += [f"  eq {lhs} = {rhs};" for lhs, rhs in zip(sides[::2], sides[1::2])]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _instance(obj, zip(sides[::2], sides[1::2]))
+    if isinstance(obj, NormalSystem):
+        eqs = [(f"{e.symbol}({', '.join(e.args)})", e.defined)
+               for e in obj.equations]
+        return _instance(obj, eqs + list(obj.var_equalities))
     if isinstance(obj, DispersionSpec):
-        outs = ", ".join(obj.dag.labels(obj.dag.outputs))
-        return ("dispersion {\n"
-                f"  inputs {', '.join(obj.inputs)};\n"
-                f"  sig {_render_sig(obj.signature)};\n"
-                f"  outputs {outs};\n"
-                "}\n")
+        return _block("dispersion", f"inputs {', '.join(obj.inputs)};",
+                      f"sig {_render_sig(obj.signature)};",
+                      f"outputs {', '.join(obj.dag.labels(obj.dag.outputs))};")
     if isinstance(obj, DependencyGraph):
         order = {v: i for i, v in enumerate(obj.vertices)}
         sources = sorted(obj.sources, key=order.__getitem__)
-        lines = ["graph {",
-                 f"  nodes {', '.join(obj.vertices)};",
-                 f"  sources {', '.join(sources)};"]
-        for u, v in sorted(obj.edges, key=lambda e: (order[e[0]], order[e[1]])):
-            lines.append(f"  edge {u} -> {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    # normalized systems render through their term-system view
-    to_ts = getattr(obj, "to_term_system", None)
-    if to_ts is not None:
-        return render(to_ts())
+        edges = sorted(obj.edges, key=lambda e: (order[e[0]], order[e[1]]))
+        return _block("graph", f"nodes {', '.join(obj.vertices)};",
+                      f"sources {', '.join(sources)};",
+                      *(f"edge {u} -> {v};" for u, v in edges))
     raise ParseError(f"cannot render {type(obj).__name__}")

@@ -7,7 +7,7 @@ facts as variable equalities.  The auxiliaries are the ops of the shared
 term DAG that `terms.term_dag` builds over the equations that need them.
 Quotienting merges equality classes onto a deterministic representative,
 and collision quotienting merges the defined variables of equations that
-share a (symbol, argument-tuple) key until a fixpoint.  Every stage
+share a (symbol, argument-tuple) key, closed under congruence.  Every stage
 preserves the solution count of the original system for every
 interpretation (the exhaustive oracle checks this in tests).
 
@@ -87,10 +87,8 @@ class UnionFind:
 
     def __init__(self, names, auxiliaries):
         self.parent = {v: v for v in names}
+        self.position = {v: i for i, v in enumerate(names)}
         self.aux = frozenset(auxiliaries)
-
-    def _rank(self, v: Ident) -> tuple[bool, Ident]:
-        return (v in self.aux, v)
 
     def find(self, v: Ident) -> Ident:
         root = v
@@ -100,13 +98,14 @@ class UnionFind:
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def union(self, a: Ident, b: Ident) -> bool:
+    def union(self, a: Ident, b: Ident) -> Ident | None:
+        """Join two classes; return the root this removed, or None."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
-        keep, drop = sorted((ra, rb), key=self._rank)
+            return None
+        keep, drop = sorted((ra, rb), key=lambda v: (v in self.aux, v))
         self.parent[drop] = keep
-        return True
+        return drop
 
 
 @dataclass(frozen=True)
@@ -195,27 +194,28 @@ def flatten(system: TermSystem) -> NormalSystem:
                         tuple(equalities), names[k:])
 
 
-def _substitute(system: NormalSystem, uf: UnionFind, stage: str,
-                merges: list[Merge]) -> NormalSystem:
-    """Collapse every union-find class onto its representative."""
+def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:
+    """Collapse every union-find class onto its representative; every
+    variable equality becomes trivial."""
     rep = {v: uf.find(v) for v in system.variables}
-    for v, r in rep.items():
-        if v != r:
-            merges.append(Merge(kept=r, removed=v, stage=stage))
     variables = tuple(v for v in system.variables if rep[v] == v)
-    seen = set()
-    equations = []
-    for eq in system.equations:
-        new = NormalEquation(eq.symbol, tuple(rep[u] for u in eq.args),
-                             rep[eq.defined])
-        if new not in seen:  # duplicates collapse
-            seen.add(new)
-            equations.append(new)
-    equalities = tuple((rep[a], rep[b]) for a, b in system.var_equalities
-                       if rep[a] != rep[b])
+    equations = dict.fromkeys(  # duplicates collapse
+        NormalEquation(eq.symbol, tuple(rep[u] for u in eq.args),
+                       rep[eq.defined]) for eq in system.equations)
     auxiliaries = tuple(a for a in system.auxiliaries if rep[a] == a)
-    return NormalSystem(variables, system.signature, tuple(equations),
-                        equalities, auxiliaries)
+    return NormalSystem(variables, system.signature, tuple(equations), (),
+                        auxiliaries)
+
+
+def _union_round(uf: UnionFind, pairs, stage: str,
+                 merges: list[Merge] | None) -> list[Ident]:
+    """Union every pair; return the removed roots in variable order, and
+    record each, kept by its class's root after the whole round."""
+    removed = [d for a, b in pairs if (d := uf.union(a, b)) is not None]
+    removed.sort(key=uf.position.__getitem__)
+    if merges is not None:
+        merges.extend(Merge(uf.find(d), d, stage) for d in removed)
+    return removed
 
 
 def quotient_vars(system: NormalSystem,
@@ -226,36 +226,41 @@ def quotient_vars(system: NormalSystem,
     if not system.var_equalities:
         return system
     uf = UnionFind(system.variables, system.auxiliaries)
-    for a, b in system.var_equalities:
-        uf.union(a, b)
-    out = _substitute(system, uf, "quotient_vars",
-                      [] if merges is None else merges)
-    assert not out.var_equalities
-    return out
+    _union_round(uf, system.var_equalities, "quotient_vars", merges)
+    return _substitute(system, uf)
 
 
 def collision_quotient(system: NormalSystem,
                        merges: list[Merge] | None = None) -> NormalSystem:
-    """Merge defined variables of equations sharing a (symbol, args) key,
-    re-substituting until no collision remains.  Each merge is appended to
-    `merges` when given."""
+    """Merge defined variables of equations sharing a (symbol, args) key:
+    congruence closure on one union-find, then one substitution.  Round 1
+    keys every equation, later rounds only those over a root the round
+    before removed (found by use-lists).  A round keys before it unions,
+    so it removes the same roots as re-substituting the whole system after
+    every round would.  Each merge is appended to `merges` when given."""
     if system.var_equalities:
         raise PreconditionError("collision quotient expects a quotiented system")
-    merges = [] if merges is None else merges
-    while True:
-        uf = UnionFind(system.variables, system.auxiliaries)
-        first: dict[tuple, Ident] = {}
-        changed = False
-        for eq in system.equations:
-            prev = first.get(eq.key)
-            if prev is None:
-                first[eq.key] = eq.defined
-            elif uf.find(prev) != uf.find(eq.defined):
-                uf.union(prev, eq.defined)
-                changed = True
-        if not changed:
-            return system
-        system = _substitute(system, uf, "collision_quotient", merges)
+    uf = UnionFind(system.variables, system.auxiliaries)
+    equations = system.equations
+    uses: dict[Ident, list[int]] = {v: [] for v in system.variables}
+    for i, eq in enumerate(equations):
+        for u in eq.args:
+            uses[u].append(i)
+    table: dict[tuple, Ident] = {}
+    todo = range(len(equations))
+    while todo:
+        pairs = []
+        for i in todo:
+            eq = equations[i]
+            key = (eq.symbol, tuple(uf.find(u) for u in eq.args))
+            pairs.append((table.setdefault(key, eq.defined), eq.defined))
+        removed = _union_round(uf, pairs, "collision_quotient", merges)
+        todo = sorted({i for d in removed for i in uses[d]})
+        for d in removed:  # the shorter use-list joins the longer
+            keep = uf.find(d)
+            small, uses[keep] = sorted((uses.pop(d), uses[keep]), key=len)
+            uses[keep] += small
+    return _substitute(system, uf)
 
 
 def classify(system: NormalSystem) -> Classification:
@@ -275,8 +280,8 @@ def classify(system: NormalSystem) -> Classification:
 
 
 def pipeline(system: TermSystem) -> tuple[NormalSystem, PipelineReport]:
-    """flatten -> quotient_vars -> collision_quotient (to fixpoint) ->
-    classify, with a report of merges, auxiliaries, and final flags."""
+    """flatten -> quotient_vars -> collision_quotient (congruence closure)
+    -> classify, with a report of merges, auxiliaries, and final flags."""
     merges: list[Merge] = []
     flat = flatten(system)
     quot = quotient_vars(flat, merges)

@@ -354,3 +354,33 @@ def test_fuzzed_inputs_exit_only_0_2_3_or_4(tmp_path_factory, case):
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     assert code != 0 or out
+
+
+def test_parser_reuse_keeps_no_state_between_calls():
+    """`main` builds its argument parser once; a flag from one call must
+    not leak into the next."""
+    code, out, _ = _main("normalize", path("flatten_nested.inst"),
+                         "--diversify")
+    assert code == 0 and "diversified" in json.loads(out)["result"]
+    code, out, _ = _main("normalize", path("flatten_nested.inst"))
+    report = json.loads(out)
+    assert code == 0
+    assert report["parameters"]["diversify"] is False
+    assert "diversified" not in report["result"]
+
+
+@pytest.mark.parametrize("extra", ["", " eq x = x;"])
+def test_duplicate_equations_collapse_whatever_else_merges(tmp_path, extra):
+    """A repeated equation is one definition, with or without a no-op
+    equality that sends the system through a substitution."""
+    file = tmp_path / "dup.inst"
+    file.write_text("instance { vars x, y; sig f/1; "
+                    f"eq f(x) = y; eq f(x) = y;{extra} }}\n")
+    code, out, _ = _main("normalize", str(file))
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["is_fnf"] and result["is_cfnf"]
+    assert result["system"].count("eq f(x) = y;") == 1
+    code, out, _ = _main("graph", str(file))
+    assert code == 0
+    assert json.loads(out)["result"]["edges"] == [["x", "y"]]

@@ -166,3 +166,20 @@ def test_round_trip_and_hash_at_depth_100000():
         assert again == obj and hash(again) == hash(obj)
     assert spec != DispersionSpec(inputs=("x",), signature=sig,
                                   outputs=(term.args[0],))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_unexpected_character_position_after_a_comment(newline):
+    # the '$' inside the comment is skipped; the one on line 3 is not
+    text = newline.join(["instance {", "  # costs $5", "  vars x, $y;", "}"])
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.message == "unexpected character '$'"
+    assert (exc.value.line, exc.value.col) == (3, 11)
+
+
+def test_end_of_input_position_after_trailing_newline():
+    with pytest.raises(ParseError) as exc:
+        parse("instance {\n  vars x;\n  sig ;\n")
+    assert exc.value.message == "expected '}', found end of input"
+    assert (exc.value.line, exc.value.col) == (4, 1)

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termflow.dsl import KEYWORDS
+from termflow import normalize
+from termflow.dsl import KEYWORDS, parse
 from termflow.errors import PreconditionError
-from termflow.normalize import (Merge, classify, collision_quotient, diversify,
+from termflow.normalize import (Merge, NormalEquation, NormalSystem, UnionFind,
+                                classify, collision_quotient, diversify,
                                 embed_dispersion, flatten, pad_dispersion,
                                 pipeline, quotient_vars)
 from termflow.terms import App, Equation, Signature, TermSystem, Var
@@ -311,3 +313,107 @@ def test_flatten_matches_recursive_reference(system):
     flat = flatten(system)
     assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
         _recursive_flatten(system)
+
+
+def _fixpoint_collision_quotient(system):
+    """The collision quotient as a fixpoint: a fresh union-find per round
+    and the whole system re-substituted after it.  The reference for the
+    output system and the merges list.  Equations are deduplicated first,
+    so a system whose only repeats are verbatim copies collapses too."""
+    merges = []
+    system = NormalSystem(system.variables, system.signature,
+                          tuple(dict.fromkeys(system.equations)),
+                          system.var_equalities, system.auxiliaries)
+    while True:
+        uf = UnionFind(system.variables, system.auxiliaries)
+        first, changed = {}, False
+        for eq in system.equations:
+            prev = first.get(eq.key)
+            if prev is None:
+                first[eq.key] = eq.defined
+            elif uf.find(prev) != uf.find(eq.defined):
+                uf.union(prev, eq.defined)
+                changed = True
+        if not changed:
+            return system, merges
+        rep = {v: uf.find(v) for v in system.variables}
+        merges += [Merge(r, v, "collision_quotient")
+                   for v, r in rep.items() if v != r]
+        equations = (NormalEquation(e.symbol, tuple(rep[u] for u in e.args),
+                                    rep[e.defined]) for e in system.equations)
+        system = NormalSystem(
+            tuple(v for v in system.variables if rep[v] == v),
+            system.signature, tuple(dict.fromkeys(equations)), (),
+            tuple(a for a in system.auxiliaries if rep[a] == a))
+
+
+@st.composite
+def _colliding_systems(draw):
+    """Depth-1 systems over few names and symbols: keys collide often and
+    merges chain through arguments."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "_z0", "_z1",
+                                           "_z2"]),
+                          min_size=1, max_size=7, unique=True))
+    symbols = (("f", draw(st.integers(0, 2))), ("g", 1), ("h", 2))
+    equations = tuple(
+        NormalEquation(sym, tuple(draw(st.sampled_from(names))
+                                  for _ in range(arity)),
+                       draw(st.sampled_from(names)))
+        for sym, arity in draw(st.lists(st.sampled_from(symbols),
+                                        max_size=12)))
+    return NormalSystem(tuple(names), Signature(symbols), equations, (),
+                        tuple(v for v in names if v.startswith("_")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colliding_systems())
+def test_collision_quotient_matches_fixpoint_reference(system):
+    merges = []
+    out = collision_quotient(system, merges)
+    assert (out, merges) == _fixpoint_collision_quotient(system)
+
+
+def _cascade(n):
+    eqs = ["f(a) = x0", "f(a) = y0"]
+    eqs += [f"g({c}{i}) = {c}{i + 1}" for i in range(n - 1) for c in "xy"]
+    names = ["a"] + [f"{c}{i}" for i in range(n) for c in "xy"]
+    body = "".join(f" eq {e};" for e in eqs)
+    return parse(f"instance {{ vars {', '.join(names)}; sig f/1, g/1;{body} }}")
+
+
+def test_collision_quotient_builds_one_system(monkeypatch):
+    """The cascade merges one pair per round for 200 rounds, yet the
+    stage builds a single NormalSystem: the final substitution."""
+    quot = quotient_vars(flatten(_cascade(200)))
+    built = []
+
+    class Counted(NormalSystem):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(normalize, "NormalSystem", Counted)
+    merges = []
+    out = collision_quotient(quot, merges)
+    assert len(built) == 1
+    assert len(merges) == 200 and len(out.equations) == 200
+    assert classify(out).is_cfnf
+
+
+def test_collision_quotient_rekeys_through_an_absorbed_class():
+    """g(_z2) must be re-keyed when _z1, which absorbed _z2 in round 1,
+    is itself absorbed by a in round 2: then g(_z2) = c meets g(a) = d."""
+    eq = NormalEquation
+    system = NormalSystem(
+        ("a", "c", "d", "_z1", "_z2"),
+        Signature((("f", 0), ("g", 1), ("h", 2))),
+        (eq("f", (), "_z1"), eq("f", (), "_z2"),
+         eq("h", ("_z1", "_z1"), "a"), eq("h", ("_z2", "_z2"), "_z1"),
+         eq("g", ("_z2",), "c"), eq("g", ("a",), "d")),
+        (), ("_z1", "_z2"))
+    merges = []
+    out = collision_quotient(system, merges)
+    assert merges == [Merge("_z1", "_z2", "collision_quotient"),
+                      Merge("a", "_z1", "collision_quotient"),
+                      Merge("c", "d", "collision_quotient")]
+    assert (out, merges) == _fixpoint_collision_quotient(system)
