@@ -199,9 +199,11 @@ def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:
     variable equality becomes trivial."""
     rep = {v: uf.find(v) for v in system.variables}
     variables = tuple(v for v in system.variables if rep[v] == v)
-    equations = dict.fromkeys(  # duplicates collapse
-        NormalEquation(eq.symbol, tuple(rep[u] for u in eq.args),
-                       rep[eq.defined]) for eq in system.equations)
+    moved = {v for v in system.variables if rep[v] != v}
+    equations = dict.fromkeys(  # duplicates collapse; unmoved ones are reused
+        eq if eq.defined not in moved and moved.isdisjoint(eq.args)
+        else NormalEquation(eq.symbol, tuple(rep[u] for u in eq.args),
+                            rep[eq.defined]) for eq in system.equations)
     auxiliaries = tuple(a for a in system.auxiliaries if rep[a] == a)
     return NormalSystem(variables, system.signature, tuple(equations), (),
                         auxiliaries)

@@ -8,13 +8,19 @@ Budgets are enforced up front from the closed-form space size
 prod_f n^(n^arity(f)) * n^|V|; a search either fits or is refused whole.
 
 Two evaluation routes coexist on purpose.  The scalar route
-(`count_solutions`, `image_of`, `count_winning`) walks terms with
-`eval_term` and is the reference semantics.  The engine route vectorizes
-the interpretation axis with numpy for the big scans: it evaluates the
-DAG that the system or spec built at construction (`.dag`) node by node
-in topological order, once per assignment.  Tests pin the two routes against
-each other, and every reported witness can be replayed through the scalar
-route to reproduce its value.
+(`count_solutions`, `image_of`, `count_winning`) walks each term once per
+search with `term_steps` and runs the steps per assignment; it is the
+reference semantics and shares no code with the DAG.  The engine route is
+one numpy scan kernel (`_chunks`) over the whole grid of interpretations x
+assignments.  It decodes a chunk of consecutive interpretation indices as
+base-n digit rows (`_Digits`, also the decoder behind witnesses and
+`interpretation_at`), evaluates each node of the DAG that the system or
+spec built at construction (`.dag`) once per chunk, with one gather, over
+the inputs the node depends on, and reduces per interpretation: a
+`count_nonzero` of the satisfied assignments, or a sort of the output
+tuple codes for image sizes.  Tests pin the two routes against each other,
+and every reported witness can be replayed through the scalar route to
+reproduce its value.
 
 Results are independent of chunking and of the `jobs` worker count: ranges
 merge by (max value, then least interpretation index), and early-exit
@@ -34,10 +40,14 @@ from .depgraph import DependencyGraph, GuessingStrategy, dependency_graph
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (App, DispersionSpec, Ident, Interpretation, Signature,
-                    TermDag, TermSystem, Var, assignments, eval_term,
-                    table_index, term_dag)
+                    TermDag, TermSystem, Var, assignments, equation_steps,
+                    run_steps, table_index, term_dag, term_steps)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
+_CHUNK_CELLS = 1 << 18  # interpretations x assignments evaluated at once
+# Closed-form evaluations below which a scan runs in this process: a pool's
+# start-up costs about what the kernel does in this many evaluations.
+_POOL_MIN_EVALS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -249,11 +259,16 @@ def _term_system(system) -> TermSystem:
 def count_solutions(system, interp: Interpretation) -> int:
     """Reference count of satisfying assignments for one interpretation."""
     system = _term_system(system)
+    return _count_steps(system, equation_steps(system), interp)
+
+
+def _count_steps(system: TermSystem, sides, interp: Interpretation) -> int:
+    """`count_solutions` with the equations' sides walked already."""
     interp.validate_against(system.signature)
     total = 0
     for assign in assignments(system.variables, interp.n):
-        if all(eval_term(eq.lhs, interp, assign) == eval_term(eq.rhs, interp, assign)
-               for eq in system.equations):
+        if all(run_steps(lhs, interp, assign) == run_steps(rhs, interp, assign)
+               for lhs, rhs in sides):
             total += 1
     return total
 
@@ -261,10 +276,9 @@ def count_solutions(system, interp: Interpretation) -> int:
 def image_of(spec: DispersionSpec, interp: Interpretation) -> set[tuple[int, ...]]:
     """Reference image of the dispersion map under one interpretation."""
     interp.validate_against(spec.signature)
-    out = set()
-    for assign in assignments(spec.inputs, interp.n):
-        out.add(tuple(eval_term(t, interp, assign) for t in spec.outputs))
-    return out
+    outputs = [term_steps(t) for t in spec.outputs]
+    return {tuple(run_steps(t, interp, assign) for t in outputs)
+            for assign in assignments(spec.inputs, interp.n)}
 
 
 def count_winning(graph: DependencyGraph, strategy: GuessingStrategy) -> int:
@@ -290,112 +304,152 @@ def _enumerated(signature: Signature, *dags: TermDag):
     return tuple((s, a) for s, a in signature.symbols if s in used)
 
 
-def _decode_tables(symbols, n: int, lo: int, hi: int) -> dict[str, np.ndarray]:
-    """Tables for interpretation indices [lo, hi) as (hi-lo, size) arrays."""
-    rem = np.arange(lo, hi, dtype=np.int64)
-    out = {}
-    for name, arity in reversed(symbols):
-        size = n ** arity
-        count = n ** size
-        sub = rem % count
-        rem = rem // count
-        tbl = np.empty((hi - lo, size), dtype=np.int64)
-        for j in range(size - 1, -1, -1):
-            tbl[:, j] = sub % n
-            sub //= n
-        out[name] = tbl
-    return out
+class _Digits:
+    """The one table decoder: interpretation indices as base-n digit strings.
+
+    Every table count is n^(n^arity), so index i over `symbols` is the w
+    base-n digits of all table entries in order (first symbol's entry 0 most
+    significant).  `rows` is digit-major (w, n^low), one row per entry: its
+    last `low` rows are a fixed block running through every low-digit value,
+    so a chunk aligned to n^low decodes by writing only its w - low constant
+    high digits, with no per-element division."""
+
+    def __init__(self, symbols, n: int, low: int):
+        self.n, self.low = n, low
+        self.offset: dict[Ident, int] = {}  # symbol -> its first row
+        w = 0
+        for name, arity in symbols:
+            self.offset[name] = w
+            w += n ** arity
+        dtype = np.min_scalar_type(n - 1)
+        self.rows = np.empty((w, n ** low), dtype=dtype)
+        self.rows[w - low:] = np.indices((n,) * low, dtype=dtype).reshape(
+            low, n ** low)
+
+    def at(self, base: int) -> np.ndarray:
+        """`rows` for the chunk of n^low indices starting at `base`: the
+        same buffer each time, rewritten in place."""
+        high = base // self.n ** self.low
+        for row in range(len(self.rows) - self.low - 1, -1, -1):
+            high, digit = divmod(high, self.n)
+            self.rows[row] = digit
+        return self.rows
 
 
-def _node_values(dag: TermDag, drops, tables, assign: tuple[int, ...],
-                 n: int, rows: np.ndarray) -> list:
-    """Node values under one assignment of `dag.inputs`, for all chunk
-    interpretations at once, in topological order.  Inputs stay plain ints,
-    so a node whose arguments are all inputs is one table column.  `drops`
-    lists per op the values to free after it, so a deep chain keeps a few
-    arrays live, not one per node."""
-    vals = list(assign)
-    for (symbol, children), dead in zip(dag.ops, drops):
-        idx = 0
-        for c in children:
-            idx = idx * n + vals[c]
-        tbl = tables[symbol]
-        vals.append(tbl[:, idx] if isinstance(idx, int) else tbl[rows, idx])
-        for c in dead:
-            vals[c] = None
-    return vals
+def _low_digits(symbols, n: int, k: int) -> int:
+    """Digits a chunk spans: the most keeping its grid of interpretations x
+    n^k assignments within _CHUNK_CELLS."""
+    w = sum(n ** arity for _, arity in symbols)
+    low = 0
+    while low < w and n ** (low + 1 + k) <= _CHUNK_CELLS:
+        low += 1
+    return low
 
 
-def _solution_counts(dag: TermDag, drops, tables, assigns, c: int,
-                     n: int) -> np.ndarray:
-    """Per interpretation, the assignments satisfying every equation whose
-    sides are the DAG's outputs, (lhs, rhs) in turn."""
-    k = len(dag.inputs)
-    pairs = list(zip(dag.outputs[::2], dag.outputs[1::2]))
-    var_pairs = [p for p in pairs if max(p) < k]
-    app_pairs = [p for p in pairs if max(p) >= k]
-    rows = np.arange(c)
-    counts = np.zeros(c, dtype=np.int64)
-    for assign in assigns:
-        if any(assign[a] != assign[b] for a, b in var_pairs):
-            continue
-        vals = _node_values(dag, drops, tables, assign, n, rows)
-        sat = True
-        for a, b in app_pairs:
-            sat = sat & (vals[a] == vals[b])
-        counts += sat
-    return counts
+def _chunks(kind: str, payload, n: int, lo: int, hi: int,
+            low: int | None = None):
+    """The scan kernel: yield (first index, per-interpretation values) for
+    [lo, hi) in chunks aligned to n^low, for a payload of (symbols to
+    enumerate, term DAG to evaluate).
 
-
-def _image_sizes(dag: TermDag, drops, tables, assigns, c: int,
-                 n: int) -> np.ndarray:
-    rows = np.arange(c)
-    codes = np.empty((c, len(assigns)), dtype=np.int64)
-    for col, assign in enumerate(assigns):
-        vals = _node_values(dag, drops, tables, assign, n, rows)
-        code = 0
-        for root in dag.outputs:
-            code = code * n + vals[root]
-        codes[:, col] = code
-    codes.sort(axis=1)
-    if codes.shape[1] == 1:
-        return np.ones(c, dtype=np.int64)
-    return 1 + (np.diff(codes, axis=1) != 0).sum(axis=1)
-
-
-def _payload_fn(kind: str, payload, n: int):
-    """Chunk evaluator plus a chunk size keeping working memory modest,
-    for a payload of (symbols to enumerate, term DAG to evaluate)."""
+    Each DAG node is evaluated once per chunk, over the inputs it depends
+    on: its value has one axis per input (size n, or 1 off its support)
+    and the chunk axis last, and costs one gather from the digit rows.
+    `kind` "count" counts the assignments satisfying every equation whose
+    sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
+    distinct output tuples."""
     symbols, dag = payload
-    evaluate = {"count": _solution_counts, "image": _image_sizes}[kind]
+    k = len(dag.inputs)
+    if low is None:
+        low = _low_digits(symbols, n, k)
+    digits = _Digits(symbols, n, low)
+    size = n ** low
+    inputs = [np.arange(n, dtype=digits.rows.dtype).reshape(
+        [n if j == i else 1 for j in range(k)] + [1]) for i in range(k)]
     last = {c: i for i, (_, children) in enumerate(dag.ops) for c in children}
     roots = set(dag.outputs)
     drops: list[list[int]] = [[] for _ in dag.ops]
     for node, i in last.items():
         if node not in roots:
-            drops[i].append(node)
-    assigns = list(itertools.product(range(n), repeat=len(dag.inputs)))
-    width = sum(n ** ar for _, ar in symbols) + 1
-    if kind == "image":
-        width += len(assigns)  # the output codes of every assignment
+            drops[i].append(node)  # freed after its last reader
+    reduce = {"count": _satisfied, "image": _distinct}[kind]
+    pos = lo
+    while pos < hi:
+        base = pos - pos % size
+        end = min(base + size, hi)
+        rows = digits.at(base)
+        flat = rows.ravel()
+        cols = np.arange(pos - base, end - base, dtype=np.intp)
+        view = rows[:, pos - base:end - base]
+        vals = list(inputs)
+        for (symbol, children), dead in zip(dag.ops, drops):
+            off = digits.offset[symbol]
+            args = [vals[c] for c in children]
+            if not args:  # a constant: one digit row
+                vals.append(view[off].reshape((1,) * k + (end - pos,)))
+            elif max(children) < k:  # arguments are inputs: gather rows
+                vals.append(np.take(view, _table_rows(args, n, 1, off)[..., 0],
+                                    axis=0))
+            else:  # each interpretation reads its own column of `rows`
+                vals.append(np.take(flat, _table_rows(args, n, size,
+                                                      off * size + cols)))
+            for c in dead:
+                vals[c] = None
+        yield pos, reduce(dag, vals, n, k, end - pos)
+        pos = end
 
-    def fn(lo, hi):
-        tables = _decode_tables(symbols, n, lo, hi)
-        return evaluate(dag, drops, tables, assigns, hi - lo, n)
-    chunk = max(1, min(1 << 14, (1 << 21) // width))
-    return fn, chunk
+
+def _table_rows(args, n: int, scale: int, start):
+    """start + scale * (row-major table index of the argument values
+    `args`), in intp; each widening names its dtype, so the result does
+    not depend on numpy's promotion rules."""
+    stride = scale * n ** len(args)
+    idx = start
+    for a in args:
+        stride //= n
+        idx = np.add(idx, np.multiply(a, stride, dtype=np.intp), dtype=np.intp)
+    return idx
+
+
+def _satisfied(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
+    """Per interpretation, the assignments where every (lhs, rhs) output
+    pair agrees."""
+    sat = None
+    for a, b in zip(dag.outputs[::2], dag.outputs[1::2]):
+        eq = vals[a] == vals[b]
+        sat = eq if sat is None else sat & eq
+    if sat is None:
+        return np.full(c, n ** k, dtype=np.int64)
+    free = n ** sum(1 for j in range(k) if sat.shape[j] == 1)
+    counts = np.multiply(np.count_nonzero(sat, axis=tuple(range(k))), free,
+                         dtype=np.int64)
+    return np.broadcast_to(counts, (c,))
+
+
+def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
+    """Per interpretation, the number of distinct output tuples: each
+    tuple's base-n code, sorted per interpretation.  Codes are int16/32/64,
+    never uint8, which numpy sorts far more slowly."""
+    width = n ** len(dag.outputs)
+    dtype = (np.int16 if width <= 1 << 15 else
+             np.int32 if width <= 1 << 31 else np.int64)
+    code = None
+    for root in dag.outputs:
+        code = (vals[root].astype(dtype) if code is None else np.add(
+            np.multiply(code, n, dtype=dtype), vals[root], dtype=dtype))
+    grid = np.empty((c,) + (n,) * k, dtype=dtype)
+    grid[...] = np.moveaxis(code, -1, 0)
+    grid = grid.reshape(c, n ** k)
+    grid.sort(axis=1)
+    return 1 + np.count_nonzero(grid[:, 1:] != grid[:, :-1], axis=1)
 
 
 def _scan_range(task) -> tuple[int, int, int | None]:
     """Scan one contiguous index range; returns (best value, least index of
     it, least index reaching `target` or None)."""
     kind, payload, n, lo, hi, target = task
-    fn, chunk = _payload_fn(kind, payload, n)
     best_v, best_i, hit = -1, -1, None
-    pos = lo
-    while pos < hi:
-        end = min(pos + chunk, hi)
-        vals = fn(pos, end)
+    for pos, vals in _chunks(kind, payload, n, lo, hi):
         mx = int(vals.max())
         if mx > best_v:
             best_v = mx
@@ -403,7 +457,6 @@ def _scan_range(task) -> tuple[int, int, int | None]:
         if target is not None and mx >= target:
             hit = pos + int(np.argmax(vals >= target))
             break
-        pos = end
     return best_v, best_i, hit
 
 
@@ -422,9 +475,10 @@ def _split(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def _scan(kind, payload, n: int, total: int, jobs: int,
           target: int | None = None) -> tuple[int, int, int | None]:
-    """Full scan of [0, total), optionally across processes; the merge is
-    order-deterministic so results do not depend on the job count."""
-    if jobs <= 1 or total < 4096:
+    """Full scan of [0, total), across `jobs` processes once it needs
+    _POOL_MIN_EVALS evaluations; the merge is order-deterministic so
+    results do not depend on the job count."""
+    if jobs <= 1 or total * n ** len(payload[1].inputs) < _POOL_MIN_EVALS:
         results = [_scan_range((kind, payload, n, 0, total, target))]
     else:
         tasks = [(kind, payload, n, lo, hi, target)
@@ -444,8 +498,11 @@ def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:
     """Interpretation `index` of the `used` symbols; every other symbol of
     the signature gets the all-zero table."""
     tables = {name: (0,) * (n ** arity) for name, arity in signature.symbols}
-    tables.update((name, tuple(tbl[0].tolist())) for name, tbl
-                  in _decode_tables(used, n, index, index + 1).items())
+    digits = _Digits(used, n, 0)
+    entries = digits.at(index)[:, 0].tolist()
+    for name, arity in used:
+        off = digits.offset[name]
+        tables[name] = tuple(entries[off:off + n ** arity])
     return Interpretation(n, tables)
 
 
@@ -570,17 +627,14 @@ def check_counts_preserved(before, after, n: int,
     _admit(before.signature, n, 0, budget, per_interp=per)
     used = _enumerated(before.signature, before.dag, after.dag)
     total = _used_space(used, n)
-    fa, chunk_a = _payload_fn("count", (used, before.dag), n)
-    fb, chunk_b = _payload_fn("count", (used, after.dag), n)
-    chunk = min(chunk_a, chunk_b)
-    pos = 0
-    while pos < total:
-        end = min(pos + chunk, total)
-        ca, cb = fa(pos, end), fb(pos, end)
+    low = min(_low_digits(used, n, len(dag.inputs))
+              for dag in (before.dag, after.dag))
+    for (pos, ca), (_, cb) in zip(
+            _chunks("count", (used, before.dag), n, 0, total, low),
+            _chunks("count", (used, after.dag), n, 0, total, low)):
         if not np.array_equal(ca, cb):
             first = pos + int(np.argmax(ca != cb))
             return CountPreservation(False, total, first)
-        pos = end
     return CountPreservation(True, total, None)
 
 
@@ -676,6 +730,8 @@ def check_embedding(spec: DispersionSpec, n: int,
     dispersion = brute_dispersion(spec, n, budget)
 
     decoder_names = embedded.signature.names[len(spec.signature.names):]
+    outputs = [term_steps(t) for t in spec.outputs]
+    sides = equation_steps(embedded)
     used = _enumerated(spec.signature, spec.dag)
     total = _used_space(used, n)
     best_value, best_witness = -1, None
@@ -683,7 +739,7 @@ def check_embedding(spec: DispersionSpec, n: int,
         interp = _witness(spec.signature, used, n, index)
         chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for assign in assignments(spec.inputs, n):
-            outs = tuple(eval_term(t, interp, assign) for t in spec.outputs)
+            outs = tuple(run_steps(t, interp, assign) for t in outputs)
             if outs not in chosen:
                 chosen[outs] = tuple(assign[x] for x in spec.inputs)
         tables = dict(interp.tables)
@@ -693,7 +749,7 @@ def check_embedding(spec: DispersionSpec, n: int,
                 entries[table_index(n, outs)] = preimage[j]
             tables[h] = tuple(entries)
         full = Interpretation(n, tables)
-        value = count_solutions(embedded, full)
+        value = _count_steps(embedded, sides, full)
         if value > best_value:
             best_value, best_witness = value, full
     result = OracleResult(best_value, best_witness, _rate(best_value, n),

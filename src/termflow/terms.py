@@ -312,25 +312,49 @@ class Interpretation:
 Assignment = Mapping[Ident, int]
 
 
+def term_steps(t: Term) -> tuple:
+    """A term walked once, for repeated evaluation by `run_steps`: its
+    post-order steps, each a variable name or a (symbol, argument count)
+    pair.  It shares no code with the DAG."""
+    return tuple(s.name if isinstance(s, Var) else (s.symbol, len(s.args))
+                 for s in reversed(_preorder(t)))
+
+
+def run_steps(steps: tuple, interp: Interpretation,
+              assignment: Assignment) -> int:
+    """The value of a term walked by `term_steps`."""
+    vals: list[int] = []  # values of finished subterms, first argument on top
+    for step in steps:
+        if isinstance(step, str):
+            if step not in assignment:
+                raise EvalError(f"no binding for variable {step!r}")
+            vals.append(assignment[step])
+        else:
+            symbol, arity = step
+            if symbol not in interp.tables:
+                raise EvalError(f"no table for symbol {symbol!r}")
+            idx = 0
+            for _ in range(arity):
+                idx = idx * interp.n + vals.pop()
+            vals.append(interp.tables[symbol][idx])
+    return vals[0]
+
+
 def eval_term(t: Term, interp: Interpretation, assignment: Assignment) -> int:
     """A term's value by a walk of the tree, sharing no code with the DAG."""
-    vals: list[int] = []  # values of finished subterms, first argument on top
-    for s in reversed(_preorder(t)):
-        if isinstance(s, App):
-            vals.append(interp.apply(s.symbol, tuple(vals.pop() for _ in s.args)))
-        elif s.name in assignment:
-            vals.append(assignment[s.name])
-        else:
-            raise EvalError(f"no binding for variable {s.name!r}")
-    return vals[0]
+    return run_steps(term_steps(t), interp, assignment)
+
+
+def equation_steps(system: TermSystem) -> list:
+    """`term_steps` of every equation's (lhs, rhs), for one search."""
+    return [(term_steps(eq.lhs), term_steps(eq.rhs)) for eq in system.equations]
 
 
 def satisfies(system: TermSystem, interp: Interpretation,
               assignment: Assignment) -> bool:
     """True when every equation holds under the interpretation/assignment."""
-    return all(
-        eval_term(eq.lhs, interp, assignment) == eval_term(eq.rhs, interp, assignment)
-        for eq in system.equations)
+    return all(run_steps(lhs, interp, assignment) == run_steps(rhs, interp, assignment)
+               for lhs, rhs in equation_steps(system))
 
 
 def assignments(variables: tuple[Ident, ...], n: int) -> Iterator[dict[Ident, int]]:

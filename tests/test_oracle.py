@@ -5,10 +5,14 @@ Every frozen constant below was computed by a second, independent route
 """
 
 import math
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from termflow import oracle
+from termflow.dsl import parse
 
 from termflow.depgraph import (DependencyGraph, GuessingStrategy,
                                add_source_loops, dependency_graph)
@@ -515,3 +519,202 @@ def test_random_pipeline_preserves_counts(system):
     norm, _ = pipeline(system)
     chk = check_counts_preserved(system, norm, 2)
     assert chk.equal, chk.first_mismatch
+
+
+# ---- the grid scan kernel --------------------------------------------------------
+#
+# `_chunks` and `_scan_range` are pinned to the scalar route index by index.
+# Shrinking `_CHUNK_CELLS` makes a scan span many chunks, so ranges start
+# and end off chunk boundaries.
+
+_KERNEL_VARS = ("x", "y", "z")
+
+
+def _scalar_values(kind, obj, n):
+    """Per interpretation index, the scalar route's count or image size."""
+    total = interpretation_count(obj.signature, n)
+    interps = (interpretation_at(obj.signature, n, i) for i in range(total))
+    if kind == "count":
+        return [count_solutions(obj, it) for it in interps]
+    return [len(image_of(obj, it)) for it in interps]
+
+
+def _reference_scan(values, lo, hi, target):
+    """What `_scan_range` must find in [lo, hi): the least index reaching
+    `target`, where the scan stops, or else the max and its least index."""
+    for i in range(lo, hi):
+        if target is not None and values[i] >= target:
+            return i
+    best = max(values[lo:hi])
+    return best, values.index(best, lo, hi)
+
+
+def _kernel_scan(kind, obj, n, lo, hi, target=None):
+    payload = (oracle._enumerated(obj.signature, obj.dag), obj.dag)
+    return oracle._scan_range((kind, payload, n, lo, hi, target))
+
+
+def _kernel_values(kind, obj, n, lo, hi):
+    payload = (oracle._enumerated(obj.signature, obj.dag), obj.dag)
+    out = []
+    for pos, vals in oracle._chunks(kind, payload, n, lo, hi):
+        assert pos == lo + len(out)  # chunks are contiguous and in order
+        out.extend(int(v) for v in vals)
+    return out
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(kind, system or spec, n) over 0-3 variables and up to three
+    symbols of arity 0-2, every symbol used, small enough to recount."""
+    n = draw(st.sampled_from([2, 3, 1]))
+    kind = draw(st.sampled_from(["count", "image"]))
+    k = draw(st.integers(1 if kind == "image" else 0, 3))
+    variables = _KERNEL_VARS[:k]
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    symbols = [(f"s{i}", a) for i, a in enumerate(arities)]
+    leaves = [Var(v) for v in variables] + [App(s, ()) for s, a in symbols
+                                            if a == 0]
+    assume(leaves)
+
+    def term(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(leaves))
+        s, a = draw(st.sampled_from(symbols))
+        return App(s, tuple(term(depth - 1) for _ in range(a)))
+
+    terms = [term(3) for _ in range(draw(st.integers(1, 4)))]
+    if kind == "count" and len(terms) % 2:
+        terms.append(term(3))
+    used = {s.symbol for t in terms for s in _subterms(t) if isinstance(s, App)}
+    sig = Signature(symbols=tuple((s, a) for s, a in symbols if s in used))
+    assume(interpretation_count(sig, n) * n ** k <= 1 << 13)
+    if kind == "image":
+        return kind, DispersionSpec(inputs=variables, signature=sig,
+                                    outputs=tuple(terms)), n
+    eqs = tuple(Equation(a, b) for a, b in zip(terms[::2], terms[1::2]))
+    return kind, TermSystem(variables=variables, signature=sig,
+                            equations=eqs), n
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, App):
+            stack.extend(t.args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases(), st.sampled_from([1, 8, 64, 1 << 18]), st.data())
+def test_grid_kernel_matches_scalar_route(case, cells, data):
+    kind, obj, n = case
+    values = _scalar_values(kind, obj, n)
+    total = len(values)
+    lo = data.draw(st.integers(0, total - 1))
+    hi = data.draw(st.integers(lo + 1, total))
+    target = data.draw(st.none() | st.integers(0, max(values) + 1))
+    with patch.object(oracle, "_CHUNK_CELLS", cells):
+        assert _kernel_values(kind, obj, n, lo, hi) == values[lo:hi]
+        best_v, best_i, hit = _kernel_scan(kind, obj, n, lo, hi, target)
+    want = _reference_scan(values, lo, hi, target)
+    if isinstance(want, int):
+        assert hit == want
+    else:
+        assert hit is None and (best_v, best_i) == want
+
+
+@pytest.mark.parametrize("kind,text,n", [
+    # n = 1: one interpretation, one assignment
+    ("image", "dispersion { inputs x, y; sig f/2; outputs f(x, y), y; }", 1),
+    ("count", "instance { vars x; sig f/1; eq f(f(x)) = x; }", 1),
+    # nullary symbols, alone and as arguments
+    ("image", "dispersion { inputs x; sig c/0, f/2; "
+              "outputs c(), f(x, c()), f(c(), c()); }", 2),
+    ("count", "instance { vars x, y; sig c/0, f/1; "
+              "eq f(c()) = x; eq c() = f(y); }", 3),
+    # terms that use no symbol: a zero-digit interpretation space
+    ("image", "dispersion { inputs x, y; sig ; outputs y, x, x; }", 3),
+    ("count", "instance { vars x, y, z; sig f/1; eq x = y; eq z = z; }", 2),
+    ("count", "instance { vars x, y; sig f/1; }", 3),
+    # no variables at all (k = 0)
+    ("count", "instance { vars ; sig c/0, d/0, f/1; "
+              "eq c() = f(d()); eq f(c()) = d(); }", 3),
+])
+def test_grid_kernel_edge_cases(kind, text, n):
+    obj = parse(text)
+    values = _scalar_values(kind, obj, n)
+    for cells in (1, 1 << 18):
+        with patch.object(oracle, "_CHUNK_CELLS", cells):
+            assert _kernel_values(kind, obj, n, 0, len(values)) == values
+    best = max(values)
+    res = (brute_dispersion(obj, n) if kind == "image"
+           else brute_max_solutions(obj, n))
+    assert res.value == best
+    assert res.witness == interpretation_at(obj.signature, n,
+                                            values.index(best))
+
+
+@pytest.mark.parametrize("r", [17, 33])
+def test_grid_kernel_wide_output_codes(r):
+    # n^r = 2^17 needs int32 codes and 2^33 int64: narrower codes would
+    # wrap and lose the first output, which is the only one reading x
+    outs = ", ".join(["f(x, y)"] + ["g(y)"] * (r - 1))
+    spec = parse(f"dispersion {{ inputs x, y; sig f/2, g/1; "
+                 f"outputs {outs}; }}")
+    values = _scalar_values("image", spec, 2)
+    assert _kernel_values("image", spec, 2, 0, len(values)) == values
+    assert brute_dispersion(spec, 2).value == max(values) == 4
+
+
+def test_perfect_early_exit_hit_index():
+    spec = load("encode_pair.disp")
+    values = _scalar_values("image", spec, 2)
+    first = values.index(spec_target := 2 ** spec.r)
+    assert first > 0 and first + 1 < len(values)
+    for cells in (1, 8, 1 << 18):
+        with patch.object(oracle, "_CHUNK_CELLS", cells):
+            dec = check_perfect_fixed(spec, 2)
+        assert dec.perfect and dec.target == spec_target
+        assert dec.interpretations == first + 1
+        assert dec.evaluations == (first + 1) * 2 ** spec.k
+        assert dec.witness == interpretation_at(spec.signature, 2, first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_systems(), _tiny_systems(), st.sampled_from([1, 8, 1 << 18]))
+def test_count_preservation_first_mismatch(before, after, cells):
+    assume(before.signature == after.signature)
+    counts = [_scalar_values("count", s, 2) for s in (before, after)]
+    diff = [i for i, (a, b) in enumerate(zip(*counts)) if a != b]
+    with patch.object(oracle, "_CHUNK_CELLS", cells):
+        chk = check_counts_preserved(before, after, 2)
+    assert chk.equal == (not diff)
+    assert chk.first_mismatch == (diff[0] if diff else None)
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def test_pool_only_past_the_evaluation_threshold(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise _PoolStarted
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    diamond = load("diamond.disp")
+    # 19683 interpretations x 81 assignments: under 2^22 evaluations
+    assert check_perfect_fixed(diamond, 3, jobs=2).max_image == 53
+    assert brute_dispersion(diamond, 3, jobs=8).value == 53
+    # one worker never pools, however long the scan
+    assert brute_max_solutions(load("index_coding.inst"), 2).value == 4
+    spec = parse("dispersion { inputs x, y, z; sig f/2, g/1; outputs "
+                 "f(x, g(y)), g(f(x, z)), f(g(f(x, y)), g(z)), f(y, g(z)); }")
+    with pytest.raises(_PoolStarted):  # 531441 x 27 evaluations
+        brute_dispersion(spec, 3, jobs=2)
+    # the cut-over itself: diamond at n=2 is 16 x 16 evaluations
+    monkeypatch.setattr(oracle, "_POOL_MIN_EVALS", 257)
+    assert brute_dispersion(diamond, 2, jobs=2).value == 10
+    monkeypatch.setattr(oracle, "_POOL_MIN_EVALS", 256)
+    with pytest.raises(_PoolStarted):
+        brute_dispersion(diamond, 2, jobs=2)
