@@ -3,8 +3,8 @@
 Flattening rewrites every equation into depth-1 shape `f(u1,...,uk) = v` by
 minting auxiliary variables ("_z0", "_z1", ... in post-order, left-to-right,
 equations in order) for application subterms, recording leftover `u = v`
-facts as variable equalities.  The auxiliaries are the ops of the shared
-term DAG that `terms.term_dag` builds over the equations that need them.
+facts as variable equalities.  The auxiliaries are the ops of the system's
+term DAG (`TermSystem.dag`) that the equations needing them reach.
 Quotienting merges equality classes onto a deterministic representative,
 and collision quotienting merges the defined variables of equations that
 share a (symbol, argument-tuple) key, closed under congruence.  Every stage
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ValidationError
 from .terms import (App, DispersionSpec, Equation, Ident, Signature,
-                    TermSystem, Var, term_dag)
+                    TermSystem, Var)
 
 
 @dataclass(frozen=True)
@@ -162,36 +162,42 @@ def flatten(system: TermSystem) -> NormalSystem:
     through untouched.  `x = y` becomes a variable equality.  Anything else
     gets one auxiliary per distinct application subterm, shared across the
     whole system, with a variable equality tying the two sides' handles.
-    `_z<i>` is op i of the term DAG over those equations' sides; each
-    equation defines the ops its two sides add.
+    `_z<i>` is the i-th op of `system.dag` that a post-order walk (children
+    left to right) from those equations' sides reaches; each equation
+    defines the ops its two sides reach first.
     """
-    shallow = [_shallow(eq) for eq in system.equations]
-    dag = term_dag(system.variables, [
-        t for eq, flat in zip(system.equations, shallow) if flat is None
-        for t in (eq.lhs, eq.rhs)])
-    k = len(system.variables)
-    names = system.variables + tuple(f"_z{i}" for i in range(len(dag.ops)))
+    dag, k = system.dag, len(system.variables)
+    names = dict(enumerate(system.variables))  # DAG node -> variable name
     roots = iter(dag.outputs)
     equations: list[NormalEquation] = []
     equalities: list[tuple[Ident, Ident]] = []
-    added = k  # DAG nodes already turned into equations
-    for flat in shallow:
+    for eq in system.equations:
+        lhs, rhs = next(roots), next(roots)
+        flat = _shallow(eq)
         if isinstance(flat, NormalEquation):
             equations.append(flat)
         elif flat is not None:
             equalities.append(flat)
         else:
-            lhs, rhs = next(roots), next(roots)
-            # post-order: a side's new ops end at its root
-            end = max(added, lhs + 1, rhs + 1)
-            for node in range(added, end):
+            stack = [rhs, lhs]
+            while stack:
+                node = stack[-1]
+                if node in names:
+                    stack.pop()
+                    continue
                 symbol, children = dag.ops[node - k]
+                todo = [c for c in reversed(children) if c not in names]
+                if todo:
+                    stack += todo
+                    continue
+                stack.pop()
+                names[node] = f"_z{len(names) - k}"
                 equations.append(NormalEquation(
                     symbol, tuple(names[c] for c in children), names[node]))
-            added = end
             equalities.append((names[lhs], names[rhs]))
-    return NormalSystem(names, system.signature, tuple(equations),
-                        tuple(equalities), names[k:])
+    variables = tuple(names.values())
+    return NormalSystem(variables, system.signature, tuple(equations),
+                        tuple(equalities), variables[k:])
 
 
 def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:

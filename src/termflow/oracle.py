@@ -25,6 +25,19 @@ reproduce its value.
 Results are independent of chunking and of the `jobs` worker count: ranges
 merge by (max value, then least interpretation index), and early-exit
 searches report the sequential-equivalent work (witness index + 1).
+
+From n = 3 the kernel skips interpretations that a relabelling of the
+alphabet makes redundant.  Conjugating every table by one permutation s of
+[n], (s.T)_f[a] = s(T_f[s^-1(a)]), changes no scan value: solution counts,
+image sizes, perfect hits and count mismatches are all S_n-invariant.  So
+the least index attaining a value is the least member of its orbit, and
+is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan of
+[lo, hi) evaluates only indices T with no transposition conjugate in
+[lo, T) (`_least_in_orbit`), a superset of those least indices: values,
+witnesses and perfect-hit indices are those of the full scan.  At n = 2
+the one swap halves a scan but often costs more than it saves.  Reported
+`evaluations` and `interpretations` stay the sequential-equivalent closed
+forms, and budgets charge the same closed forms, so no report changes.
 """
 
 from __future__ import annotations
@@ -45,9 +58,13 @@ from .terms import (App, DispersionSpec, Ident, Interpretation, Signature,
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 _CHUNK_CELLS = 1 << 18  # interpretations x assignments evaluated at once
-# Closed-form evaluations below which a scan runs in this process: a pool's
-# start-up costs about what the kernel does in this many evaluations.
-_POOL_MIN_EVALS = 1 << 22
+_PRUNE_MIN_N = 3  # at n = 2 one swap halves a scan but often costs more
+# Closed-form evaluations from which an unpruned scan (n < _PRUNE_MIN_N)
+# fans out to a pool: at n = 2 its ~25 ms start-up pays from 2^22 (image
+# scans) to 2^25 (count scans).  Pruned scans never pool: their kept
+# indices crowd the low end of the index range, so an even split leaves one
+# worker nearly all the work.
+_POOL_MIN_EVALS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -357,12 +374,17 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
     and the chunk axis last, and costs one gather from the digit rows.
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
-    distinct output tuples."""
+    distinct output tuples.  From n = _PRUNE_MIN_N only the indices
+    `_least_in_orbit` keeps are evaluated and the others read -1: in every
+    range, the max value, its least index and the least index reaching a
+    target stay those of the unpruned scan."""
     symbols, dag = payload
     k = len(dag.inputs)
     if low is None:
         low = _low_digits(symbols, n, k)
     digits = _Digits(symbols, n, low)
+    swaps = _transpositions(symbols, digits) if n >= _PRUNE_MIN_N else []
+    high = len(digits.rows) - low  # digits constant over a chunk
     size = n ** low
     inputs = [np.arange(n, dtype=digits.rows.dtype).reshape(
         [n if j == i else 1 for j in range(k)] + [1]) for i in range(k)]
@@ -380,13 +402,22 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
         rows = digits.at(base)
         flat = rows.ravel()
         cols = np.arange(pos - base, end - base, dtype=np.intp)
-        view = rows[:, pos - base:end - base]
+        if swaps:
+            cols = _least_in_orbit(rows[:high, 0].tolist(), base, lo, cols,
+                                   swaps)
+            if not len(cols):  # common at n >= 4, past the low indices
+                yield pos, np.full(end - pos, -1, dtype=np.int64)
+                pos = end
+                continue
+            view = rows[:, cols]
+        else:
+            view = rows[:, pos - base:end - base]
         vals = list(inputs)
         for (symbol, children), dead in zip(dag.ops, drops):
             off = digits.offset[symbol]
             args = [vals[c] for c in children]
             if not args:  # a constant: one digit row
-                vals.append(view[off].reshape((1,) * k + (end - pos,)))
+                vals.append(view[off].reshape((1,) * k + (len(cols),)))
             elif max(children) < k:  # arguments are inputs: gather rows
                 vals.append(np.take(view, _table_rows(args, n, 1, off)[..., 0],
                                     axis=0))
@@ -395,8 +426,65 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
                                                       off * size + cols)))
             for c in dead:
                 vals[c] = None
-        yield pos, reduce(dag, vals, n, k, end - pos)
+        out = reduce(dag, vals, n, k, len(cols))
+        if swaps:
+            out, kept = np.full(end - pos, -1, dtype=np.int64), out
+            out[cols - (pos - base)] = kept
+        yield pos, out
         pos = end
+
+
+def _transpositions(symbols, digits: _Digits):
+    """Per transposition t of [n], its conjugate's index split for a chunk:
+    (terms, excess, min excess, max excess).  (t.T)_f[a] = t(T_f[t(a)])
+    with t applied entrywise, so digit p of t.T is t(digit q_p of T).
+    `terms` lists (n^(w-1-p), q_p, t) for each q_p among the chunk's
+    constant high digits; `excess[c]` is c minus the rest of t.T's index,
+    which reads only the fixed low block of column c and so is the same
+    for every chunk."""
+    n, low, w = digits.n, digits.low, len(digits.rows)
+    high = w - low
+    block = digits.rows[high:].astype(np.int64)
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        t = list(range(n))
+        t[i], t[j] = j, i
+        terms = []
+        excess = np.arange(n ** low, dtype=np.int64)
+        for name, arity in symbols:
+            table = np.arange(n ** arity).reshape((n,) * arity)
+            moved = table[np.ix_(*[t] * arity)].ravel() + digits.offset[name]
+            for p, q in enumerate(moved.tolist(), digits.offset[name]):
+                if q < high:
+                    terms.append((n ** (w - 1 - p), q, t))
+                else:
+                    excess -= n ** (w - 1 - p) * np.take(t, block[q - high])
+        swaps.append((terms, excess, int(excess.min()), int(excess.max())))
+    return swaps
+
+
+def _least_in_orbit(high_digits: list[int], base: int, lo: int, cols,
+                    swaps) -> np.ndarray:
+    """The columns `cols` of the chunk at `base` (constant high digits
+    `high_digits`) whose index T has no swap conjugate in [lo, T).
+
+    Index order is the lexicographic order of digit strings.  Every scan
+    value (solution count, image size, perfect hit, count mismatch) is the
+    same for T and each conjugate, so the least index in [lo, hi) attaining
+    a value has no conjugate in [lo, T) and is kept; from lo = 0 that is
+    T <= every conjugate, a superset of the least member of each orbit
+    under relabelling [n]."""
+    keep = np.ones(len(cols), dtype=bool)
+    for terms, excess, least, most in swaps:
+        head = sum(weight * t[high_digits[q]] for weight, q, t in terms)
+        # conjugate index = head + c - excess[c], and c - excess[c] >= 0
+        if most <= head - base:  # no conjugate precedes its column
+            continue
+        if least > head - base and head >= lo:  # all do, from lo on
+            return cols[:0]
+        ex = excess[cols]
+        keep &= (ex <= head - base) | (ex - cols > head - lo)
+    return cols[keep]
 
 
 def _table_rows(args, n: int, scale: int, start):
@@ -475,10 +563,11 @@ def _split(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def _scan(kind, payload, n: int, total: int, jobs: int,
           target: int | None = None) -> tuple[int, int, int | None]:
-    """Full scan of [0, total), across `jobs` processes once it needs
-    _POOL_MIN_EVALS evaluations; the merge is order-deterministic so
-    results do not depend on the job count."""
-    if jobs <= 1 or total * n ** len(payload[1].inputs) < _POOL_MIN_EVALS:
+    """Full scan of [0, total), across `jobs` processes once an unpruned
+    scan needs _POOL_MIN_EVALS evaluations; the merge is
+    order-deterministic so results do not depend on the job count."""
+    if (jobs <= 1 or n >= _PRUNE_MIN_N
+            or total * n ** len(payload[1].inputs) < _POOL_MIN_EVALS):
         results = [_scan_range((kind, payload, n, 0, total, target))]
     else:
         tasks = [(kind, payload, n, lo, hi, target)

@@ -4,6 +4,7 @@ Every frozen constant below was computed by a second, independent route
 (hand derivation or the scalar evaluators) before being pinned.
 """
 
+import itertools
 import math
 from unittest.mock import patch
 
@@ -554,12 +555,21 @@ def _kernel_scan(kind, obj, n, lo, hi, target=None):
     return oracle._scan_range((kind, payload, n, lo, hi, target))
 
 
-def _kernel_values(kind, obj, n, lo, hi):
+def _no_swaps(symbols, digits):
+    """`_transpositions` for the unpruned scan."""
+    return []
+
+
+def _kernel_values(kind, obj, n, lo, hi, pruned=False):
+    """`_chunks` values per index, unpruned unless `pruned` (then pruned
+    indices read -1)."""
     payload = (oracle._enumerated(obj.signature, obj.dag), obj.dag)
+    swaps = oracle._transpositions if pruned else _no_swaps
     out = []
-    for pos, vals in oracle._chunks(kind, payload, n, lo, hi):
-        assert pos == lo + len(out)  # chunks are contiguous and in order
-        out.extend(int(v) for v in vals)
+    with patch.object(oracle, "_transpositions", swaps):
+        for pos, vals in oracle._chunks(kind, payload, n, lo, hi):
+            assert pos == lo + len(out)  # chunks are contiguous and in order
+            out.extend(int(v) for v in vals)
     return out
 
 
@@ -694,6 +704,162 @@ def test_count_preservation_first_mismatch(before, after, cells):
     assert chk.first_mismatch == (diff[0] if diff else None)
 
 
+# ---- alphabet-symmetry pruning ----------------------------------------------
+#
+# At n >= 3 the scan evaluates only indices with no transposition conjugate
+# earlier in the range.  Patching `_transpositions` to return nothing gives
+# the unpruned scan, the reference here.
+
+
+@st.composite
+def _symmetric_cases(draw):
+    """(kind, system or spec, n) at n = 3 or 4 over 0-3 variables and up
+    to three symbols of arity 0-1 in at most 2^11 interpretations, every
+    symbol used, incl. nullary symbols, symbol-free terms (w = 0) and
+    `x = y` equations."""
+    n = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["count", "image"]))
+    k = draw(st.integers(1 if kind == "image" else 0, 3))
+    variables = _KERNEL_VARS[:k]
+    arities = draw(st.lists(st.integers(0, 1), max_size=3))
+    while math.prod(table_space(n, a) for a in arities) > 1 << 11:
+        arities.pop(0)
+    symbols = [(f"s{i}", a) for i, a in enumerate(arities)]
+    leaves = [Var(v) for v in variables] + [App(s, ()) for s, a in symbols
+                                            if a == 0]
+    assume(leaves)
+
+    def term(depth):
+        if depth == 0 or not symbols or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(leaves))
+        s, a = draw(st.sampled_from(symbols))
+        return App(s, tuple(term(depth - 1) for _ in range(a)))
+
+    terms = [term(3) for _ in range(draw(st.integers(1, 4)))]
+    if kind == "count" and len(terms) % 2:
+        terms.append(term(3))
+    used = {s.symbol for t in terms for s in _subterms(t) if isinstance(s, App)}
+    sig = Signature(symbols=tuple((s, a) for s, a in symbols if s in used))
+    if kind == "image":
+        return kind, DispersionSpec(inputs=variables, signature=sig,
+                                    outputs=tuple(terms)), n
+    eqs = [Equation(a, b) for a, b in zip(terms[::2], terms[1::2])]
+    if k >= 2 and draw(st.booleans()):
+        eqs.append(Equation(Var(variables[0]), Var(variables[-1])))
+    return kind, TermSystem(variables=variables, signature=sig,
+                            equations=tuple(eqs)), n
+
+
+def _merged(results):
+    """`_scan`'s merge over ranges in ascending order."""
+    best_v, best_i, first_hit = -1, -1, None
+    for v, i, h in results:
+        if v > best_v:
+            best_v, best_i = v, i
+        if first_hit is None:
+            first_hit = h
+    return best_v, best_i, first_hit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_cases(), st.sampled_from([1, 8, 64, 1 << 18]), st.data())
+def test_pruned_scan_matches_unpruned(case, cells, data):
+    kind, obj, n = case
+    total = interpretation_count(obj.signature, n)
+    lo = data.draw(st.integers(0, total - 1))
+    hi = data.draw(st.integers(lo + 1, total))
+    with patch.object(oracle, "_CHUNK_CELLS", cells):
+        pruned = _kernel_values(kind, obj, n, 0, total, pruned=True)
+        values = _kernel_values(kind, obj, n, 0, total)
+        assert all(p in (-1, v) for p, v in zip(pruned, values))
+        target = data.draw(st.none() | st.integers(0, max(values) + 1))
+        for ranges in ([(lo, hi)], [(0, lo), (lo, hi), (hi, total)]):
+            ranges = [(a, b) for a, b in ranges if a < b]
+            got = _merged(_kernel_scan(kind, obj, n, a, b, target)
+                          for a, b in ranges)
+            with patch.object(oracle, "_transpositions", _no_swaps):
+                want = _merged(_kernel_scan(kind, obj, n, a, b, target)
+                               for a, b in ranges)
+            assert got == want  # value, least index, perfect-hit index
+
+
+def _conjugate(interp, arities, sigma):
+    """The tables of interp relabelled by the permutation sigma of [n]:
+    entry sigma(args) of the new table is sigma(entry args)."""
+    n, tables = interp.n, {}
+    for name, table in interp.tables.items():
+        entries = [0] * len(table)
+        for args in itertools.product(range(n), repeat=arities[name]):
+            entries[_table_pos(n, [sigma[a] for a in args])] = \
+                sigma[table[_table_pos(n, args)]]
+        tables[name] = tuple(entries)
+    return Interpretation(n, tables)
+
+
+def _table_pos(n, args):
+    return sum(a * n ** (len(args) - 1 - j) for j, a in enumerate(args))
+
+
+def test_keep_mask_contains_every_orbit_minimum():
+    system = parse("instance { vars x; sig c/0, f/1; eq f(x) = c(); }")
+    n, arities = 3, {"c": 0, "f": 1}
+
+    def index(it):  # base-3 digits c f(0) f(1) f(2), most significant first
+        return _table_pos(n, it.tables["c"] + it.tables["f"])
+
+    interps = [Interpretation(n, {"c": (c,), "f": (f0, f1, f2)})
+               for c, f0, f1, f2 in itertools.product(range(n), repeat=4)]
+    assert [index(it) for it in interps] == list(range(n ** 4))
+    perms = list(itertools.permutations(range(n)))
+    swaps = [p for p in perms if sum(a != b for a, b in enumerate(p)) == 2]
+    least = {min(index(_conjugate(it, arities, p)) for p in perms)
+             for it in interps}
+    at_most_swaps = {index(it) for it in interps
+                     if all(index(it) <= index(_conjugate(it, arities, p))
+                            for p in swaps)}
+    assert least <= at_most_swaps < set(range(n ** 4))
+    # chunks of 1, 3, 9 and 81 indices; in the chunk [6, 9), 6 and 8 have a
+    # smaller conjugate under the swap (1 2) and 7 is its own
+    for cells in (1, 9, 27, 1 << 18):
+        with patch.object(oracle, "_CHUNK_CELLS", cells):
+            values = _kernel_values("count", system, n, 0, n ** 4,
+                                    pruned=True)
+        assert {i for i, v in enumerate(values) if v >= 0} == at_most_swaps
+
+
+def test_no_pruning_below_n3(monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("the filter ran")
+    monkeypatch.setattr(oracle, "_least_in_orbit", no_filter)
+    diamond, fx = load("diamond.disp"), load("fx.inst")
+    assert brute_dispersion(diamond, 2).value == 10
+    assert not check_perfect_fixed(diamond, 2).perfect
+    assert brute_max_solutions(load("index_coding.inst"), 2).value == 4
+    assert brute_guessing(load("cycle3.graph"), 2).value == 2
+    norm, _ = pipeline(fx)
+    assert check_counts_preserved(fx, norm, 2).equal
+    with pytest.raises(AssertionError, match="the filter ran"):
+        brute_dispersion(diamond, 3)
+
+
+def test_count_preservation_first_mismatch_pruned():
+    before = parse("instance { vars x, y; sig f/1, c/0; "
+                   "eq f(f(x)) = f(f(c())); eq f(c()) = x; }")
+    after = parse("instance { vars x, y; sig f/1, c/0; eq y = f(f(x)); }")
+    counts = [_scalar_values("count", s, 3) for s in (before, after)]
+    first = next(i for i, (a, b) in enumerate(zip(*counts)) if a != b)
+    assert first == 22
+    pruned = _kernel_values("count", before, 3, 0, 81, pruned=True)
+    assert -1 in pruned[:first]  # the filter drops indices before it
+    for cells in (1, 8, 1 << 18):
+        with patch.object(oracle, "_CHUNK_CELLS", cells):
+            chk = check_counts_preserved(before, after, 3)
+            with patch.object(oracle, "_transpositions", _no_swaps):
+                assert check_counts_preserved(before, after, 3) == chk
+        assert not chk.equal and chk.first_mismatch == first
+        assert chk.interpretations == 81
+
+
 class _PoolStarted(Exception):
     pass
 
@@ -703,15 +869,17 @@ def test_pool_only_past_the_evaluation_threshold(monkeypatch):
         raise _PoolStarted
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
     diamond = load("diamond.disp")
-    # 19683 interpretations x 81 assignments: under 2^22 evaluations
+    # pruned scans (n >= 3) never pool, however many evaluations
     assert check_perfect_fixed(diamond, 3, jobs=2).max_image == 53
     assert brute_dispersion(diamond, 3, jobs=8).value == 53
-    # one worker never pools, however long the scan
-    assert brute_max_solutions(load("index_coding.inst"), 2).value == 4
     spec = parse("dispersion { inputs x, y, z; sig f/2, g/1; outputs "
                  "f(x, g(y)), g(f(x, z)), f(g(f(x, y)), g(z)), f(y, g(z)); }")
-    with pytest.raises(_PoolStarted):  # 531441 x 27 evaluations
-        brute_dispersion(spec, 3, jobs=2)
+    assert brute_dispersion(spec, 3, jobs=2).value == 27  # 531441 x 27
+    # one worker never pools, however long the scan
+    coding = load("index_coding.inst")  # 2^16 x 2^8 evaluations at n = 2
+    assert brute_max_solutions(coding, 2).value == 4
+    with pytest.raises(_PoolStarted):
+        brute_max_solutions(coding, 2, jobs=2)
     # the cut-over itself: diamond at n=2 is 16 x 16 evaluations
     monkeypatch.setattr(oracle, "_POOL_MIN_EVALS", 257)
     assert brute_dispersion(diamond, 2, jobs=2).value == 10
