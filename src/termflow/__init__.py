@@ -2,11 +2,11 @@
 flow-network dispersion exponents, and exhaustive search oracles."""
 
 from .depgraph import (DependencyGraph, GuessingStrategy, add_source_loops,
-                       dependency_graph, to_dot)
+                       dependency_graph, graph_system, to_dot)
 from .dsl import parse, render
 from .errors import (BudgetError, EvalError, ParseError, PreconditionError,
                      TermflowError, ValidationError)
-from .flownet import (ExponentResult, FlowNetwork, TermDag, ThresholdDecision,
+from .flownet import (ExponentResult, FlowNetwork, ThresholdDecision,
                       build_dag, build_network, cut_certificate,
                       decide_perfect_r1, decide_threshold,
                       dispersion_exponent, max_flow, network_dot)
@@ -24,7 +24,7 @@ from .oracle import (DEFAULT_BUDGET, BlockEncoding, CountPreservation,
                      image_of, interpretation_at, interpretation_count,
                      lift_interpretation, sandwich_check)
 from .terms import (App, DispersionSpec, Equation, Interpretation, Signature,
-                    Term, TermSystem, Var, assignments, eval_term,
+                    Term, TermDag, TermSystem, Var, assignments, eval_term,
                     instance_size, render_term, satisfies, table_index,
                     term_size, term_vars)
 

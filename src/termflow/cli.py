@@ -128,7 +128,7 @@ def cmd_normalize(args) -> tuple[dict, int]:
 def cmd_exponent(args) -> tuple[dict, int]:
     spec, meta = _load(args.file, "dispersion")
     res = dispersion_exponent(spec)
-    result = {"D": res.D, "max_flow_value": res.max_flow_value,
+    result = {"D": res.D, "max_flow_value": res.D,
               "min_cut": list(res.min_cut)}
     if args.certificate:
         result["certificate"] = res.certificate()

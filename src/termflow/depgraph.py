@@ -5,6 +5,10 @@ contributes edges u_i -> v (parallel occurrences collapse to one edge).
 Sources are the variables with no defining equation.  A guessing strategy
 assigns every non-source vertex a table over its in-neighborhood; the
 oracle's brute_guessing maximizes the number of winning configurations.
+
+A game is a system: `graph_system` writes `v(in-neighbours of v) = v` per
+player, so a strategy is an interpretation whose solutions are the
+configurations it wins; `dependency_graph` maps the system back.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError, ValidationError
-from .normalize import classify
-from .terms import Ident
+from .normalize import NormalEquation, NormalSystem, classify
+from .terms import Ident, Signature
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,17 @@ def dependency_graph(system) -> DependencyGraph:
     edges = {(u, eq.defined) for eq in system.equations for u in eq.args}
     return DependencyGraph(system.variables, frozenset(edges),
                            frozenset(cls.sources))
+
+
+def graph_system(graph: DependencyGraph) -> NormalSystem:
+    """The guessing game as a system: one equation `v(in-neighbours) = v`
+    per player, in vertex order, each player's symbol named after it.  A
+    `TermSystem` would refuse a variable named like a symbol, so none is
+    built: the oracle reads the normal system's own `dag`."""
+    equations = tuple(NormalEquation(v, graph.in_neighbors(v), v)
+                      for v in graph.vertices if v not in graph.sources)
+    signature = Signature(tuple((e.symbol, len(e.args)) for e in equations))
+    return NormalSystem(graph.vertices, signature, equations)
 
 
 def add_source_loops(graph: DependencyGraph) -> DependencyGraph:

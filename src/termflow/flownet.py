@@ -2,10 +2,10 @@
 
 The output terms of a spec are hash-consed into a DAG (one node per input
 variable, one per distinct application subterm) as the spec is built:
-`build_dag` returns `spec.dag`, a `terms.TermDag` (re-exported here).  Every
-DAG node is split into an in/out pair joined by a unit-capacity edge; child
-wiring, and the super-source's edges into the inputs, are effectively
-uncapacitated (capacity r+1 exceeds any possible flow).  Each distinct
+`build_dag` returns `spec.dag`, a `terms.TermDag`.  Every DAG node is split
+into an in/out pair joined by a unit-capacity edge; child wiring, and the
+super-source's edges into the inputs, are effectively uncapacitated
+(capacity r+1 exceeds any possible flow).  Each distinct
 output root gets a unit edge to the super-sink, so duplicated outputs share
 one sink edge.
 
@@ -29,6 +29,8 @@ from .terms import DispersionSpec, TermDag, term_vars
 
 
 def build_dag(spec: DispersionSpec) -> TermDag:
+    """`spec.dag`.  Kept as the named DAG-build stage that the benchmark's
+    per-layer spans time."""
     return spec.dag
 
 
@@ -84,8 +86,7 @@ def build_network(dag: TermDag) -> FlowNetwork:
 
 @dataclass(frozen=True)
 class ExponentResult:
-    D: int
-    max_flow_value: int
+    D: int  # the max-flow value
     min_cut: tuple[str, ...]  # sorted saturated-bottleneck identifiers
     network: FlowNetwork
     # every unit bottleneck in network order: (edge index, saturated, in_cut)
@@ -96,7 +97,7 @@ class ExponentResult:
         saturation and cut membership."""
         names = self.network.names([edge for edge, _, _ in self.bottlenecks])
         return {
-            "flow_value": self.max_flow_value,
+            "flow_value": self.D,
             "cut": list(self.min_cut),
             "bottlenecks": [{"id": name, "capacity": self.network.edges[edge][2],
                              "saturated": sat, "in_cut": cut}
@@ -190,7 +191,7 @@ def max_flow(network: FlowNetwork) -> ExponentResult:
     assert all(sat for _, sat, in_cut in rows if in_cut)
     if len(cut) != value:
         raise AssertionError("min cut does not match flow value")
-    return ExponentResult(D=value, max_flow_value=value, min_cut=tuple(cut),
+    return ExponentResult(D=value, min_cut=tuple(cut),
                           network=network, bottlenecks=tuple(rows))
 
 
@@ -204,7 +205,8 @@ def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:
 
 
 def cut_certificate(spec: DispersionSpec) -> dict:
-    """JSON-ready certificate of `dispersion_exponent(spec)`."""
+    """JSON-ready certificate of `dispersion_exponent(spec)`.  Kept as the
+    public one-call certificate, for callers that need no `ExponentResult`."""
     return dispersion_exponent(spec).certificate()
 
 

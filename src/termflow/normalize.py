@@ -25,10 +25,11 @@ transformed further.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError, ValidationError
-from .terms import (App, DispersionSpec, Equation, Ident, Signature,
-                    TermSystem, Var)
+from .terms import (App, DispersionSpec, Equation, Ident, Signature, TermDag,
+                    TermSystem, Var, term_dag)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,10 @@ class NormalEquation:
 class NormalSystem:
     """A flattened system plus any still-unresolved variable equalities.
 
-    auxiliaries lists the live variables that flattening minted.
+    auxiliaries lists the live variables that flattening minted.  `dag`,
+    built on first use, is `to_term_system().dag` without that system's
+    trees or checks, so a variable may share a symbol's name (as a game's
+    players do, see `depgraph.graph_system`).
     """
 
     variables: tuple[Ident, ...]
@@ -73,12 +77,22 @@ class NormalSystem:
             if a not in declared or b not in declared:
                 raise ValidationError("undeclared variable in equality")
 
+    def _sides(self):
+        """Each equation's (lhs, rhs) as terms: `symbol(args) = defined`
+        per equation, then each variable equality."""
+        for e in self.equations:
+            yield App(e.symbol, tuple(Var(u) for u in e.args)), Var(e.defined)
+        for a, b in self.var_equalities:
+            yield Var(a), Var(b)
+
+    @cached_property
+    def dag(self) -> TermDag:
+        return term_dag(self.variables,
+                        [t for sides in self._sides() for t in sides])
+
     def to_term_system(self) -> TermSystem:
-        eqs = [Equation(App(e.symbol, tuple(Var(u) for u in e.args)),
-                        Var(e.defined))
-               for e in self.equations]
-        eqs += [Equation(Var(a), Var(b)) for a, b in self.var_equalities]
-        return TermSystem(self.variables, self.signature, tuple(eqs))
+        return TermSystem(self.variables, self.signature,
+                          tuple(Equation(*sides) for sides in self._sides()))
 
 
 class UnionFind:

@@ -14,13 +14,15 @@ reference semantics and shares no code with the DAG.  The engine route is
 one numpy scan kernel (`_chunks`) over the whole grid of interpretations x
 assignments.  It decodes a chunk of consecutive interpretation indices as
 base-n digit rows (`_Digits`, also the decoder behind witnesses and
-`interpretation_at`), evaluates each node of the DAG that the system or
-spec built at construction (`.dag`) once per chunk, with one gather, over
-the inputs the node depends on, and reduces per interpretation: a
-`count_nonzero` of the satisfied assignments, or a sort of the output
-tuple codes for image sizes.  Tests pin the two routes against each other,
-and every reported witness can be replayed through the scalar route to
-reproduce its value.
+`interpretation_at`), evaluates each node of the system's or spec's term
+DAG (`.dag`) once per chunk, with one gather, over the inputs the node
+depends on, and reduces per interpretation: a `count_nonzero` of the
+satisfied assignments, or a sort of the output tuple codes for image sizes.
+Term and normal systems enter the kernel alike, through
+`brute_max_solutions`; a guessing game enters as the normal system
+`graph_system(graph)`, whose interpretations are the strategies.  Tests pin
+the two routes against each other, and every reported witness can be
+replayed through the scalar route to reproduce its value.
 
 Results are independent of chunking and of the `jobs` worker count: ranges
 merge by (max value, then least interpretation index), and early-exit
@@ -49,12 +51,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .depgraph import DependencyGraph, GuessingStrategy, dependency_graph
+from .depgraph import (DependencyGraph, GuessingStrategy, dependency_graph,
+                       graph_system)
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
-from .terms import (App, DispersionSpec, Ident, Interpretation, Signature,
-                    TermDag, TermSystem, Var, assignments, equation_steps,
-                    run_steps, table_index, term_dag, term_steps)
+from .terms import (DispersionSpec, Ident, Interpretation, Signature, TermDag,
+                    TermSystem, assignments, equation_steps, run_steps,
+                    table_index, term_steps)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 _CHUNK_CELLS = 1 << 18  # interpretations x assignments evaluated at once
@@ -248,7 +251,8 @@ def enumerate_interpretations(signature: Signature, n: int,
     """Lexicographic stream over canonical table encodings.
 
     Any contiguous [start, stop) slice may be taken independently; the
-    concatenation of a partition equals the full stream."""
+    concatenation of a partition equals the full stream.  The space is
+    checked once, before the first interpretation."""
     if _space_log2(signature.symbols, n) > _INDEX_BITS:
         raise BudgetError("interpretation space exceeds the engine's index range")
     total = interpretation_count(signature, n)
@@ -257,25 +261,28 @@ def enumerate_interpretations(signature: Signature, n: int,
             f"{total} interpretations exceed the budget of "
             f"{budget.max_interpretations}", interpretations=total)
     stop = total if stop is None else min(stop, total)
+    if start < 0 and start < stop:  # as interpretation_at refuses it
+        raise ValidationError("interpretation index out of range")
     for index in range(start, stop):
-        yield interpretation_at(signature, n, index)
+        yield _witness(signature, signature.symbols, n, index)
 
 
 # ---- scalar reference route ------------------------------------------------
 
 
-def _term_system(system) -> TermSystem:
-    """Term systems pass through; normal systems are read as one."""
-    if isinstance(system, NormalSystem):
-        return system.to_term_system()
-    if isinstance(system, TermSystem):
-        return system
-    raise PreconditionError(f"not a term system: {type(system).__name__}")
+def _system(system):
+    """Term and normal systems alike carry `variables`, `signature` and the
+    `dag` that the scan kernel evaluates."""
+    if not isinstance(system, (TermSystem, NormalSystem)):
+        raise PreconditionError(f"not a term system: {type(system).__name__}")
+    return system
 
 
 def count_solutions(system, interp: Interpretation) -> int:
-    """Reference count of satisfying assignments for one interpretation."""
-    system = _term_system(system)
+    """Reference count of satisfying assignments for one interpretation;
+    a normal system is read as a term system."""
+    if isinstance(_system(system), NormalSystem):
+        system = system.to_term_system()
     return _count_steps(system, equation_steps(system), interp)
 
 
@@ -608,24 +615,18 @@ def _used_space(used, n: int) -> int:
 # ---- search operations -------------------------------------------------------
 
 
-def _max_solutions(signature: Signature, dag: TermDag, n: int,
-                   budget: SearchBudget, jobs: int) -> OracleResult:
-    """Maximum solution count of the equations whose sides are the DAG's
-    outputs, (lhs, rhs) in turn, over the DAG's inputs."""
-    _admit(signature, n, len(dag.inputs), budget)
-    used = _enumerated(signature, dag)
-    total = _used_space(used, n)
-    value, index, _ = _scan("count", (used, dag), n, total, jobs)
-    return OracleResult(value, _witness(signature, used, n, index),
-                        _rate(value, n), total * n ** len(dag.inputs))
-
-
 def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
                         *, jobs: int = 1) -> OracleResult:
     """Maximum solution count over every interpretation, with the least
-    witness attaining it."""
-    system = _term_system(system)
-    return _max_solutions(system.signature, system.dag, n, budget, jobs)
+    witness attaining it.  The budget is checked before the DAG is read."""
+    system = _system(system)
+    k = len(system.variables)
+    _admit(system.signature, n, k, budget)
+    used = _enumerated(system.signature, system.dag)
+    total = _used_space(used, n)
+    value, index, _ = _scan("count", (used, system.dag), n, total, jobs)
+    return OracleResult(value, _witness(system.signature, used, n, index),
+                        _rate(value, n), total * n ** k)
 
 
 def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
@@ -674,15 +675,10 @@ def brute_guessing(graph: DependencyGraph, n: int,
 
     The rate field is the guessing value log_n W.  Sources are free; each
     non-source vertex guesses from its ordered in-neighborhood (which may
-    include itself if a loop is present).  The search counts solutions of
-    `v(in-neighbours) = v` over one pseudo-symbol per player."""
-    nbrs = {v: graph.in_neighbors(v) for v in graph.vertices
-            if v not in graph.sources}
-    pseudo = Signature(tuple((v, len(us)) for v, us in nbrs.items()))
-    dag = term_dag(graph.vertices, [
-        t for v, us in nbrs.items()
-        for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
-    res = _max_solutions(pseudo, dag, n, budget, jobs)
+    include itself if a loop is present).  The game is the system
+    `graph_system(graph)`: a strategy is an interpretation of its player
+    symbols, and the configurations it wins are its solutions."""
+    res = brute_max_solutions(graph_system(graph), n, budget, jobs=jobs)
     return replace(res, witness=GuessingStrategy(n, dict(res.witness.tables)))
 
 
@@ -709,7 +705,7 @@ def check_counts_preserved(before, after, n: int,
     """Exhaustively compare per-interpretation solution counts of two
     systems over the same signature (the normalization-preservation
     oracle)."""
-    before, after = _term_system(before), _term_system(after)
+    before, after = _system(before), _system(after)
     if before.signature != after.signature:
         raise PreconditionError("count comparison needs a shared signature")
     per = n ** len(before.variables) + n ** len(after.variables)

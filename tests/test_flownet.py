@@ -56,7 +56,7 @@ def _brute_min_cut(spec) -> int:
 def test_diamond_exponent_and_cut():
     res = dispersion_exponent(load("diamond.disp"))
     assert res.D == 4
-    assert res.max_flow_value == 4
+    assert res.certificate()["flow_value"] == 4
     assert res.min_cut == ("w", "x", "y", "z")
 
 
@@ -139,7 +139,7 @@ def test_padding_never_lowers_exponent(name):
 def test_cut_certificate_is_consistent():
     cert = cut_certificate(load("diamond.disp"))
     res = dispersion_exponent(load("diamond.disp"))
-    assert cert["flow_value"] == res.max_flow_value
+    assert cert["flow_value"] == res.D
     assert tuple(cert["cut"]) == res.min_cut
     in_cut = [row for row in cert["bottlenecks"] if row["in_cut"]]
     assert len(in_cut) == res.D

@@ -254,6 +254,15 @@ def test_flatten_preserves_structure_via_origins(system):
         assert a in flat.variables and b in flat.variables
 
 
+@settings(max_examples=60, deadline=None)
+@given(_term_systems())
+def test_normal_system_dag_is_its_term_systems(system):
+    flat = flatten(system)
+    norm, _ = pipeline(system)
+    for out in (flat, norm, diversify(flat), diversify(norm)):
+        assert out.dag == out.to_term_system().dag
+
+
 @settings(max_examples=40, deadline=None)
 @given(_term_systems())
 def test_diversify_keeps_shape(system):

@@ -12,14 +12,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from termflow import oracle
+from termflow import normalize, oracle
 from termflow.dsl import parse
 
 from termflow.depgraph import (DependencyGraph, GuessingStrategy,
-                               add_source_loops, dependency_graph)
+                               add_source_loops, dependency_graph,
+                               graph_system)
 from termflow.errors import (BudgetError, PreconditionError, ValidationError)
-from termflow.normalize import diversify, embed_dispersion, pipeline
-from termflow.oracle import (BlockEncoding, SearchBudget, brute_dispersion,
+from termflow.normalize import (NormalSystem, diversify, embed_dispersion,
+                                flatten, pipeline)
+from termflow.oracle import (BlockEncoding, OracleResult, SearchBudget,
+                             brute_dispersion,
                              brute_guessing, brute_max_solutions,
                              check_counts_preserved, check_embedding,
                              check_perfect_fixed,
@@ -29,7 +32,7 @@ from termflow.oracle import (BlockEncoding, SearchBudget, brute_dispersion,
                              interpretation_count, lift_interpretation,
                              sandwich_check, table_space)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
-                            Signature, TermSystem, Var)
+                            Signature, TermSystem, Var, term_dag)
 from corpus_loader import load
 
 
@@ -71,6 +74,8 @@ def test_enumeration_slicing():
     full = list(enumerate_interpretations(sig, 2))
     part = list(enumerate_interpretations(sig, 2, start=3, stop=7))
     assert part == full[3:7]
+    with pytest.raises(ValidationError):
+        next(enumerate_interpretations(sig, 2, start=-1))
 
 
 def test_budget_refusal_is_exact_and_total():
@@ -294,6 +299,97 @@ def test_strategy_witness_validates():
     res = brute_guessing(g, 2)
     res.witness.validate_against(g)
     assert set(res.witness.tables) == {"a", "b", "c"}
+
+
+def _pseudo_symbol_guessing(graph, n, budget):
+    """Reference game scan: one pseudo-symbol per player and a DAG of
+    `v(in-neighbours) = v` built here, fed straight to the scan kernel."""
+    nbrs = {v: graph.in_neighbors(v) for v in graph.vertices
+            if v not in graph.sources}
+    pseudo = Signature(tuple((v, len(us)) for v, us in nbrs.items()))
+    dag = term_dag(graph.vertices, [
+        t for v, us in nbrs.items()
+        for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
+    oracle._admit(pseudo, n, len(dag.inputs), budget)
+    used = oracle._enumerated(pseudo, dag)
+    total = oracle._used_space(used, n)
+    value, index, _ = oracle._scan("count", (used, dag), n, total, 1)
+    tables = oracle._witness(pseudo, used, n, index).tables
+    return OracleResult(value, GuessingStrategy(n, dict(tables)),
+                        oracle._rate(value, n), total * n ** len(dag.inputs))
+
+
+@st.composite
+def _small_graphs(draw):
+    """1-4 vertices with any edges (self-loops included); sources are drawn
+    among the vertices without in-edges, as in a dependency graph."""
+    vertices = tuple("abcd"[:draw(st.integers(1, 4))])
+    edges = draw(st.frozensets(st.tuples(st.sampled_from(vertices),
+                                         st.sampled_from(vertices))))
+    free = [v for v in vertices if all(e[1] != v for e in edges)]
+    sources = draw(st.frozensets(st.sampled_from(free))) if free else frozenset()
+    return DependencyGraph(vertices, edges, sources)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_graphs(), st.sampled_from([1, 2, 3]))
+def test_game_as_system_matches_pseudo_symbol_scan(graph, n):
+    budget = SearchBudget(max_evaluations=1 << 18)
+    try:
+        want = _pseudo_symbol_guessing(graph, n, budget)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError) as got:
+            brute_guessing(graph, n, budget)
+        assert (got.value.interpretations, got.value.evaluations) == (
+            exc.interpretations, exc.evaluations)
+        return
+    got = brute_guessing(graph, n, budget)
+    assert got == want
+    assert count_winning(graph, got.witness) == got.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs())
+def test_graph_system_round_trips(graph):
+    system = graph_system(graph)
+    assert dependency_graph(system) == graph
+    assert system.signature.names == tuple(
+        v for v in graph.vertices if v not in graph.sources)
+
+
+def test_kernel_routes_build_no_term_system(monkeypatch):
+    system = load("cycle3.inst")
+    flat = flatten(system)
+    norm, _ = pipeline(system)
+    want = brute_max_solutions(norm, 3)
+
+    def refuse(self):
+        raise AssertionError("a kernel route built a TermSystem")
+
+    monkeypatch.setattr(NormalSystem, "to_term_system", refuse)
+    assert brute_max_solutions(norm, 3) == want
+    assert brute_max_solutions(system, 3) == want
+    assert brute_guessing(dependency_graph(norm), 3).value == 3
+    assert check_counts_preserved(flat, norm, 3).equal
+    assert check_solutions_equal_winning(diversify(norm), 2).equal
+
+
+def test_refused_game_builds_no_dag(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return term_dag(*args)
+
+    monkeypatch.setattr(normalize, "term_dag", counting)
+    chain = DependencyGraph(tuple(f"v{i}" for i in range(40)),
+                            frozenset((f"v{i}", f"v{i + 1}") for i in range(39)),
+                            frozenset({"v0"}))
+    with pytest.raises(BudgetError):
+        brute_guessing(chain, 2)
+    assert calls == []
+    brute_guessing(load("cycle3.graph"), 2)  # an admitted game builds one
+    assert len(calls) == 1
 
 
 # ---- solutions vs winning -----------------------------------------------------
