@@ -3,8 +3,9 @@
 Every command prints one canonical JSON report on stdout: keys sorted,
 two-space indent, trailing newline.  Reports contain only input-determined
 data (command, input digest, parameters, result, tool version), so repeated
-runs are byte-identical; wall-clock timing goes to stderr and the worker
-count never appears in the report.
+runs are byte-identical; wall-clock timing goes to stderr.  Every scan
+runs in this process; `brute --jobs J` is accepted for compatibility and
+ignored.
 
 Exit codes: 0 success, 2 parse or input error, 3 precondition violation,
 4 budget refusal, 1 internal error.  TERMFLOW_BUDGET=EVALS[:INTERPS]
@@ -142,21 +143,19 @@ def cmd_exponent(args) -> tuple[dict, int]:
 
 def cmd_brute(args) -> tuple[dict, int]:
     budget = _budget(args)
-    jobs = max(1, args.jobs)
     if args.mode == "disp":
         spec, meta = _load(args.file, "dispersion")
-        result = _oracle_json(brute_dispersion(spec, args.n, budget, jobs=jobs))
+        result = _oracle_json(brute_dispersion(spec, args.n, budget))
     elif args.mode == "solve":
         system, meta = _load(args.file, "system")
-        result = _oracle_json(brute_max_solutions(system, args.n, budget,
-                                                  jobs=jobs))
+        result = _oracle_json(brute_max_solutions(system, args.n, budget))
     elif args.mode == "guess":
         obj, meta = _load(args.file, "auto")
         graph = _as_graph(obj)
-        result = _oracle_json(brute_guessing(graph, args.n, budget, jobs=jobs))
+        result = _oracle_json(brute_guessing(graph, args.n, budget))
     elif args.mode == "perfect":
         spec, meta = _load(args.file, "dispersion")
-        dec = check_perfect_fixed(spec, args.n, budget, jobs=jobs)
+        dec = check_perfect_fixed(spec, args.n, budget)
         result = {"perfect": dec.perfect, "target": dec.target,
                   "max_image": dec.max_image,
                   "interpretations": dec.interpretations,
@@ -171,7 +170,7 @@ def cmd_brute(args) -> tuple[dict, int]:
     else:  # sandwich
         system, meta = _load(args.file, "system")
         norm, _ = pipeline(system)
-        rep = sandwich_check(norm, args.n, budget, jobs=jobs)
+        rep = sandwich_check(norm, args.n, budget)
         result = {"n": rep.n, "v": rep.v, "m": rep.m,
                   "original": _oracle_json(rep.original),
                   "diversified_same_n": _oracle_json(rep.diversified_same_n),
@@ -257,7 +256,8 @@ def _parser() -> argparse.ArgumentParser:
     brute.add_argument("--budget", metavar="EVALS[:INTERPS]",
                        help="override the search budget")
     brute.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (result-invariant)")
+                       help="accepted and ignored: every scan runs in this "
+                            "process")
     brute.set_defaults(handler=cmd_brute)
 
     thr = sub.add_parser("threshold",

@@ -3,9 +3,9 @@
 Everything here is ground truth by enumeration: interpretations are counted
 through the canonical table encoding (first symbol's table most significant,
 within a table the all-zero argument row most significant), so the stream is
-lexicographic, deterministic, and splittable into contiguous index ranges.
-Budgets are enforced up front from the closed-form space size
-prod_f n^(n^arity(f)) * n^|V|; a search either fits or is refused whole.
+lexicographic and deterministic.  Budgets are enforced up front from the
+closed-form space size prod_f n^(n^arity(f)) * n^|V|; a search either
+fits or is refused whole.
 
 Two evaluation routes coexist on purpose.  The scalar route
 (`count_solutions`, `image_of`, `count_winning`) walks each term once per
@@ -24,29 +24,29 @@ Term and normal systems enter the kernel alike, through
 the two routes against each other, and every reported witness can be
 replayed through the scalar route to reproduce its value.
 
-Results are independent of chunking and of the `jobs` worker count: ranges
-merge by (max value, then least interpretation index), and early-exit
-searches report the sequential-equivalent work (witness index + 1).
+Every scan runs once, in this process, over the whole index range.
+Results are independent of chunking: chunks reduce in index order to (max
+value, least index attaining it), and early-exit searches report the work
+up to the hit (witness index + 1).
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
 [n], (s.T)_f[a] = s(T_f[s^-1(a)]), changes no scan value: solution counts,
 image sizes, perfect hits and count mismatches are all S_n-invariant.  So
 the least index attaining a value is the least member of its orbit, and
-is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan of
-[lo, hi) evaluates only indices T with no transposition conjugate in
-[lo, T) (`_least_in_orbit`), a superset of those least indices: values,
-witnesses and perfect-hit indices are those of the full scan.  At n = 2
-the one swap halves a scan but often costs more than it saves.  Reported
-`evaluations` and `interpretations` stay the sequential-equivalent closed
-forms, and budgets charge the same closed forms, so no report changes.
+is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan
+evaluates only the indices T that are <= each transposition conjugate
+(`_least_in_orbit`), a superset of those least indices: values, witnesses
+and perfect-hit indices are those of the unpruned scan.  At n = 2 the one
+swap halves a scan but often costs more than it saves.  Reported
+`evaluations` and `interpretations` stay the unpruned scan's closed forms,
+and budgets charge the same closed forms, so no report changes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,12 +62,6 @@ from .terms import (DispersionSpec, Ident, Interpretation, Signature, TermDag,
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 _CHUNK_CELLS = 1 << 18  # interpretations x assignments evaluated at once
 _PRUNE_MIN_N = 3  # at n = 2 one swap halves a scan but often costs more
-# Closed-form evaluations from which an unpruned scan (n < _PRUNE_MIN_N)
-# fans out to a pool: at n = 2 its ~25 ms start-up pays from 2^22 (image
-# scans) to 2^25 (count scans).  Pruned scans never pool: their kept
-# indices crowd the low end of the index range, so an even split leaves one
-# worker nearly all the work.
-_POOL_MIN_EVALS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ DEFAULT_BUDGET = SearchBudget()
 @dataclass(frozen=True)
 class OracleResult:
     """value, the lexicographically least witness attaining it, the rate
-    log value / log n (None when n < 2), and the sequential-equivalent
+    log value / log n (None when n < 2), and the unpruned scan's closed-form
     number of (interpretation, assignment) evaluations."""
 
     value: int
@@ -203,12 +197,10 @@ def _space_log2(symbols, n: int) -> float:
     return bits
 
 
-def _admit(signature: Signature, n: int, assign_vars: int,
-           budget: SearchBudget, *, per_interp: int | None = None) -> int:
-    """Closed-form budget check; returns the exact interpretation count.
-
-    per_interp overrides the assignments-per-interpretation factor (the
-    default is n^assign_vars)."""
+def _index_space(signature: Signature, n: int, assign_vars: int = 0) -> int:
+    """The exact interpretation count, refused unless every interpretation
+    index, and every (interpretation, assignment) pair over `assign_vars`
+    variables, fits the engine's index range."""
     if n < 1:
         raise PreconditionError(f"alphabet size must be >= 1, got {n}")
     bits = _space_log2(signature.symbols, n)
@@ -219,7 +211,16 @@ def _admit(signature: Signature, n: int, assign_vars: int,
         raise BudgetError(
             f"interpretation space {size} exceeds the engine's index "
             "range; refusing")
-    total = interpretation_count(signature, n)
+    return interpretation_count(signature, n)
+
+
+def _admit(signature: Signature, n: int, assign_vars: int,
+           budget: SearchBudget, *, per_interp: int | None = None) -> int:
+    """Closed-form budget check; returns the exact interpretation count.
+
+    per_interp overrides the assignments-per-interpretation factor (the
+    default is n^assign_vars)."""
+    total = _index_space(signature, n, assign_vars)
     factor = per_interp if per_interp is not None else n ** assign_vars
     evals = total * factor
     if total > budget.max_interpretations:
@@ -237,10 +238,7 @@ def _admit(signature: Signature, n: int, assign_vars: int,
 
 def interpretation_at(signature: Signature, n: int, index: int) -> Interpretation:
     """The index-th interpretation in canonical order."""
-    if _space_log2(signature.symbols, n) > _INDEX_BITS:
-        raise BudgetError(
-            "interpretation space exceeds the engine's index range")
-    if not 0 <= index < interpretation_count(signature, n):
+    if not 0 <= index < _index_space(signature, n):
         raise ValidationError("interpretation index out of range")
     return _witness(signature, signature.symbols, n, index)
 
@@ -252,14 +250,9 @@ def enumerate_interpretations(signature: Signature, n: int,
 
     Any contiguous [start, stop) slice may be taken independently; the
     concatenation of a partition equals the full stream.  The space is
-    checked once, before the first interpretation."""
-    if _space_log2(signature.symbols, n) > _INDEX_BITS:
-        raise BudgetError("interpretation space exceeds the engine's index range")
-    total = interpretation_count(signature, n)
-    if total > budget.max_interpretations:
-        raise BudgetError(
-            f"{total} interpretations exceed the budget of "
-            f"{budget.max_interpretations}", interpretations=total)
+    checked once, before the first interpretation; listing tables
+    evaluates nothing, so only the interpretation budget applies."""
+    total = _admit(signature, n, 0, budget, per_interp=0)
     stop = total if stop is None else min(stop, total)
     if start < 0 and start < stop:  # as interpretation_at refuses it
         raise ValidationError("interpretation index out of range")
@@ -370,11 +363,11 @@ def _low_digits(symbols, n: int, k: int) -> int:
     return low
 
 
-def _chunks(kind: str, payload, n: int, lo: int, hi: int,
+def _chunks(kind: str, symbols, dag: TermDag, n: int,
             low: int | None = None):
     """The scan kernel: yield (first index, per-interpretation values) for
-    [lo, hi) in chunks aligned to n^low, for a payload of (symbols to
-    enumerate, term DAG to evaluate).
+    every interpretation of `symbols`, in chunks of n^low, evaluating the
+    term DAG `dag`.  The n^w indices split into whole chunks.
 
     Each DAG node is evaluated once per chunk, over the inputs it depends
     on: its value has one axis per input (size n, or 1 off its support)
@@ -382,10 +375,9 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
     distinct output tuples.  From n = _PRUNE_MIN_N only the indices
-    `_least_in_orbit` keeps are evaluated and the others read -1: in every
-    range, the max value, its least index and the least index reaching a
-    target stay those of the unpruned scan."""
-    symbols, dag = payload
+    `_least_in_orbit` keeps are evaluated and the others read -1: the max
+    value, its least index and the least index reaching a target stay
+    those of the unpruned scan."""
     k = len(dag.inputs)
     if low is None:
         low = _low_digits(symbols, n, k)
@@ -393,6 +385,7 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
     swaps = _transpositions(symbols, digits) if n >= _PRUNE_MIN_N else []
     high = len(digits.rows) - low  # digits constant over a chunk
     size = n ** low
+    every = np.arange(size, dtype=np.intp)
     inputs = [np.arange(n, dtype=digits.rows.dtype).reshape(
         [n if j == i else 1 for j in range(k)] + [1]) for i in range(k)]
     last = {c: i for i, (_, children) in enumerate(dag.ops) for c in children}
@@ -402,23 +395,16 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
         if node not in roots:
             drops[i].append(node)  # freed after its last reader
     reduce = {"count": _satisfied, "image": _distinct}[kind]
-    pos = lo
-    while pos < hi:
-        base = pos - pos % size
-        end = min(base + size, hi)
+    for base in range(0, n ** len(digits.rows), size):
         rows = digits.at(base)
         flat = rows.ravel()
-        cols = np.arange(pos - base, end - base, dtype=np.intp)
+        cols, view = every, rows
         if swaps:
-            cols = _least_in_orbit(rows[:high, 0].tolist(), base, lo, cols,
-                                   swaps)
+            cols = _least_in_orbit(rows[:high, 0].tolist(), base, swaps)
             if not len(cols):  # common at n >= 4, past the low indices
-                yield pos, np.full(end - pos, -1, dtype=np.int64)
-                pos = end
+                yield base, np.full(size, -1, dtype=np.int64)
                 continue
             view = rows[:, cols]
-        else:
-            view = rows[:, pos - base:end - base]
         vals = list(inputs)
         for (symbol, children), dead in zip(dag.ops, drops):
             off = digits.offset[symbol]
@@ -435,10 +421,9 @@ def _chunks(kind: str, payload, n: int, lo: int, hi: int,
                 vals[c] = None
         out = reduce(dag, vals, n, k, len(cols))
         if swaps:
-            out, kept = np.full(end - pos, -1, dtype=np.int64), out
-            out[cols - (pos - base)] = kept
-        yield pos, out
-        pos = end
+            out, kept = np.full(size, -1, dtype=np.int64), out
+            out[cols] = kept
+        yield base, out
 
 
 def _transpositions(symbols, digits: _Digits):
@@ -470,28 +455,27 @@ def _transpositions(symbols, digits: _Digits):
     return swaps
 
 
-def _least_in_orbit(high_digits: list[int], base: int, lo: int, cols,
+def _least_in_orbit(high_digits: list[int], base: int,
                     swaps) -> np.ndarray:
-    """The columns `cols` of the chunk at `base` (constant high digits
-    `high_digits`) whose index T has no swap conjugate in [lo, T).
+    """The columns of the chunk at `base` (constant high digits
+    `high_digits`) whose index T is <= each swap conjugate.
 
     Index order is the lexicographic order of digit strings.  Every scan
     value (solution count, image size, perfect hit, count mismatch) is the
-    same for T and each conjugate, so the least index in [lo, hi) attaining
-    a value has no conjugate in [lo, T) and is kept; from lo = 0 that is
-    T <= every conjugate, a superset of the least member of each orbit
+    same for T and each conjugate, so the least index attaining a value is
+    kept: the kept set is a superset of the least member of each orbit
     under relabelling [n]."""
-    keep = np.ones(len(cols), dtype=bool)
+    keep = np.ones(len(swaps[0][1]), dtype=bool)
     for terms, excess, least, most in swaps:
         head = sum(weight * t[high_digits[q]] for weight, q, t in terms)
-        # conjugate index = head + c - excess[c], and c - excess[c] >= 0
+        # conjugate index = head + c - excess[c], so T = base + c is kept
+        # iff excess[c] <= head - base
         if most <= head - base:  # no conjugate precedes its column
             continue
-        if least > head - base and head >= lo:  # all do, from lo on
-            return cols[:0]
-        ex = excess[cols]
-        keep &= (ex <= head - base) | (ex - cols > head - lo)
-    return cols[keep]
+        if least > head - base:  # all do
+            return np.empty(0, dtype=np.intp)
+        keep &= excess <= head - base
+    return np.flatnonzero(keep)
 
 
 def _table_rows(args, n: int, scale: int, start):
@@ -539,55 +523,20 @@ def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
     return 1 + np.count_nonzero(grid[:, 1:] != grid[:, :-1], axis=1)
 
 
-def _scan_range(task) -> tuple[int, int, int | None]:
-    """Scan one contiguous index range; returns (best value, least index of
-    it, least index reaching `target` or None)."""
-    kind, payload, n, lo, hi, target = task
-    best_v, best_i, hit = -1, -1, None
-    for pos, vals in _chunks(kind, payload, n, lo, hi):
+def _scan(kind: str, symbols, dag: TermDag, n: int,
+          target: int | None = None) -> tuple[int, int, int | None]:
+    """Scan every interpretation of `symbols`; returns (best value, least
+    index of it, least index reaching `target` or None).  A hit ends the
+    scan, so the best value then covers only the chunks up to the hit."""
+    best_v, best_i = -1, -1
+    for pos, vals in _chunks(kind, symbols, dag, n):
         mx = int(vals.max())
         if mx > best_v:
             best_v = mx
             best_i = pos + int(vals.argmax())
         if target is not None and mx >= target:
-            hit = pos + int(np.argmax(vals >= target))
-            break
-    return best_v, best_i, hit
-
-
-def _split(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total))
-    base, extra = divmod(total, jobs)
-    ranges = []
-    lo = 0
-    for j in range(jobs):
-        hi = lo + base + (1 if j < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _scan(kind, payload, n: int, total: int, jobs: int,
-          target: int | None = None) -> tuple[int, int, int | None]:
-    """Full scan of [0, total), across `jobs` processes once an unpruned
-    scan needs _POOL_MIN_EVALS evaluations; the merge is
-    order-deterministic so results do not depend on the job count."""
-    if (jobs <= 1 or n >= _PRUNE_MIN_N
-            or total * n ** len(payload[1].inputs) < _POOL_MIN_EVALS):
-        results = [_scan_range((kind, payload, n, 0, total, target))]
-    else:
-        tasks = [(kind, payload, n, lo, hi, target)
-                 for lo, hi in _split(total, jobs)]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_scan_range, tasks))
-    best_v, best_i, first_hit = -1, -1, None
-    for v, i, h in results:  # ranges are in ascending index order
-        if v > best_v:
-            best_v, best_i = v, i
-        if first_hit is None and h is not None:
-            first_hit = h
-    return best_v, best_i, first_hit
+            return best_v, best_i, pos + int(np.argmax(vals >= target))
+    return best_v, best_i, None
 
 
 def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:
@@ -615,8 +564,8 @@ def _used_space(used, n: int) -> int:
 # ---- search operations -------------------------------------------------------
 
 
-def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
-                        *, jobs: int = 1) -> OracleResult:
+def brute_max_solutions(system, n: int,
+                        budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum solution count over every interpretation, with the least
     witness attaining it.  The budget is checked before the DAG is read."""
     system = _system(system)
@@ -624,41 +573,39 @@ def brute_max_solutions(system, n: int, budget: SearchBudget = DEFAULT_BUDGET,
     _admit(system.signature, n, k, budget)
     used = _enumerated(system.signature, system.dag)
     total = _used_space(used, n)
-    value, index, _ = _scan("count", (used, system.dag), n, total, jobs)
+    value, index, _ = _scan("count", used, system.dag, n)
     return OracleResult(value, _witness(system.signature, used, n, index),
                         _rate(value, n), total * n ** k)
 
 
 def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
-                jobs: int, target: int | None = None):
+                target: int | None = None):
     """(enumerated symbols, their interpretation count, `_scan` result)."""
     _admit(spec.signature, n, spec.k, budget)
     if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
     used = _enumerated(spec.signature, spec.dag)
     total = _used_space(used, n)
-    return used, total, _scan("image", (used, spec.dag), n, total, jobs, target)
+    return used, total, _scan("image", used, spec.dag, n, target)
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
-                     budget: SearchBudget = DEFAULT_BUDGET, *,
-                     jobs: int = 1) -> OracleResult:
+                     budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum image size of the dispersion map over every interpretation."""
-    used, total, (value, index, _) = _image_scan(spec, n, budget, jobs)
+    used, total, (value, index, _) = _image_scan(spec, n, budget)
     return OracleResult(value, _witness(spec.signature, used, n, index),
                         _rate(value, n), total * n ** spec.k)
 
 
 def check_perfect_fixed(spec: DispersionSpec, n: int,
-                        budget: SearchBudget = DEFAULT_BUDGET, *,
-                        jobs: int = 1) -> PerfectDecision:
+                        budget: SearchBudget = DEFAULT_BUDGET
+                        ) -> PerfectDecision:
     """Does some interpretation make the map surjective onto [n]^r?
 
     Early-exits on the first witness; otherwise the refutation carries the
     best image found over the full scan."""
     target = n ** spec.r
-    used, total, (value, index, hit) = _image_scan(spec, n, budget, jobs,
-                                                   target)
+    used, total, (value, index, hit) = _image_scan(spec, n, budget, target)
     if hit is not None:
         return PerfectDecision(True, target, target,
                                _witness(spec.signature, used, n, hit),
@@ -669,8 +616,7 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
 
 
 def brute_guessing(graph: DependencyGraph, n: int,
-                   budget: SearchBudget = DEFAULT_BUDGET, *,
-                   jobs: int = 1) -> OracleResult:
+                   budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum number of winning configurations over every strategy.
 
     The rate field is the guessing value log_n W.  Sources are free; each
@@ -678,13 +624,13 @@ def brute_guessing(graph: DependencyGraph, n: int,
     include itself if a loop is present).  The game is the system
     `graph_system(graph)`: a strategy is an interpretation of its player
     symbols, and the configurations it wins are its solutions."""
-    res = brute_max_solutions(graph_system(graph), n, budget, jobs=jobs)
+    res = brute_max_solutions(graph_system(graph), n, budget)
     return replace(res, witness=GuessingStrategy(n, dict(res.witness.tables)))
 
 
 def check_solutions_equal_winning(system: NormalSystem, n: int,
-                                  budget: SearchBudget = DEFAULT_BUDGET, *,
-                                  jobs: int = 1) -> GuessingEquality:
+                                  budget: SearchBudget = DEFAULT_BUDGET
+                                  ) -> GuessingEquality:
     """Max solutions of a diversified FNF system vs. the game value of its
     dependency graph; the two coincide, and both witnesses are returned."""
     cls = classify(system)
@@ -694,8 +640,8 @@ def check_solutions_equal_winning(system: NormalSystem, n: int,
         raise PreconditionError(
             "solutions-vs-winning needs a diversified system "
             "(one fresh symbol per equation)")
-    solutions = brute_max_solutions(system, n, budget, jobs=jobs)
-    winning = brute_guessing(dependency_graph(system), n, budget, jobs=jobs)
+    solutions = brute_max_solutions(system, n, budget)
+    winning = brute_guessing(dependency_graph(system), n, budget)
     return GuessingEquality(solutions.value == winning.value, solutions, winning)
 
 
@@ -715,8 +661,8 @@ def check_counts_preserved(before, after, n: int,
     low = min(_low_digits(used, n, len(dag.inputs))
               for dag in (before.dag, after.dag))
     for (pos, ca), (_, cb) in zip(
-            _chunks("count", (used, before.dag), n, 0, total, low),
-            _chunks("count", (used, after.dag), n, 0, total, low)):
+            _chunks("count", used, before.dag, n, low),
+            _chunks("count", used, after.dag, n, low)):
         if not np.array_equal(ca, cb):
             first = pos + int(np.argmax(ca != cb))
             return CountPreservation(False, total, first)
@@ -770,8 +716,7 @@ def lift_interpretation(system: NormalSystem, small: Interpretation,
 
 
 def sandwich_check(system: NormalSystem, n: int,
-                   budget: SearchBudget = DEFAULT_BUDGET, *,
-                   jobs: int = 1) -> SandwichReport:
+                   budget: SearchBudget = DEFAULT_BUDGET) -> SandwichReport:
     """Check S_n <= S_n(diversified) and S_n >= S_m(diversified) for
     m = floor(n / v), and verify the lower bound constructively by lifting
     the small witness and re-counting its solutions at n."""
@@ -784,10 +729,10 @@ def sandwich_check(system: NormalSystem, n: int,
     if n < v:
         raise PreconditionError(f"sandwich check needs n >= v; got n={n}, v={v}")
     div = diversify(system)
-    original = brute_max_solutions(system, n, budget, jobs=jobs)
-    div_same = brute_max_solutions(div, n, budget, jobs=jobs)
+    original = brute_max_solutions(system, n, budget)
+    div_same = brute_max_solutions(div, n, budget)
     m = n // v
-    div_small = brute_max_solutions(div, m, budget, jobs=jobs)
+    div_small = brute_max_solutions(div, m, budget)
     encoding = BlockEncoding.canonical(n, v)
     lifted = lift_interpretation(system, div_small.witness, encoding)
     lifted_count = count_solutions(system, lifted)

@@ -59,12 +59,24 @@ def test_repeated_runs_are_byte_identical():
 
 
 def test_jobs_do_not_appear_or_matter():
-    lone = run_cli("brute", "disp", path("diamond.disp"), "-n", "2",
-                   "--jobs", "1")
-    pooled = run_cli("brute", "disp", path("diamond.disp"), "-n", "2",
-                     "--jobs", "8")
-    assert lone.stdout == pooled.stdout
-    assert b"jobs" not in lone.stdout
+    # index_coding at n = 2 is a long unpruned scan: 2^16 x 2^8
+    # closed-form evaluations
+    for mode, name, jobs in (("disp", "diamond.disp", "8"),
+                             ("solve", "index_coding.inst", "2")):
+        lone = run_cli("brute", mode, path(name), "-n", "2", "--jobs", "1")
+        other = run_cli("brute", mode, path(name), "-n", "2", "--jobs", jobs)
+        assert lone.returncode == other.returncode == 0
+        assert lone.stdout == other.stdout
+        assert b"jobs" not in lone.stdout
+
+
+def test_import_starts_no_process_machinery():
+    # every scan runs in this process, so the CLI never loads a pool
+    code = ("import sys, termflow.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
 
 
 def test_timing_goes_to_stderr_only():

@@ -90,6 +90,13 @@ def test_budget_refusal_is_exact_and_total():
     with pytest.raises(BudgetError) as exc:
         brute_dispersion(diamond, 2, SearchBudget(max_evaluations=100))
     assert exc.value.evaluations == 256
+    # listing tables evaluates nothing: only the interpretation cap applies
+    sig = diamond.signature  # 16 interpretations at n = 2
+    listed = enumerate_interpretations(sig, 2, SearchBudget(1, 16))
+    assert len(list(listed)) == 16
+    with pytest.raises(BudgetError) as exc:
+        list(enumerate_interpretations(sig, 2, SearchBudget(1, 15)))
+    assert exc.value.interpretations == 16
 
 
 def test_index_width_guard():
@@ -179,13 +186,6 @@ def test_witness_is_least_index():
     for idx in range(witness_index):
         smaller = interpretation_at(spec.signature, 2, idx)
         assert len(image_of(spec, smaller)) < res.value
-
-
-def test_jobs_do_not_change_results():
-    spec = load("diamond.disp")
-    lone = brute_dispersion(spec, 3, jobs=1)
-    pooled = brute_dispersion(spec, 3, jobs=8)
-    assert lone == pooled
 
 
 # ---- solution counting ------------------------------------------------------
@@ -313,7 +313,7 @@ def _pseudo_symbol_guessing(graph, n, budget):
     oracle._admit(pseudo, n, len(dag.inputs), budget)
     used = oracle._enumerated(pseudo, dag)
     total = oracle._used_space(used, n)
-    value, index, _ = oracle._scan("count", (used, dag), n, total, 1)
+    value, index, _ = oracle._scan("count", used, dag, n)
     tables = oracle._witness(pseudo, used, n, index).tables
     return OracleResult(value, GuessingStrategy(n, dict(tables)),
                         oracle._rate(value, n), total * n ** len(dag.inputs))
@@ -583,7 +583,7 @@ def test_random_witness_recount(system):
     res = brute_max_solutions(system, 2)
     assert 1 <= res.value <= 4  # all-zero tables satisfy the all-zero point
     assert count_solutions(system, res.witness) == res.value
-    assert brute_max_solutions(system, 2, jobs=2) == res
+    assert brute_max_solutions(system, 2) == res
 
 
 @st.composite
@@ -620,9 +620,9 @@ def test_random_pipeline_preserves_counts(system):
 
 # ---- the grid scan kernel --------------------------------------------------------
 #
-# `_chunks` and `_scan_range` are pinned to the scalar route index by index.
-# Shrinking `_CHUNK_CELLS` makes a scan span many chunks, so ranges start
-# and end off chunk boundaries.
+# `_chunks` and `_scan` are pinned to the scalar route index by index.
+# Shrinking `_CHUNK_CELLS` makes a scan span many chunks, down to one
+# interpretation each.
 
 _KERNEL_VARS = ("x", "y", "z")
 
@@ -636,19 +636,19 @@ def _scalar_values(kind, obj, n):
     return [len(image_of(obj, it)) for it in interps]
 
 
-def _reference_scan(values, lo, hi, target):
-    """What `_scan_range` must find in [lo, hi): the least index reaching
-    `target`, where the scan stops, or else the max and its least index."""
-    for i in range(lo, hi):
-        if target is not None and values[i] >= target:
+def _reference_scan(values, target):
+    """What `_scan` must find: the least index reaching `target`, where the
+    scan stops, or else the max and its least index."""
+    for i, v in enumerate(values):
+        if target is not None and v >= target:
             return i
-    best = max(values[lo:hi])
-    return best, values.index(best, lo, hi)
+    best = max(values)
+    return best, values.index(best)
 
 
-def _kernel_scan(kind, obj, n, lo, hi, target=None):
-    payload = (oracle._enumerated(obj.signature, obj.dag), obj.dag)
-    return oracle._scan_range((kind, payload, n, lo, hi, target))
+def _kernel_scan(kind, obj, n, target=None):
+    used = oracle._enumerated(obj.signature, obj.dag)
+    return oracle._scan(kind, used, obj.dag, n, target)
 
 
 def _no_swaps(symbols, digits):
@@ -656,15 +656,15 @@ def _no_swaps(symbols, digits):
     return []
 
 
-def _kernel_values(kind, obj, n, lo, hi, pruned=False):
-    """`_chunks` values per index, unpruned unless `pruned` (then pruned
-    indices read -1)."""
-    payload = (oracle._enumerated(obj.signature, obj.dag), obj.dag)
+def _kernel_values(kind, obj, n, pruned=False):
+    """`_chunks` values per index of the kernel's space (the symbols the
+    DAG uses), unpruned unless `pruned` (then pruned indices read -1)."""
+    used = oracle._enumerated(obj.signature, obj.dag)
     swaps = oracle._transpositions if pruned else _no_swaps
     out = []
     with patch.object(oracle, "_transpositions", swaps):
-        for pos, vals in oracle._chunks(kind, payload, n, lo, hi):
-            assert pos == lo + len(out)  # chunks are contiguous and in order
+        for pos, vals in oracle._chunks(kind, used, obj.dag, n):
+            assert pos == len(out)  # chunks are contiguous and in order
             out.extend(int(v) for v in vals)
     return out
 
@@ -717,14 +717,11 @@ def _subterms(t):
 def test_grid_kernel_matches_scalar_route(case, cells, data):
     kind, obj, n = case
     values = _scalar_values(kind, obj, n)
-    total = len(values)
-    lo = data.draw(st.integers(0, total - 1))
-    hi = data.draw(st.integers(lo + 1, total))
     target = data.draw(st.none() | st.integers(0, max(values) + 1))
     with patch.object(oracle, "_CHUNK_CELLS", cells):
-        assert _kernel_values(kind, obj, n, lo, hi) == values[lo:hi]
-        best_v, best_i, hit = _kernel_scan(kind, obj, n, lo, hi, target)
-    want = _reference_scan(values, lo, hi, target)
+        assert _kernel_values(kind, obj, n) == values
+        best_v, best_i, hit = _kernel_scan(kind, obj, n, target)
+    want = _reference_scan(values, target)
     if isinstance(want, int):
         assert hit == want
     else:
@@ -751,9 +748,16 @@ def test_grid_kernel_matches_scalar_route(case, cells, data):
 def test_grid_kernel_edge_cases(kind, text, n):
     obj = parse(text)
     values = _scalar_values(kind, obj, n)
+    # the kernel enumerates only the symbols the DAG uses; the others keep
+    # their all-zero tables (`sig f/1` unused: one interpretation)
+    used = oracle._enumerated(obj.signature, obj.dag)
+    space = [oracle._witness(obj.signature, used, n, i)
+             for i in range(oracle._used_space(used, n))]
+    want = [count_solutions(obj, it) if kind == "count"
+            else len(image_of(obj, it)) for it in space]
     for cells in (1, 1 << 18):
         with patch.object(oracle, "_CHUNK_CELLS", cells):
-            assert _kernel_values(kind, obj, n, 0, len(values)) == values
+            assert _kernel_values(kind, obj, n) == want
     best = max(values)
     res = (brute_dispersion(obj, n) if kind == "image"
            else brute_max_solutions(obj, n))
@@ -770,7 +774,7 @@ def test_grid_kernel_wide_output_codes(r):
     spec = parse(f"dispersion {{ inputs x, y; sig f/2, g/1; "
                  f"outputs {outs}; }}")
     values = _scalar_values("image", spec, 2)
-    assert _kernel_values("image", spec, 2, 0, len(values)) == values
+    assert _kernel_values("image", spec, 2) == values
     assert brute_dispersion(spec, 2).value == max(values) == 4
 
 
@@ -802,8 +806,8 @@ def test_count_preservation_first_mismatch(before, after, cells):
 
 # ---- alphabet-symmetry pruning ----------------------------------------------
 #
-# At n >= 3 the scan evaluates only indices with no transposition conjugate
-# earlier in the range.  Patching `_transpositions` to return nothing gives
+# At n >= 3 the scan evaluates only indices that are <= each transposition
+# conjugate.  Patching `_transpositions` to return nothing gives
 # the unpruned scan, the reference here.
 
 
@@ -846,37 +850,19 @@ def _symmetric_cases(draw):
                             equations=tuple(eqs)), n
 
 
-def _merged(results):
-    """`_scan`'s merge over ranges in ascending order."""
-    best_v, best_i, first_hit = -1, -1, None
-    for v, i, h in results:
-        if v > best_v:
-            best_v, best_i = v, i
-        if first_hit is None:
-            first_hit = h
-    return best_v, best_i, first_hit
-
-
 @settings(max_examples=150, deadline=None)
 @given(_symmetric_cases(), st.sampled_from([1, 8, 64, 1 << 18]), st.data())
 def test_pruned_scan_matches_unpruned(case, cells, data):
     kind, obj, n = case
-    total = interpretation_count(obj.signature, n)
-    lo = data.draw(st.integers(0, total - 1))
-    hi = data.draw(st.integers(lo + 1, total))
     with patch.object(oracle, "_CHUNK_CELLS", cells):
-        pruned = _kernel_values(kind, obj, n, 0, total, pruned=True)
-        values = _kernel_values(kind, obj, n, 0, total)
+        pruned = _kernel_values(kind, obj, n, pruned=True)
+        values = _kernel_values(kind, obj, n)
         assert all(p in (-1, v) for p, v in zip(pruned, values))
         target = data.draw(st.none() | st.integers(0, max(values) + 1))
-        for ranges in ([(lo, hi)], [(0, lo), (lo, hi), (hi, total)]):
-            ranges = [(a, b) for a, b in ranges if a < b]
-            got = _merged(_kernel_scan(kind, obj, n, a, b, target)
-                          for a, b in ranges)
-            with patch.object(oracle, "_transpositions", _no_swaps):
-                want = _merged(_kernel_scan(kind, obj, n, a, b, target)
-                               for a, b in ranges)
-            assert got == want  # value, least index, perfect-hit index
+        got = _kernel_scan(kind, obj, n, target)
+        with patch.object(oracle, "_transpositions", _no_swaps):
+            want = _kernel_scan(kind, obj, n, target)
+    assert got == want  # value, least index, perfect-hit index
 
 
 def _conjugate(interp, arities, sigma):
@@ -918,8 +904,7 @@ def test_keep_mask_contains_every_orbit_minimum():
     # smaller conjugate under the swap (1 2) and 7 is its own
     for cells in (1, 9, 27, 1 << 18):
         with patch.object(oracle, "_CHUNK_CELLS", cells):
-            values = _kernel_values("count", system, n, 0, n ** 4,
-                                    pruned=True)
+            values = _kernel_values("count", system, n, pruned=True)
         assert {i for i, v in enumerate(values) if v >= 0} == at_most_swaps
 
 
@@ -945,7 +930,7 @@ def test_count_preservation_first_mismatch_pruned():
     counts = [_scalar_values("count", s, 3) for s in (before, after)]
     first = next(i for i, (a, b) in enumerate(zip(*counts)) if a != b)
     assert first == 22
-    pruned = _kernel_values("count", before, 3, 0, 81, pruned=True)
+    pruned = _kernel_values("count", before, 3, pruned=True)
     assert -1 in pruned[:first]  # the filter drops indices before it
     for cells in (1, 8, 1 << 18):
         with patch.object(oracle, "_CHUNK_CELLS", cells):
@@ -954,31 +939,3 @@ def test_count_preservation_first_mismatch_pruned():
                 assert check_counts_preserved(before, after, 3) == chk
         assert not chk.equal and chk.first_mismatch == first
         assert chk.interpretations == 81
-
-
-class _PoolStarted(Exception):
-    pass
-
-
-def test_pool_only_past_the_evaluation_threshold(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise _PoolStarted
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
-    diamond = load("diamond.disp")
-    # pruned scans (n >= 3) never pool, however many evaluations
-    assert check_perfect_fixed(diamond, 3, jobs=2).max_image == 53
-    assert brute_dispersion(diamond, 3, jobs=8).value == 53
-    spec = parse("dispersion { inputs x, y, z; sig f/2, g/1; outputs "
-                 "f(x, g(y)), g(f(x, z)), f(g(f(x, y)), g(z)), f(y, g(z)); }")
-    assert brute_dispersion(spec, 3, jobs=2).value == 27  # 531441 x 27
-    # one worker never pools, however long the scan
-    coding = load("index_coding.inst")  # 2^16 x 2^8 evaluations at n = 2
-    assert brute_max_solutions(coding, 2).value == 4
-    with pytest.raises(_PoolStarted):
-        brute_max_solutions(coding, 2, jobs=2)
-    # the cut-over itself: diamond at n=2 is 16 x 16 evaluations
-    monkeypatch.setattr(oracle, "_POOL_MIN_EVALS", 257)
-    assert brute_dispersion(diamond, 2, jobs=2).value == 10
-    monkeypatch.setattr(oracle, "_POOL_MIN_EVALS", 256)
-    with pytest.raises(_PoolStarted):
-        brute_dispersion(diamond, 2, jobs=2)
