@@ -1,8 +1,8 @@
 """Term systems over finite alphabets: normalization, dependency graphs,
 flow-network dispersion exponents, and exhaustive search oracles."""
 
-from .depgraph import (DependencyGraph, GuessingStrategy, add_source_loops,
-                       dependency_graph, graph_system, to_dot)
+from .depgraph import (DependencyGraph, add_source_loops, dependency_graph,
+                       graph_system, to_dot)
 from .dsl import parse, render
 from .errors import (BudgetError, EvalError, ParseError, PreconditionError,
                      TermflowError, ValidationError)

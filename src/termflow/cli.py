@@ -33,7 +33,7 @@ from .normalize import diversify, pipeline
 from .oracle import (DEFAULT_BUDGET, SearchBudget, brute_dispersion,
                      brute_guessing, brute_max_solutions, check_embedding,
                      check_perfect_fixed, sandwich_check)
-from .terms import TermSystem, instance_size
+from .terms import Interpretation, TermSystem, instance_size
 
 
 def _load(path: Path, kind: str):
@@ -68,8 +68,7 @@ def _budget_json(budget: SearchBudget) -> dict:
             "max_interpretations": budget.max_interpretations}
 
 
-def _tables_json(witness) -> dict:
-    """Interpretation and GuessingStrategy share the (n, tables) shape."""
+def _tables_json(witness: Interpretation) -> dict:
     return {"n": witness.n,
             "tables": {name: list(tbl) for name, tbl in witness.tables.items()}}
 

@@ -2,13 +2,13 @@
 
 Each variable is a vertex; each defining equation `f(u1,...,uk) = v`
 contributes edges u_i -> v (parallel occurrences collapse to one edge).
-Sources are the variables with no defining equation.  A guessing strategy
-assigns every non-source vertex a table over its in-neighborhood; the
-oracle's brute_guessing maximizes the number of winning configurations.
-
-A game is a system: `graph_system` writes `v(in-neighbours of v) = v` per
-player, so a strategy is an interpretation whose solutions are the
-configurations it wins; `dependency_graph` maps the system back.
+Sources are the variables with no defining equation; the other vertices
+are the players.  A game is a system: `graph_system` writes
+`v(in-neighbours of v) = v` per player, so a guessing strategy is an
+`Interpretation` of `graph_system(graph)`, one table per player over its
+in-neighborhood, and its solutions are the configurations it wins;
+`dependency_graph` maps the system back.  The oracle's brute_guessing
+maximizes the number of winning configurations.
 """
 
 from __future__ import annotations
@@ -95,29 +95,3 @@ def to_dot(graph: DependencyGraph) -> str:
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class GuessingStrategy:
-    """One table per non-source vertex over its ordered in-neighborhood."""
-
-    n: int
-    tables: dict[Ident, tuple[int, ...]]
-
-    def __post_init__(self):
-        for name, table in self.tables.items():
-            for entry in table:
-                if not 0 <= entry < self.n:
-                    raise ValidationError(
-                        f"strategy entry {entry} for {name!r} outside [0,{self.n})")
-
-    def validate_against(self, graph: DependencyGraph) -> None:
-        players = [v for v in graph.vertices if v not in graph.sources]
-        for v in players:
-            if v not in self.tables:
-                raise ValidationError(f"missing strategy table for {v!r}")
-            want = self.n ** len(graph.in_neighbors(v))
-            if len(self.tables[v]) != want:
-                raise ValidationError(
-                    f"strategy table for {v!r} has {len(self.tables[v])} "
-                    f"entries, expected {want}")

@@ -8,9 +8,10 @@ closed-form space size prod_f n^(n^arity(f)) * n^|V|; a search either
 fits or is refused whole.
 
 Two evaluation routes coexist on purpose.  The scalar route
-(`count_solutions`, `image_of`, `count_winning`) walks each term once per
-search with `term_steps` and runs the steps per assignment; it is the
-reference semantics and shares no code with the DAG.  The engine route is
+(`count_solutions`, `image_of`, `count_winning`, and the least-preimage
+decoders of `check_embedding`) walks each term once per search with
+`term_steps` and runs the steps per assignment; it is the reference
+semantics and shares no code with the DAG.  The engine route is
 one numpy scan kernel (`_chunks`) over the whole grid of interpretations x
 assignments.  It decodes a chunk of consecutive interpretation indices as
 base-n digit rows (`_Digits`, also the decoder behind witnesses and
@@ -23,6 +24,13 @@ Term and normal systems enter the kernel alike, through
 `graph_system(graph)`, whose interpretations are the strategies.  Tests pin
 the two routes against each other, and every reported witness can be
 replayed through the scalar route to reproduce its value.
+
+Every search is one kernel scan.  `sandwich_check` and `check_embedding`
+then re-count one witness each through the scalar route: the lift of the
+small diversified witness, and the dispersion witness with decoders that
+send each image point to its least preimage.  Those decoders admit one
+solution per image point, so the embedded count equals the image size
+under every interpretation and needs no scan of its own.
 
 Every scan runs once, in this process, over the whole index range.
 Results are independent of chunking: chunks reduce in index order to (max
@@ -47,12 +55,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .depgraph import (DependencyGraph, GuessingStrategy, dependency_graph,
-                       graph_system)
+from .depgraph import DependencyGraph, dependency_graph, graph_system
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (DispersionSpec, Ident, Interpretation, Signature, TermDag,
@@ -86,7 +93,7 @@ class OracleResult:
     number of (interpretation, assignment) evaluations."""
 
     value: int
-    witness: object  # Interpretation, or GuessingStrategy for game searches
+    witness: Interpretation
     rate: float | None
     evaluations: int
 
@@ -244,19 +251,13 @@ def interpretation_at(signature: Signature, n: int, index: int) -> Interpretatio
 
 
 def enumerate_interpretations(signature: Signature, n: int,
-                              budget: SearchBudget = DEFAULT_BUDGET, *,
-                              start: int = 0, stop: int | None = None):
+                              budget: SearchBudget = DEFAULT_BUDGET):
     """Lexicographic stream over canonical table encodings.
 
-    Any contiguous [start, stop) slice may be taken independently; the
-    concatenation of a partition equals the full stream.  The space is
-    checked once, before the first interpretation; listing tables
-    evaluates nothing, so only the interpretation budget applies."""
+    The space is checked once, before the first interpretation; listing
+    tables evaluates nothing, so only the interpretation budget applies."""
     total = _admit(signature, n, 0, budget, per_interp=0)
-    stop = total if stop is None else min(stop, total)
-    if start < 0 and start < stop:  # as interpretation_at refuses it
-        raise ValidationError("interpretation index out of range")
-    for index in range(start, stop):
+    for index in range(total):
         yield _witness(signature, signature.symbols, n, index)
 
 
@@ -276,12 +277,8 @@ def count_solutions(system, interp: Interpretation) -> int:
     a normal system is read as a term system."""
     if isinstance(_system(system), NormalSystem):
         system = system.to_term_system()
-    return _count_steps(system, equation_steps(system), interp)
-
-
-def _count_steps(system: TermSystem, sides, interp: Interpretation) -> int:
-    """`count_solutions` with the equations' sides walked already."""
     interp.validate_against(system.signature)
+    sides = equation_steps(system)
     total = 0
     for assign in assignments(system.variables, interp.n):
         if all(run_steps(lhs, interp, assign) == run_steps(rhs, interp, assign)
@@ -298,11 +295,14 @@ def image_of(spec: DispersionSpec, interp: Interpretation) -> set[tuple[int, ...
             for assign in assignments(spec.inputs, interp.n)}
 
 
-def count_winning(graph: DependencyGraph, strategy: GuessingStrategy) -> int:
-    """Reference count of configurations a strategy wins."""
-    strategy.validate_against(graph)
+def count_winning(graph: DependencyGraph, strategy: Interpretation) -> int:
+    """Reference count of configurations a strategy wins: its tables are
+    keyed by player (non-source vertex), each over the player's ordered
+    in-neighborhood."""
     players = [v for v in graph.vertices if v not in graph.sources]
     nbrs = {v: graph.in_neighbors(v) for v in players}
+    strategy.validate_against(Signature(tuple((v, len(nbrs[v]))
+                                              for v in players)))
     n = strategy.n
     total = 0
     for assign in assignments(graph.vertices, n):
@@ -623,9 +623,9 @@ def brute_guessing(graph: DependencyGraph, n: int,
     non-source vertex guesses from its ordered in-neighborhood (which may
     include itself if a loop is present).  The game is the system
     `graph_system(graph)`: a strategy is an interpretation of its player
-    symbols, and the configurations it wins are its solutions."""
-    res = brute_max_solutions(graph_system(graph), n, budget)
-    return replace(res, witness=GuessingStrategy(n, dict(res.witness.tables)))
+    symbols, keyed by player, and the configurations it wins are its
+    solutions."""
+    return brute_max_solutions(graph_system(graph), n, budget)
 
 
 def check_solutions_equal_winning(system: NormalSystem, n: int,
@@ -748,40 +748,35 @@ def check_embedding(spec: DispersionSpec, n: int,
                     budget: SearchBudget = DEFAULT_BUDGET) -> EmbeddingCheck:
     """Dispersion of the input map vs. max solutions of its decoder embedding.
 
-    Decoder tables are synthesized, not enumerated: for each interpretation
-    of the original symbols, every image point gets its lexicographically
-    least preimage written into the decoders (zeros elsewhere), and the
-    resulting solution count is re-counted by the reference route.  The
-    maximum over interpretations is the embedded side's value."""
+    Decoder tables are synthesized, not enumerated: every image point gets
+    its lexicographically least preimage written into the decoders (zeros
+    elsewhere).  Then x solves the embedded system exactly when x is the
+    least preimage of t(x): one solution per image point, so under every
+    interpretation the embedded count equals the image size, and the
+    maximum and the least index attaining it are `brute_dispersion`'s
+    value and witness.  That witness's decoders are synthesized once and
+    its solutions re-counted by the reference route.  `evaluations` stays
+    the closed form of decoding and re-counting every interpretation."""
     embedded = embed_dispersion(spec)
-    k, r = spec.k, spec.r
-    per = n ** k + n ** (k + r)
+    per = n ** spec.k + n ** (spec.k + spec.r)
     _admit(spec.signature, n, 0, budget, per_interp=per)
     dispersion = brute_dispersion(spec, n, budget)
 
-    decoder_names = embedded.signature.names[len(spec.signature.names):]
+    interp = dispersion.witness
     outputs = [term_steps(t) for t in spec.outputs]
-    sides = equation_steps(embedded)
-    used = _enumerated(spec.signature, spec.dag)
-    total = _used_space(used, n)
-    best_value, best_witness = -1, None
-    for index in range(total):
-        interp = _witness(spec.signature, used, n, index)
-        chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for assign in assignments(spec.inputs, n):
-            outs = tuple(run_steps(t, interp, assign) for t in outputs)
-            if outs not in chosen:
-                chosen[outs] = tuple(assign[x] for x in spec.inputs)
-        tables = dict(interp.tables)
-        for j, h in enumerate(decoder_names):
-            entries = [0] * (n ** r)
-            for outs, preimage in chosen.items():
-                entries[table_index(n, outs)] = preimage[j]
-            tables[h] = tuple(entries)
-        full = Interpretation(n, tables)
-        value = _count_steps(embedded, sides, full)
-        if value > best_value:
-            best_value, best_witness = value, full
-    result = OracleResult(best_value, best_witness, _rate(best_value, n),
-                          total * per)
-    return EmbeddingCheck(dispersion.value == best_value, dispersion, result)
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for assign in assignments(spec.inputs, n):  # in lexicographic order
+        outs = tuple(run_steps(t, interp, assign) for t in outputs)
+        least.setdefault(outs, tuple(assign.values()))
+    tables = dict(interp.tables)
+    decoder_names = embedded.signature.names[len(spec.signature.names):]
+    for j, h in enumerate(decoder_names):
+        entries = [0] * (n ** spec.r)
+        for outs, preimage in least.items():
+            entries[table_index(n, outs)] = preimage[j]
+        tables[h] = tuple(entries)
+    witness = Interpretation(n, tables)
+    value = count_solutions(embedded, witness)
+    total = _used_space(_enumerated(spec.signature, spec.dag), n)
+    result = OracleResult(value, witness, _rate(value, n), total * per)
+    return EmbeddingCheck(dispersion.value == value, dispersion, result)

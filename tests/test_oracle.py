@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from termflow import normalize, oracle
 from termflow.dsl import parse
 
-from termflow.depgraph import (DependencyGraph, GuessingStrategy,
-                               add_source_loops, dependency_graph,
-                               graph_system)
+from termflow.depgraph import (DependencyGraph, add_source_loops,
+                               dependency_graph, graph_system)
 from termflow.errors import (BudgetError, PreconditionError, ValidationError)
 from termflow.normalize import (NormalSystem, diversify, embed_dispersion,
                                 flatten, pipeline)
-from termflow.oracle import (BlockEncoding, OracleResult, SearchBudget,
+from termflow.oracle import (BlockEncoding, EmbeddingCheck, OracleResult,
+                             SearchBudget,
                              brute_dispersion,
                              brute_guessing, brute_max_solutions,
                              check_counts_preserved, check_embedding,
@@ -32,7 +32,8 @@ from termflow.oracle import (BlockEncoding, OracleResult, SearchBudget,
                              interpretation_count, lift_interpretation,
                              sandwich_check, table_space)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
-                            Signature, TermSystem, Var, term_dag)
+                            Signature, TermSystem, Var, assignments, run_steps,
+                            table_index, term_dag, term_steps)
 from corpus_loader import load
 
 
@@ -70,12 +71,10 @@ def test_interpretation_index_out_of_range():
 
 
 def test_enumeration_slicing():
+    # a slice of the stream is `islice`, or `interpretation_at` per index
     sig = Signature(symbols=(("f", 2),))
-    full = list(enumerate_interpretations(sig, 2))
-    part = list(enumerate_interpretations(sig, 2, start=3, stop=7))
-    assert part == full[3:7]
-    with pytest.raises(ValidationError):
-        next(enumerate_interpretations(sig, 2, start=-1))
+    part = list(itertools.islice(enumerate_interpretations(sig, 2), 3, 7))
+    assert part == [interpretation_at(sig, 2, i) for i in range(3, 7)]
 
 
 def test_budget_refusal_is_exact_and_total():
@@ -130,9 +129,14 @@ def test_image_of_scalar():
 
 
 def test_count_winning_scalar():
-    copy = GuessingStrategy(n=2, tables={"a": (0, 1), "b": (0, 1),
-                                         "c": (0, 1)})
+    copy = Interpretation(n=2, tables={"a": (0, 1), "b": (0, 1),
+                                       "c": (0, 1)})
     assert count_winning(load("cycle3.graph"), copy) == 2
+    # one table per player, over its in-neighborhood
+    for tables in ({"a": (0, 1), "b": (0, 1)},
+                   {"a": (0, 1), "b": (0, 1), "c": (0, 1, 1, 0)}):
+        with pytest.raises(ValidationError):
+            count_winning(load("cycle3.graph"), Interpretation(2, tables))
 
 
 # ---- dispersion -------------------------------------------------------------
@@ -297,7 +301,8 @@ def test_vertices_may_shadow_symbol_names():
 def test_strategy_witness_validates():
     g = load("cycle3.graph")
     res = brute_guessing(g, 2)
-    res.witness.validate_against(g)
+    assert isinstance(res.witness, Interpretation)
+    res.witness.validate_against(graph_system(g).signature)
     assert set(res.witness.tables) == {"a", "b", "c"}
 
 
@@ -314,8 +319,7 @@ def _pseudo_symbol_guessing(graph, n, budget):
     used = oracle._enumerated(pseudo, dag)
     total = oracle._used_space(used, n)
     value, index, _ = oracle._scan("count", used, dag, n)
-    tables = oracle._witness(pseudo, used, n, index).tables
-    return OracleResult(value, GuessingStrategy(n, dict(tables)),
+    return OracleResult(value, oracle._witness(pseudo, used, n, index),
                         oracle._rate(value, n), total * n ** len(dag.inputs))
 
 
@@ -539,6 +543,13 @@ def test_embedding_equalities():
         assert chk.equal
         assert chk.dispersion.value == value
         assert chk.embedded.value == value
+    # scans a per-interpretation recount took seconds to minutes on
+    for name, n in (("nested_r1.disp", 3), ("fg.disp", 4),
+                    ("shared_subterm.disp", 4)):
+        spec = load(name)
+        chk = check_embedding(spec, n)
+        assert chk.equal
+        assert chk.embedded.value == brute_dispersion(spec, n).value
 
 
 def test_embedding_diamond():
@@ -554,6 +565,93 @@ def test_embedding_diamond():
 def test_embedding_respects_budget():
     with pytest.raises(BudgetError):
         check_embedding(load("diamond.disp"), 4)
+
+
+def _embedding_by_recount(spec, n, budget):
+    """Reference embedding check: for every interpretation of the symbols
+    the DAG uses, write each image point's least preimage into the
+    decoders and re-count the embedded system through the scalar route;
+    the first maximum wins."""
+    embedded = embed_dispersion(spec)
+    per = n ** spec.k + n ** (spec.k + spec.r)
+    oracle._admit(spec.signature, n, 0, budget, per_interp=per)
+    dispersion = brute_dispersion(spec, n, budget)
+    decoders = embedded.signature.names[len(spec.signature.names):]
+    outputs = [term_steps(t) for t in spec.outputs]
+    used = oracle._enumerated(spec.signature, spec.dag)
+    total = oracle._used_space(used, n)
+    best_value, best_witness = -1, None
+    for index in range(total):
+        interp = oracle._witness(spec.signature, used, n, index)
+        chosen = {}
+        for assign in assignments(spec.inputs, n):
+            outs = tuple(run_steps(t, interp, assign) for t in outputs)
+            if outs not in chosen:
+                chosen[outs] = tuple(assign[x] for x in spec.inputs)
+        tables = dict(interp.tables)
+        for j, h in enumerate(decoders):
+            entries = [0] * (n ** spec.r)
+            for outs, preimage in chosen.items():
+                entries[table_index(n, outs)] = preimage[j]
+            tables[h] = tuple(entries)
+        full = Interpretation(n, tables)
+        value = count_solutions(embedded, full)
+        if value > best_value:
+            best_value, best_witness = value, full
+    result = OracleResult(best_value, best_witness,
+                          oracle._rate(best_value, n), total * per)
+    return EmbeddingCheck(dispersion.value == best_value, dispersion, result)
+
+
+@st.composite
+def _embedding_specs(draw):
+    """1-2 inputs, 1-2 outputs and up to two symbols of arity 0-2, some
+    possibly unused (the budget still charges them)."""
+    inputs = _vars[:draw(st.integers(1, 2))]
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
+    symbols = tuple((f"s{i}", a) for i, a in enumerate(arities))
+    leaves = [Var(v) for v in inputs] + [App(s, ()) for s, a in symbols
+                                         if a == 0]
+
+    def term(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(leaves))
+        s, a = draw(st.sampled_from(symbols))
+        return App(s, tuple(term(depth - 1) for _ in range(a)))
+
+    outputs = tuple(term(2) for _ in range(draw(st.integers(1, 2))))
+    return DispersionSpec(inputs=inputs, signature=Signature(symbols),
+                          outputs=outputs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_embedding_specs(), st.sampled_from([1, 2, 3]))
+def test_embedding_matches_per_interpretation_recount(spec, n):
+    budget = SearchBudget(max_evaluations=1 << 12)
+    try:
+        want = _embedding_by_recount(spec, n, budget)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError) as got:
+            check_embedding(spec, n, budget)
+        assert (got.value.interpretations, got.value.evaluations) == (
+            exc.interpretations, exc.evaluations)
+        return
+    got = check_embedding(spec, n, budget)
+    assert got == want  # equal, values, witnesses and evaluations
+    assert got.equal
+
+
+def test_embedding_recounts_one_witness(monkeypatch):
+    calls = []
+    recount = oracle.count_solutions
+
+    def counting(system, interp):
+        calls.append(interp)
+        return recount(system, interp)
+
+    monkeypatch.setattr(oracle, "count_solutions", counting)
+    chk = check_embedding(load("diamond.disp"), 2)
+    assert calls == [chk.embedded.witness]
 
 
 # ---- randomized cross-checks ---------------------------------------------------
