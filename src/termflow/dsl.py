@@ -16,6 +16,10 @@ Application is prefix (`f(a, b)`), constants render with explicit parens
 (`c()`), and `#` starts a comment running to end of line.  Id-lists may be
 empty so that source-free graphs and symbol-free specs stay expressible.
 
+Tokenizing is one regex pass that yields plain strings, and a token's kind
+is read from its first character.  Tokens are named by their index; line:col
+is computed only for an error, by tokenizing the text again up to it.
+
 User identifiers may not start with "_" or contain "@"; those namespaces are
 reserved for pipeline-minted auxiliary variables and diversified symbols.
 Rendering is deterministic and `parse(render(obj))` returns an equal object.
@@ -23,239 +27,222 @@ Rendering is deterministic and `parse(render(obj))` returns an equal object.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import NamedTuple
 
 from .depgraph import DependencyGraph
 from .errors import ParseError
 from .normalize import NormalSystem
-from .terms import (App, DispersionSpec, Equation, Ident, Signature, Term,
-                    TermSystem, Var, is_reserved_ident)
+from .terms import (IDENT_RE, KEYWORDS, App, DispersionSpec, Equation, Ident,
+                    Signature, Term, TermSystem, Var, is_reserved_ident)
 
-KEYWORDS = frozenset({
-    "instance", "dispersion", "graph", "vars", "inputs", "outputs",
-    "sig", "eq", "nodes", "sources", "edge",
-})
-
-_TOKEN_RE = re.compile(r"""
-    (?P<skip>\s+|\#[^\n]*)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_@]*)
-  | (?P<nat>[0-9]+)
-  | (?P<punct>->|[{}();,=/])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# comment | identifier | arity | arrow | any other visible character
+_TOKEN_RE = re.compile(rf"#[^\n]*|{IDENT_RE.pattern}|[0-9]+|->|\S")
+_ID_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ONE_CHAR = _ID_START | frozenset("0123456789{}();,=/")
 
 
-class _Token(NamedTuple):
-    kind: str  # "id" | "nat" | "punct" | "eof"
-    text: str
-    offset: int
-
-
-def _line_col(text: str, offset: int) -> tuple[int, int]:
+def _position(text: str, index: int) -> tuple[int, int]:
+    """line:col of token `index` (the end marker is one past the last
+    token), found by tokenizing again: only an error needs an offset."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m[0][0] != "#")
+    offset = next(itertools.islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, offset) + 1
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             *_line_col(text, m.start()))
-        if kind != "skip":
-            tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens outside comments as plain strings, then "" for the end.
+    Only a one-character token can be a character that starts no token."""
+    tokens = _TOKEN_RE.findall(text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    bad = [tok for tok in set(tokens) if len(tok) == 1 and tok not in _ONE_CHAR]
+    if bad:
+        at = min(map(tokens.index, bad))
+        raise ParseError(f"unexpected character {tokens[at]!r}",
+                         *_position(text, at))
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list; a token is named by its index."""
+
     def __init__(self, text: str, allow_reserved: bool):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks = _tokenize(text)
         self.pos = 0
         self.allow_reserved = allow_reserved
 
     @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
+    def here(self) -> str:
+        return self.toks[self.pos]
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.here
-        raise ParseError(message, *_line_col(self.text, tok.offset))
+    def fail(self, message: str, at: int | None = None):
+        raise ParseError(message, *_position(
+            self.text, self.pos if at is None else at))
 
-    def take(self, text: str) -> _Token:
-        tok = self.here
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof"
-                      else f"expected {text!r}, found end of input")
+    def take(self, text: str) -> None:
+        if self.here != text:
+            found = repr(self.here) if self.here else "end of input"
+            self.fail(f"expected {text!r}, found {found}")
         self.pos += 1
-        return tok
 
-    def ident(self, what: str = "identifier") -> _Token:
+    def ident(self, what: str = "identifier") -> int:
         tok = self.here
-        if tok.kind != "id" or tok.text in KEYWORDS:
-            self.fail(f"expected {what}, found {tok.text!r}")
-        if not self.allow_reserved and is_reserved_ident(tok.text):
-            self.fail(f"reserved identifier {tok.text!r} "
+        if tok[:1] not in _ID_START or tok in KEYWORDS:
+            self.fail(f"expected {what}, found {tok!r}")
+        if not self.allow_reserved and is_reserved_ident(tok):
+            self.fail(f"reserved identifier {tok!r} "
                       "(leading '_' and '@' belong to the pipeline)")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def idlist(self) -> list[_Token]:
-        # possibly empty, terminated by ';'
-        out = []
-        if self.here.text == ";":
-            return out
-        out.append(self.ident())
-        while self.here.text == ",":
-            self.take(",")
-            out.append(self.ident())
+    def listed(self, item) -> list:
+        """`item, ..., item` up to the ';' that ends it, possibly empty."""
+        if self.here == ";":
+            return []
+        out = [item()]
+        while self.here == ",":
+            self.pos += 1
+            out.append(item())
         return out
 
-    def siglist(self) -> list[tuple[_Token, int]]:
-        out = []
-        if self.here.text == ";":
-            return out
-        while True:
-            sym = self.ident("symbol")
-            self.take("/")
-            nat = self.here
-            if nat.kind != "nat":
-                self.fail(f"expected arity, found {nat.text!r}")
-            self.pos += 1
-            out.append((sym, int(nat.text)))
-            if self.here.text != ",":
-                return out
-            self.take(",")
+    def symbol(self) -> tuple[int, int]:
+        """`name/arity` as the name's index and the arity."""
+        at = self.ident("symbol")
+        self.take("/")
+        if not self.here.isdigit():
+            self.fail(f"expected arity, found {self.here!r}")
+        self.pos += 1
+        return at, int(self.toks[self.pos - 1])
 
-    def term(self, signature: Signature, variables: frozenset[Ident]) -> Term:
-        """One term, parsed on an explicit stack of open applications."""
-        frames: list[tuple[_Token | None, list[Term]]] = [(None, [])]
+    def term(self, arities: dict[Ident, int], variables: dict[Ident, Var]) -> Term:
+        """One term, parsed on an explicit stack of open applications.  Every
+        occurrence of a variable is its one `Var` in `variables`."""
+        toks, i = self.toks, self.pos
+        stack: list[tuple[int, list[Term]]] = []  # (symbol's index, outer args)
+        args: list[Term] = []  # the innermost open application's arguments
         while True:
-            tok = self.ident("term")
-            if self.here.text == "(":
-                self.take("(")
-                if tok.text not in signature:
-                    self.fail(f"unknown symbol {tok.text!r}", tok)
-                frames.append((tok, []))
-                if self.here.text != ")":
+            tok = toks[i]
+            if tok in variables and toks[i + 1] != "(":
+                args.append(variables[tok])
+                i += 1
+            elif tok in arities and toks[i + 1] == "(":
+                stack.append((i, args))
+                args = []
+                i += 2
+                if toks[i] != ")":
                     continue  # on to the first argument
             else:
-                if tok.text in signature:
-                    self.fail(f"symbol {tok.text!r} used without arguments "
-                              "(constants are written c())", tok)
-                if tok.text not in variables:
-                    self.fail(f"undeclared variable {tok.text!r}", tok)
-                frames[-1][1].append(Var(tok.text))
+                self.pos = i
+                self.ident("term")
+                if toks[i + 1] == "(":
+                    self.fail(f"unknown symbol {tok!r}", i)
+                if tok in arities:
+                    self.fail(f"symbol {tok!r} used without arguments "
+                              "(constants are written c())", i)
+                self.fail(f"undeclared variable {tok!r}", i)
             # close applications until one takes a further argument
-            while len(frames) > 1 and self.here.text != ",":
-                tok, args = frames.pop()
-                self.take(")")
-                want = signature.arity(tok.text)
-                if len(args) != want:
-                    self.fail(f"arity mismatch: {tok.text!r} declared /{want}, "
-                              f"applied to {len(args)}", tok)
-                frames[-1][1].append(App(tok.text, tuple(args)))
-            if len(frames) == 1:
-                return frames[0][1][0]
-            self.take(",")
+            while stack and toks[i] != ",":
+                if toks[i] != ")":
+                    self.pos = i
+                    self.take(")")
+                at, outer = stack.pop()
+                symbol = toks[at]
+                if len(args) != arities[symbol]:
+                    self.fail(f"arity mismatch: {symbol!r} declared "
+                              f"/{arities[symbol]}, applied to {len(args)}", at)
+                outer.append(App(symbol, tuple(args)))
+                args = outer
+                i += 1
+            if not stack:
+                self.pos = i
+                return args[0]
+            i += 1  # the ',' before the next argument
 
-    # ---- top-level forms -------------------------------------------------
-
-    def signature_block(self) -> Signature:
-        self.take("sig")
-        pairs = self.siglist()
-        self.take(";")
-        seen = {}
-        for tok, arity in pairs:
-            if tok.text in seen:
-                self.fail(f"duplicate symbol {tok.text!r}", tok)
-            seen[tok.text] = arity
-        return Signature(tuple((tok.text, arity) for tok, arity in pairs))
+    # ---- top-level forms, after their opening `keyword {` ----------------
 
     def names_block(self, keyword: str) -> tuple[Ident, ...]:
         self.take(keyword)
-        toks = self.idlist()
+        ats = self.listed(self.ident)
         self.take(";")
         seen = set()
-        for tok in toks:
-            if tok.text in seen:
-                self.fail(f"duplicate name {tok.text!r}", tok)
-            seen.add(tok.text)
-        return tuple(tok.text for tok in toks)
+        for at in ats:
+            if self.toks[at] in seen:
+                self.fail(f"duplicate name {self.toks[at]!r}", at)
+            seen.add(self.toks[at])
+        return tuple(self.toks[at] for at in ats)
+
+    def header(self, keyword: str, what: str):
+        """`keyword names; sig symbols;` as the names, the symbols' arities
+        in declaration order, and one `Var` per name."""
+        names = self.names_block(keyword)
+        self.take("sig")
+        symbols = self.listed(self.symbol)
+        self.take(";")
+        arities = {}
+        for at, arity in symbols:
+            if self.toks[at] in arities:
+                self.fail(f"duplicate symbol {self.toks[at]!r}", at)
+            arities[self.toks[at]] = arity
+        for v in names:
+            if v in arities:
+                self.fail(f"{v!r} is both {what} and a symbol")
+        return names, arities, {v: Var(v) for v in names}
 
     def system(self) -> TermSystem:
-        self.take("instance")
-        self.take("{")
-        variables = self.names_block("vars")
-        signature = self.signature_block()
-        for v in variables:
-            if v in signature:
-                self.fail(f"{v!r} is both a variable and a symbol")
-        declared = frozenset(variables)
+        variables, arities, declared = self.header("vars", "a variable")
         equations = []
-        while self.here.text == "eq":
-            self.take("eq")
-            lhs = self.term(signature, declared)
+        while self.here == "eq":
+            self.pos += 1
+            lhs = self.term(arities, declared)
             self.take("=")
-            rhs = self.term(signature, declared)
+            equations.append(Equation(lhs, self.term(arities, declared)))
             self.take(";")
-            equations.append(Equation(lhs, rhs))
         self.take("}")
-        return TermSystem(variables, signature, tuple(equations))
+        return TermSystem(variables, Signature(tuple(arities.items())),
+                          tuple(equations))
 
     def dispersion(self) -> DispersionSpec:
-        self.take("dispersion")
-        self.take("{")
-        inputs = self.names_block("inputs")
-        signature = self.signature_block()
-        for v in inputs:
-            if v in signature:
-                self.fail(f"{v!r} is both an input and a symbol")
-        declared = frozenset(inputs)
+        inputs, arities, declared = self.header("inputs", "an input")
         self.take("outputs")
-        outputs = [self.term(signature, declared)]
-        while self.here.text == ",":
-            self.take(",")
-            outputs.append(self.term(signature, declared))
+        outputs = [self.term(arities, declared)]
+        while self.here == ",":
+            self.pos += 1
+            outputs.append(self.term(arities, declared))
         self.take(";")
         self.take("}")
         if not inputs:
             self.fail("dispersion spec needs at least one input")
-        return DispersionSpec(inputs, signature, tuple(outputs))
+        return DispersionSpec(inputs, Signature(tuple(arities.items())),
+                              tuple(outputs))
 
     def graph(self) -> DependencyGraph:
-        self.take("graph")
-        self.take("{")
+        toks = self.toks
         nodes = self.names_block("nodes")
         declared = frozenset(nodes)
         self.take("sources")
-        src_toks = self.idlist()
+        sources = self.listed(self.ident)
         self.take(";")
-        for tok in src_toks:
-            if tok.text not in declared:
-                self.fail(f"source {tok.text!r} is not a declared node", tok)
+        for at in sources:
+            if toks[at] not in declared:
+                self.fail(f"source {toks[at]!r} is not a declared node", at)
         edges = set()
-        while self.here.text == "edge":
-            self.take("edge")
+        while self.here == "edge":
+            self.pos += 1
             u = self.ident("node")
             self.take("->")
             v = self.ident("node")
             self.take(";")
-            for tok in (u, v):
-                if tok.text not in declared:
-                    self.fail(f"edge endpoint {tok.text!r} is not a declared node",
-                              tok)
-            edges.add((u.text, v.text))
+            for at in (u, v):
+                if toks[at] not in declared:
+                    self.fail(f"edge endpoint {toks[at]!r} is not a declared node", at)
+            edges.add((toks[u], toks[v]))
         self.take("}")
         return DependencyGraph(nodes, frozenset(edges),
-                               frozenset(tok.text for tok in src_toks))
-
-    def finish(self):
-        if self.here.kind != "eof":
-            self.fail(f"trailing input {self.here.text!r}")
+                               frozenset(toks[at] for at in sources))
 
 
 def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):
@@ -267,17 +254,18 @@ def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):
     undeclared variable).
     """
     p = _Parser(text, allow_reserved)
-    lead = p.here.text
+    leads = {"system": "instance", "dispersion": "dispersion", "graph": "graph"}
     if kind == "auto":
-        if lead not in ("instance", "dispersion", "graph"):
+        if p.here not in ("instance", "dispersion", "graph"):
             p.fail("expected 'instance', 'dispersion', or 'graph'")
-        kind = {"instance": "system"}.get(lead, lead)
-    form = {"system": p.system, "dispersion": p.dispersion,
-            "graph": p.graph}.get(kind)
-    if form is None:
+        kind = {"instance": "system"}.get(p.here, p.here)
+    if kind not in leads:
         raise ParseError(f"unknown input kind {kind!r}")
-    obj = form()
-    p.finish()
+    p.take(leads[kind])
+    p.take("{")
+    obj = getattr(p, kind)()
+    if p.here:
+        p.fail(f"trailing input {p.here!r}")
     return obj
 
 

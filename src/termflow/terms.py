@@ -18,6 +18,7 @@ is built; equality and hashing compare the DAG.  No term walk recurses.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -26,14 +27,24 @@ from .errors import EvalError, ValidationError
 Ident = str
 
 
+# the surface syntax's identifier token and grammar words, shared with `dsl`
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@]*")
+KEYWORDS = frozenset("instance dispersion graph vars inputs outputs sig eq "
+                     "nodes sources edge".split())
+
+
 def check_ident(name: str) -> None:
+    """Accept exactly the names `dsl` reads back: IDENT_RE but no keyword."""
     if not name:
         raise ValidationError("empty identifier")
     if name[0].isdigit():
         raise ValidationError(f"identifier starts with a digit: {name!r}")
-    for c in name:
-        if not (c.isalnum() or c in "_@"):
-            raise ValidationError(f"bad character {c!r} in identifier {name!r}")
+    m = IDENT_RE.match(name)
+    end = m.end() if m else 0
+    if end < len(name):
+        raise ValidationError(f"bad character {name[end]!r} in identifier {name!r}")
+    if name in KEYWORDS:
+        raise ValidationError(f"keyword used as identifier: {name!r}")
 
 
 def is_reserved_ident(name: str) -> bool:

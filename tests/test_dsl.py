@@ -1,5 +1,7 @@
 """Parser and renderer: round-trips, positions, reserved-name policy."""
 
+import string
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -183,3 +185,229 @@ def test_end_of_input_position_after_trailing_newline():
         parse("instance {\n  vars x;\n  sig ;\n")
     assert exc.value.message == "expected '}', found end of input"
     assert (exc.value.line, exc.value.col) == (4, 1)
+
+
+# One row per `fail` site and tokenizer error: (id, kind, text, message,
+# line, col).  Every message and position is part of the CLI's output.
+_GOLDEN_ERRORS = [
+    ("eof", "auto",
+     "instance { vars x;",
+     "expected 'sig', found end of input", 1, 19),
+    ("eof_after_newline", "auto",
+     "instance {\n  vars x;\n  sig ;\n",
+     "expected '}', found end of input", 4, 1),
+    ("eof_in_idlist", "auto",
+     "instance { vars",
+     "expected identifier, found ''", 1, 16),
+    ("eof_in_term", "auto",
+     "dispersion { inputs x; sig f/1; outputs f(",
+     "expected term, found ''", 1, 43),
+    ("empty_text", "auto",
+     "",
+     "expected 'instance', 'dispersion', or 'graph'", 1, 1),
+    ("bad_lead", "auto",
+     "system { }",
+     "expected 'instance', 'dispersion', or 'graph'", 1, 1),
+    ("kind_mismatch", "graph",
+     "instance { vars x; sig ; }",
+     "expected 'graph', found 'instance'", 1, 1),
+    ("trailing_input", "auto",
+     "graph { nodes a; sources ; } extra",
+     "trailing input 'extra'", 1, 30),
+    ("expected_punct", "auto",
+     "instance { vars x; sig f/1; eq f(x = y; }",
+     "expected ')', found '='", 1, 36),
+    ("expected_keyword", "auto",
+     "instance { sig f/1; }",
+     "expected 'vars', found 'sig'", 1, 12),
+    ("unknown_symbol", "auto",
+     "instance { vars x; sig f/1; eq g(x) = x; }",
+     "unknown symbol 'g'", 1, 32),
+    ("symbol_without_args", "auto",
+     "dispersion { inputs x; sig c/0; outputs c; }",
+     "symbol 'c' used without arguments (constants are written c())", 1, 41),
+    ("undeclared_variable", "auto",
+     "instance { vars x; sig f/1;\n  eq f(q) = x; }",
+     "undeclared variable 'q'", 2, 8),
+    ("reserved_underscore", "auto",
+     "instance { vars x, _z0; sig f/1; eq f(x) = _z0; }",
+     "reserved identifier '_z0' (leading '_' and '@' belong to the pipeline)", 1, 20),
+    ("reserved_at", "auto",
+     "instance { vars x, y; sig f@0/1; eq f@0(x) = y; }",
+     "reserved identifier 'f@0' (leading '_' and '@' belong to the pipeline)", 1, 27),
+    ("reserved_term", "auto",
+     "instance { vars x; sig f/1; eq f(_q) = x; }",
+     "reserved identifier '_q' (leading '_' and '@' belong to the pipeline)", 1, 34),
+    ("arity_mismatch", "auto",
+     "dispersion { inputs x;\n  sig f/2;\n  outputs x, f(x); }",
+     "arity mismatch: 'f' declared /2, applied to 1", 3, 14),
+    ("arity_mismatch_nested", "auto",
+     "instance { vars x; sig f/1, g/2; eq g(x, f(x, x)) = x; }",
+     "arity mismatch: 'f' declared /1, applied to 2", 1, 42),
+    ("arity_mismatch_constant", "auto",
+     "instance { vars x; sig c/0; eq c(x) = x; }",
+     "arity mismatch: 'c' declared /0, applied to 1", 1, 32),
+    ("duplicate_name", "auto",
+     "instance { vars x, y, x; sig f/1; eq f(x) = x; }",
+     "duplicate name 'x'", 1, 23),
+    ("duplicate_node", "auto",
+     "graph { nodes a, b, a; sources ; }",
+     "duplicate name 'a'", 1, 21),
+    ("duplicate_symbol", "auto",
+     "instance { vars x; sig f/1, g/0, f/2; eq f(x) = x; }",
+     "duplicate symbol 'f'", 1, 34),
+    ("keyword_symbol", "auto",
+     "instance { vars x; sig eq/0; eq eq() = x; }",
+     "expected symbol, found 'eq'", 1, 24),
+    ("keyword_node", "auto",
+     "graph { nodes edge; sources ; }",
+     "expected identifier, found 'edge'", 1, 15),
+    ("keyword_term", "auto",
+     "instance { vars x; sig f/1; eq f(sig) = x; }",
+     "expected term, found 'sig'", 1, 34),
+    ("non_numeric_arity", "auto",
+     "instance { vars x; sig f/two; }",
+     "expected arity, found 'two'", 1, 26),
+    ("missing_arity", "auto",
+     "instance { vars x; sig f/; }",
+     "expected arity, found ';'", 1, 26),
+    ("variable_and_symbol", "auto",
+     "instance { vars x, f; sig f/1; eq f(x) = x; }",
+     "'f' is both a variable and a symbol", 1, 32),
+    ("input_and_symbol", "auto",
+     "dispersion { inputs f; sig f/1; outputs f(f); }",
+     "'f' is both an input and a symbol", 1, 33),
+    ("no_inputs", "auto",
+     "dispersion { inputs ; sig c/0; outputs c(); }",
+     "dispersion spec needs at least one input", 1, 46),
+    ("bad_source", "auto",
+     "graph { nodes a; sources q; }",
+     "source 'q' is not a declared node", 1, 26),
+    ("bad_edge_tail", "auto",
+     "graph { nodes a, b; sources ; edge q -> b; }",
+     "edge endpoint 'q' is not a declared node", 1, 36),
+    ("bad_edge_head", "auto",
+     "graph { nodes a, b; sources ;\n  edge a -> q; }",
+     "edge endpoint 'q' is not a declared node", 2, 13),
+    ("edge_missing_arrow", "auto",
+     "graph { nodes a, b; sources ; edge a b; }",
+     "expected '->', found 'b'", 1, 38),
+    ("lone_minus", "auto",
+     "graph { nodes a, b; sources ; edge a - b; }",
+     "unexpected character '-'", 1, 38),
+    ("lone_gt", "auto",
+     "graph { nodes a, b; sources ; edge a > b; }",
+     "unexpected character '>'", 1, 38),
+    ("leading_at", "auto",
+     "instance { vars @x; sig ; }",
+     "unexpected character '@'", 1, 17),
+    ("non_ascii_letter", "auto",
+     "instance { vars xé; sig ; }",
+     "unexpected character 'é'", 1, 18),
+    ("nat_as_identifier", "auto",
+     "instance { vars 1x; sig ; }",
+     "expected identifier, found '1'", 1, 17),
+    ("crlf", "auto",
+     "instance {\r\n  vars x;\r\n  sig f/1;\r\n  eq f(x) = ;\r\n}\r\n",
+     "expected term, found ';'", 4, 13),
+    ("crlf_bad_char", "auto",
+     "instance {\r\n  vars x;\r\n  sig f/1;\r\n  eq f(x) = $;\r\n}",
+     "unexpected character '$'", 4, 13),
+    ("tab", "auto",
+     "instance {\n\tvars x;\n\tsig f/1;\n\teq\tf(x)\t=\tq;\n}",
+     "undeclared variable 'q'", 4, 12),
+    ("tab_bad_char", "auto",
+     "graph {\n\tnodes a;\t%\n}",
+     "unexpected character '%'", 2, 11),
+    ("bad_char_after_syntax_error", "auto",
+     "instance { vars x; sig f/1; eq f(x = y; } $",
+     "unexpected character '$'", 1, 43),
+    ("bad_char_on_later_line", "auto",
+     "graph { nodes ; sources q;\n edge\n ~ }",
+     "unexpected character '~'", 3, 2),
+    ("bad_char_in_comment", "auto",
+     "graph { nodes a; # costs $5 -> ~\n sources b; }",
+     "source 'b' is not a declared node", 2, 10),
+    ("comment_at_eof", "auto",
+     "graph { nodes a; sources ; # no newline",
+     "expected '}', found end of input", 1, 40),
+    ("unknown_kind", "tree",
+     "graph { nodes a; sources ; }",
+     "unknown input kind 'tree'", 0, 0),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,col",
+                         [row[1:] for row in _GOLDEN_ERRORS],
+                         ids=[row[0] for row in _GOLDEN_ERRORS])
+def test_golden_parse_errors(kind, text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text, kind)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+def _first_stray_character(text):
+    """(line, col, character) of the first character outside a comment that
+    starts no token, or None; a plain scan that shares nothing with `dsl`."""
+    ident = string.ascii_letters + string.digits + "_@"
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c.isspace() or c in "{}();,=/":
+            i += 1
+        elif c in string.ascii_letters + "_":
+            while i < len(text) and text[i] in ident:
+                i += 1
+        elif c in string.digits:
+            while i < len(text) and text[i] in string.digits:
+                i += 1
+        elif text.startswith("->", i):
+            i += 2
+        else:
+            line_start = text.rfind("\n", 0, i) + 1
+            return text.count("\n", 0, line_start) + 1, i - line_start + 1, c
+    return None
+
+
+_CORPUS_TEXTS = [corpus_path(name).read_text() for name in corpus_names()]
+_INSERTS = "#\n\r\t\x0b\xa0 (),;=/{}-<>@_$~é²x0"
+
+
+@st.composite
+def _mutated_corpus_text(draw):
+    """A corpus text after a few random insertions, deletions and copies."""
+    text = draw(st.sampled_from(_CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "copy"]))
+        if op == "insert":
+            piece = draw(st.sampled_from(_INSERTS))
+        elif op == "copy":
+            j = draw(st.integers(0, len(text)))
+            piece = text[j:j + draw(st.integers(1, 12))]
+        else:
+            piece = ""
+            text = text[:i] + text[i + draw(st.integers(1, 8)):]
+        text = text[:i] + piece + text[i:]
+    return text
+
+
+@given(_mutated_corpus_text())
+def test_stray_character_is_reported_first(text):
+    """A character that starts no token wins over every other error, at its
+    own position; without one, no error is about a character."""
+    stray = _first_stray_character(text)
+    try:
+        parse(text)
+    except ParseError as e:
+        if stray is None:
+            assert not e.message.startswith("unexpected character")
+        else:
+            line, col, c = stray
+            assert (e.message, e.line, e.col) == (
+                f"unexpected character {c!r}", line, col)
+    else:
+        assert stray is None

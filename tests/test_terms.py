@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import EvalError, ValidationError
 from termflow.flownet import build_dag, dispersion_exponent
 from termflow.normalize import NormalEquation, flatten
@@ -20,11 +21,40 @@ def test_ident_rules():
     check_ident("x1")
     check_ident("long_name")
     # pipeline-minted names are well-formed; the parser rejects them instead
-    check_ident("_z0")
-    check_ident("f@0")
-    for bad in ("", "1x", "x-y", "x y", "f("):
+    for minted in ("_z0", "f@0", "g@12", "_y1", "__h2", "x3"):
+        check_ident(minted)
+    # only names the parser reads back: no non-ASCII letter or digit, no
+    # leading '@', no keyword
+    for bad in ("", "1x", "x-y", "x y", "f(", "x\u00e9", "\u00e9", "x\u00b2",
+                "\u00b2x", "@x", "eq", "edge"):
         with pytest.raises(ValidationError):
             check_ident(bad)
+
+
+# names mixing the identifier class with non-ASCII letters and digits,
+# '@' and punctuation, plus every grammar keyword
+_names = (st.text(st.sampled_from("aZq_@09\u00e9\u00df\u03a9\u0663\u00b2-. "),
+                  max_size=6)
+          | st.sampled_from(sorted(KEYWORDS))
+          | st.text(st.characters(), max_size=4))
+
+
+@given(_names)
+def test_checked_identifiers_round_trip(name):
+    """A name `check_ident` accepts renders to text that parses back equal,
+    as a variable and as a symbol."""
+    try:
+        check_ident(name)
+    except ValidationError:
+        return
+    other = "_v" if name != "_v" else "_w"
+    systems = [
+        TermSystem((name,), Signature(()), (Equation(Var(name), Var(name)),)),
+        TermSystem((other,), Signature(((name, 1),)),
+                   (Equation(App(name, (Var(other),)), Var(other)),)),
+    ]
+    for system in systems:
+        assert parse(render(system), allow_reserved=True) == system
 
 
 def test_reserved_idents_flagged():
