@@ -1,0 +1,270 @@
+"""The scan kernel: the engine route of the exhaustive oracles.
+
+This is the only termflow module that imports numpy, and `oracle` loads it
+only once a search has passed its budget check, so commands that never
+scan never load numpy.  `oracle` keeps the budgets, the result types, the
+scalar reference route and the constructions; nothing here is public.
+
+`_chunks` scans the whole grid of interpretations x assignments.  It
+decodes a chunk of consecutive interpretation indices as base-n digit rows
+(`_Digits`, the one table decoder, also behind `_witness`), evaluates each
+node of the system's or spec's term DAG (`.dag`) once per chunk, with one
+gather, over the inputs the node depends on, and reduces per
+interpretation: a `count_nonzero` of the satisfied assignments, or a sort
+of the output tuple codes for image sizes.  `_scan` runs once, in this
+process, over the whole index range.  Results are independent of chunking:
+chunks reduce in index order to (max value, least index attaining it), and
+early-exit searches stop at the hit.
+
+From n = 3 the kernel skips interpretations that a relabelling of the
+alphabet makes redundant.  Conjugating every table by one permutation s of
+[n], (s.T)_f[a] = s(T_f[s^-1(a)]), changes no scan value: solution counts,
+image sizes, perfect hits and count mismatches are all S_n-invariant.  So
+the least index attaining a value is the least member of its orbit, and
+is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan
+evaluates only the indices T that are <= each transposition conjugate
+(`_least_in_orbit`), a superset of those least indices: values, witnesses
+and perfect-hit indices are those of the unpruned scan.  At n = 2 the one
+swap halves a scan but often costs more than it saves.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from .terms import Ident, Interpretation, Signature, TermDag
+
+_CHUNK_CELLS = 1 << 18  # interpretations x assignments evaluated at once
+_PRUNE_MIN_N = 3  # at n = 2 one swap halves a scan but often costs more
+
+
+class _Digits:
+    """The one table decoder: interpretation indices as base-n digit strings.
+
+    Every table count is n^(n^arity), so index i over `symbols` is the w
+    base-n digits of all table entries in order (first symbol's entry 0 most
+    significant).  `rows` is digit-major (w, n^low), one row per entry: its
+    last `low` rows are a fixed block running through every low-digit value,
+    so a chunk aligned to n^low decodes by writing only its w - low constant
+    high digits, with no per-element division."""
+
+    def __init__(self, symbols, n: int, low: int):
+        self.n, self.low = n, low
+        self.offset: dict[Ident, int] = {}  # symbol -> its first row
+        w = 0
+        for name, arity in symbols:
+            self.offset[name] = w
+            w += n ** arity
+        dtype = np.min_scalar_type(n - 1)
+        self.rows = np.empty((w, n ** low), dtype=dtype)
+        self.rows[w - low:] = np.indices((n,) * low, dtype=dtype).reshape(
+            low, n ** low)
+
+    def at(self, base: int) -> np.ndarray:
+        """`rows` for the chunk of n^low indices starting at `base`: the
+        same buffer each time, rewritten in place."""
+        high = base // self.n ** self.low
+        for row in range(len(self.rows) - self.low - 1, -1, -1):
+            high, digit = divmod(high, self.n)
+            self.rows[row] = digit
+        return self.rows
+
+
+def _low_digits(symbols, n: int, k: int) -> int:
+    """Digits a chunk spans: the most keeping its grid of interpretations x
+    n^k assignments within _CHUNK_CELLS."""
+    w = sum(n ** arity for _, arity in symbols)
+    low = 0
+    while low < w and n ** (low + 1 + k) <= _CHUNK_CELLS:
+        low += 1
+    return low
+
+
+def _chunks(kind: str, symbols, dag: TermDag, n: int,
+            low: int | None = None):
+    """The scan kernel: yield (first index, per-interpretation values) for
+    every interpretation of `symbols`, in chunks of n^low, evaluating the
+    term DAG `dag`.  The n^w indices split into whole chunks.
+
+    Each DAG node is evaluated once per chunk, over the inputs it depends
+    on: its value has one axis per input (size n, or 1 off its support)
+    and the chunk axis last, and costs one gather from the digit rows.
+    `kind` "count" counts the assignments satisfying every equation whose
+    sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
+    distinct output tuples.  From n = _PRUNE_MIN_N only the indices
+    `_least_in_orbit` keeps are evaluated and the others read -1: the max
+    value, its least index and the least index reaching a target stay
+    those of the unpruned scan."""
+    k = len(dag.inputs)
+    if low is None:
+        low = _low_digits(symbols, n, k)
+    digits = _Digits(symbols, n, low)
+    swaps = _transpositions(symbols, digits) if n >= _PRUNE_MIN_N else []
+    high = len(digits.rows) - low  # digits constant over a chunk
+    size = n ** low
+    every = np.arange(size, dtype=np.intp)
+    inputs = [np.arange(n, dtype=digits.rows.dtype).reshape(
+        [n if j == i else 1 for j in range(k)] + [1]) for i in range(k)]
+    last = {c: i for i, (_, children) in enumerate(dag.ops) for c in children}
+    roots = set(dag.outputs)
+    drops: list[list[int]] = [[] for _ in dag.ops]
+    for node, i in last.items():
+        if node not in roots:
+            drops[i].append(node)  # freed after its last reader
+    reduce = {"count": _satisfied, "image": _distinct}[kind]
+    for base in range(0, n ** len(digits.rows), size):
+        rows = digits.at(base)
+        flat = rows.ravel()
+        cols, view = every, rows
+        if swaps:
+            cols = _least_in_orbit(rows[:high, 0].tolist(), base, swaps)
+            if not len(cols):  # common at n >= 4, past the low indices
+                yield base, np.full(size, -1, dtype=np.int64)
+                continue
+            view = rows[:, cols]
+        vals = list(inputs)
+        for (symbol, children), dead in zip(dag.ops, drops):
+            off = digits.offset[symbol]
+            args = [vals[c] for c in children]
+            if not args:  # a constant: one digit row
+                vals.append(view[off].reshape((1,) * k + (len(cols),)))
+            elif max(children) < k:  # arguments are inputs: gather rows
+                vals.append(np.take(view, _table_rows(args, n, 1, off)[..., 0],
+                                    axis=0))
+            else:  # each interpretation reads its own column of `rows`
+                vals.append(np.take(flat, _table_rows(args, n, size,
+                                                      off * size + cols)))
+            for c in dead:
+                vals[c] = None
+        out = reduce(dag, vals, n, k, len(cols))
+        if swaps:
+            out, kept = np.full(size, -1, dtype=np.int64), out
+            out[cols] = kept
+        yield base, out
+
+
+def _transpositions(symbols, digits: _Digits):
+    """Per transposition t of [n], its conjugate's index split for a chunk:
+    (terms, excess, min excess, max excess).  (t.T)_f[a] = t(T_f[t(a)])
+    with t applied entrywise, so digit p of t.T is t(digit q_p of T).
+    `terms` lists (n^(w-1-p), q_p, t) for each q_p among the chunk's
+    constant high digits; `excess[c]` is c minus the rest of t.T's index,
+    which reads only the fixed low block of column c and so is the same
+    for every chunk."""
+    n, low, w = digits.n, digits.low, len(digits.rows)
+    high = w - low
+    block = digits.rows[high:].astype(np.int64)
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        t = list(range(n))
+        t[i], t[j] = j, i
+        terms = []
+        excess = np.arange(n ** low, dtype=np.int64)
+        for name, arity in symbols:
+            table = np.arange(n ** arity).reshape((n,) * arity)
+            moved = table[np.ix_(*[t] * arity)].ravel() + digits.offset[name]
+            for p, q in enumerate(moved.tolist(), digits.offset[name]):
+                if q < high:
+                    terms.append((n ** (w - 1 - p), q, t))
+                else:
+                    excess -= n ** (w - 1 - p) * np.take(t, block[q - high])
+        swaps.append((terms, excess, int(excess.min()), int(excess.max())))
+    return swaps
+
+
+def _least_in_orbit(high_digits: list[int], base: int,
+                    swaps) -> np.ndarray:
+    """The columns of the chunk at `base` (constant high digits
+    `high_digits`) whose index T is <= each swap conjugate.
+
+    Index order is the lexicographic order of digit strings.  Every scan
+    value (solution count, image size, perfect hit, count mismatch) is the
+    same for T and each conjugate, so the least index attaining a value is
+    kept: the kept set is a superset of the least member of each orbit
+    under relabelling [n]."""
+    keep = np.ones(len(swaps[0][1]), dtype=bool)
+    for terms, excess, least, most in swaps:
+        head = sum(weight * t[high_digits[q]] for weight, q, t in terms)
+        # conjugate index = head + c - excess[c], so T = base + c is kept
+        # iff excess[c] <= head - base
+        if most <= head - base:  # no conjugate precedes its column
+            continue
+        if least > head - base:  # all do
+            return np.empty(0, dtype=np.intp)
+        keep &= excess <= head - base
+    return np.flatnonzero(keep)
+
+
+def _table_rows(args, n: int, scale: int, start):
+    """start + scale * (row-major table index of the argument values
+    `args`), in intp; each widening names its dtype, so the result does
+    not depend on numpy's promotion rules."""
+    stride = scale * n ** len(args)
+    idx = start
+    for a in args:
+        stride //= n
+        idx = np.add(idx, np.multiply(a, stride, dtype=np.intp), dtype=np.intp)
+    return idx
+
+
+def _satisfied(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
+    """Per interpretation, the assignments where every (lhs, rhs) output
+    pair agrees."""
+    sat = None
+    for a, b in zip(dag.outputs[::2], dag.outputs[1::2]):
+        eq = vals[a] == vals[b]
+        sat = eq if sat is None else sat & eq
+    if sat is None:
+        return np.full(c, n ** k, dtype=np.int64)
+    free = n ** sum(1 for j in range(k) if sat.shape[j] == 1)
+    counts = np.multiply(np.count_nonzero(sat, axis=tuple(range(k))), free,
+                         dtype=np.int64)
+    return np.broadcast_to(counts, (c,))
+
+
+def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
+    """Per interpretation, the number of distinct output tuples: each
+    tuple's base-n code, sorted per interpretation.  Codes are int16/32/64,
+    never uint8, which numpy sorts far more slowly."""
+    width = n ** len(dag.outputs)
+    dtype = (np.int16 if width <= 1 << 15 else
+             np.int32 if width <= 1 << 31 else np.int64)
+    code = None
+    for root in dag.outputs:
+        code = (vals[root].astype(dtype) if code is None else np.add(
+            np.multiply(code, n, dtype=dtype), vals[root], dtype=dtype))
+    grid = np.empty((c,) + (n,) * k, dtype=dtype)
+    grid[...] = np.moveaxis(code, -1, 0)
+    grid = grid.reshape(c, n ** k)
+    grid.sort(axis=1)
+    return 1 + np.count_nonzero(grid[:, 1:] != grid[:, :-1], axis=1)
+
+
+def _scan(kind: str, symbols, dag: TermDag, n: int,
+          target: int | None = None) -> tuple[int, int, int | None]:
+    """Scan every interpretation of `symbols`; returns (best value, least
+    index of it, least index reaching `target` or None).  A hit ends the
+    scan, so the best value then covers only the chunks up to the hit."""
+    best_v, best_i = -1, -1
+    for pos, vals in _chunks(kind, symbols, dag, n):
+        mx = int(vals.max())
+        if mx > best_v:
+            best_v = mx
+            best_i = pos + int(vals.argmax())
+        if target is not None and mx >= target:
+            return best_v, best_i, pos + int(np.argmax(vals >= target))
+    return best_v, best_i, None
+
+
+def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:
+    """Interpretation `index` of the `used` symbols; every other symbol of
+    the signature gets the all-zero table."""
+    tables = {name: (0,) * (n ** arity) for name, arity in signature.symbols}
+    digits = _Digits(used, n, 0)
+    entries = digits.at(index)[:, 0].tolist()
+    for name, arity in used:
+        off = digits.offset[name]
+        tables[name] = tuple(entries[off:off + n ** arity])
+    return Interpretation(n, tables)

@@ -1,5 +1,6 @@
 """Command-line behavior: canonical reports, exit codes, environment."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,53 @@ def test_import_starts_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import termflow.cli
+from termflow.corpus import corpus_path
+
+def run(*args):
+    args = [str(corpus_path(a)) if "." in a else a for a in args]
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        return termflow.cli.main(args)
+
+codes = [run("normalize", "index_coding.inst"),
+         run("exponent", "diamond.disp", "--certificate"),
+         run("threshold", "diamond.disp", "-d", "3"),
+         run("graph", "index_coding.inst"),
+         termflow.cli.main(["normalize", sys.argv[1]]),
+         run("brute", "disp", "diamond.disp", "-n", "4")]
+before = "numpy" in sys.modules
+codes.append(run("brute", "disp", "diamond.disp", "-n", "2"))
+print(codes, before, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_loaded_only_by_a_scan(tmp_path):
+    # polynomial commands, input errors and budget refusals never scan
+    bad = tmp_path / "bad.inst"
+    bad.write_text("instance { vars x; sig f/1; eq f(x = y; }")
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(bad)],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[0, 0, 0, 0, 2, 4, 0] False True\n"
+
+
+def test_only_the_kernel_imports_numpy():
+    package = Path(termflow.__file__).parent
+    importers = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(source.name)
+    assert importers == {"kernel.py"}
 
 
 def test_timing_goes_to_stderr_only():

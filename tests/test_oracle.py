@@ -6,13 +6,15 @@ Every frozen constant below was computed by a second, independent route
 
 import itertools
 import math
+import subprocess
+import sys
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from termflow import normalize, oracle
+from termflow import kernel, normalize, oracle
 from termflow.dsl import parse
 
 from termflow.depgraph import (DependencyGraph, add_source_loops,
@@ -318,8 +320,8 @@ def _pseudo_symbol_guessing(graph, n, budget):
     oracle._admit(pseudo, n, len(dag.inputs), budget)
     used = oracle._enumerated(pseudo, dag)
     total = oracle._used_space(used, n)
-    value, index, _ = oracle._scan("count", used, dag, n)
-    return OracleResult(value, oracle._witness(pseudo, used, n, index),
+    value, index, _ = kernel._scan("count", used, dag, n)
+    return OracleResult(value, kernel._witness(pseudo, used, n, index),
                         oracle._rate(value, n), total * n ** len(dag.inputs))
 
 
@@ -491,6 +493,39 @@ def test_lift_interpretation_recount():
     lifted.validate_against(norm.signature)
 
 
+_SCALAR_PROBE = """
+import sys
+from termflow.corpus import corpus_path
+from termflow.dsl import parse
+from termflow.normalize import pipeline
+from termflow.oracle import (BlockEncoding, count_solutions, count_winning,
+                             image_of, lift_interpretation)
+from termflow.terms import Interpretation
+
+def load(name):
+    return parse(corpus_path(name).read_text())
+
+norm, _ = pipeline(load("fx.inst"))
+lifted = lift_interpretation(norm, Interpretation(2, {"f@0": (0, 1)}),
+                             BlockEncoding.canonical(4, 2))
+copy = Interpretation(2, {"a": (0, 1), "b": (0, 1), "c": (0, 1)})
+meet = Interpretation(2, {"f": (0, 0, 0, 1)})
+print(len(image_of(load("diamond.disp"), meet)),
+      count_winning(load("cycle3.graph"), copy),
+      count_solutions(load("fx.inst"), Interpretation(2, {"f": (1, 0)})),
+      lifted.tables["f"], count_solutions(norm, lifted),
+      "numpy" in sys.modules)
+"""
+
+
+def test_scalar_route_needs_no_numpy():
+    # the reference route shares no code with the numpy scan kernel
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_PROBE],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"10 2 2 (2, 3, 0, 0) 4 False\n"
+
+
 def test_lift_preconditions():
     norm, _ = pipeline(load("fx.inst"))
     div = diversify(norm)
@@ -582,7 +617,7 @@ def _embedding_by_recount(spec, n, budget):
     total = oracle._used_space(used, n)
     best_value, best_witness = -1, None
     for index in range(total):
-        interp = oracle._witness(spec.signature, used, n, index)
+        interp = kernel._witness(spec.signature, used, n, index)
         chosen = {}
         for assign in assignments(spec.inputs, n):
             outs = tuple(run_steps(t, interp, assign) for t in outputs)
@@ -746,7 +781,7 @@ def _reference_scan(values, target):
 
 def _kernel_scan(kind, obj, n, target=None):
     used = oracle._enumerated(obj.signature, obj.dag)
-    return oracle._scan(kind, used, obj.dag, n, target)
+    return kernel._scan(kind, used, obj.dag, n, target)
 
 
 def _no_swaps(symbols, digits):
@@ -758,10 +793,10 @@ def _kernel_values(kind, obj, n, pruned=False):
     """`_chunks` values per index of the kernel's space (the symbols the
     DAG uses), unpruned unless `pruned` (then pruned indices read -1)."""
     used = oracle._enumerated(obj.signature, obj.dag)
-    swaps = oracle._transpositions if pruned else _no_swaps
+    swaps = kernel._transpositions if pruned else _no_swaps
     out = []
-    with patch.object(oracle, "_transpositions", swaps):
-        for pos, vals in oracle._chunks(kind, used, obj.dag, n):
+    with patch.object(kernel, "_transpositions", swaps):
+        for pos, vals in kernel._chunks(kind, used, obj.dag, n):
             assert pos == len(out)  # chunks are contiguous and in order
             out.extend(int(v) for v in vals)
     return out
@@ -816,7 +851,7 @@ def test_grid_kernel_matches_scalar_route(case, cells, data):
     kind, obj, n = case
     values = _scalar_values(kind, obj, n)
     target = data.draw(st.none() | st.integers(0, max(values) + 1))
-    with patch.object(oracle, "_CHUNK_CELLS", cells):
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
         assert _kernel_values(kind, obj, n) == values
         best_v, best_i, hit = _kernel_scan(kind, obj, n, target)
     want = _reference_scan(values, target)
@@ -824,6 +859,16 @@ def test_grid_kernel_matches_scalar_route(case, cells, data):
         assert hit == want
     else:
         assert hit is None and (best_v, best_i) == want
+
+
+def test_chunk_cells_patch_reaches_the_kernel():
+    # the tests that patch `kernel._CHUNK_CELLS` rely on the kernel reading
+    # it per scan: at one cell a chunk is one interpretation
+    spec = load("diamond.disp")
+    used = oracle._enumerated(spec.signature, spec.dag)
+    with patch.object(kernel, "_CHUNK_CELLS", 1):
+        chunks = list(kernel._chunks("image", used, spec.dag, 2))
+    assert len(chunks) == oracle._used_space(used, 2) > 1
 
 
 @pytest.mark.parametrize("kind,text,n", [
@@ -849,12 +894,12 @@ def test_grid_kernel_edge_cases(kind, text, n):
     # the kernel enumerates only the symbols the DAG uses; the others keep
     # their all-zero tables (`sig f/1` unused: one interpretation)
     used = oracle._enumerated(obj.signature, obj.dag)
-    space = [oracle._witness(obj.signature, used, n, i)
+    space = [kernel._witness(obj.signature, used, n, i)
              for i in range(oracle._used_space(used, n))]
     want = [count_solutions(obj, it) if kind == "count"
             else len(image_of(obj, it)) for it in space]
     for cells in (1, 1 << 18):
-        with patch.object(oracle, "_CHUNK_CELLS", cells):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
             assert _kernel_values(kind, obj, n) == want
     best = max(values)
     res = (brute_dispersion(obj, n) if kind == "image"
@@ -882,7 +927,7 @@ def test_perfect_early_exit_hit_index():
     first = values.index(spec_target := 2 ** spec.r)
     assert first > 0 and first + 1 < len(values)
     for cells in (1, 8, 1 << 18):
-        with patch.object(oracle, "_CHUNK_CELLS", cells):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
             dec = check_perfect_fixed(spec, 2)
         assert dec.perfect and dec.target == spec_target
         assert dec.interpretations == first + 1
@@ -896,7 +941,7 @@ def test_count_preservation_first_mismatch(before, after, cells):
     assume(before.signature == after.signature)
     counts = [_scalar_values("count", s, 2) for s in (before, after)]
     diff = [i for i, (a, b) in enumerate(zip(*counts)) if a != b]
-    with patch.object(oracle, "_CHUNK_CELLS", cells):
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
         chk = check_counts_preserved(before, after, 2)
     assert chk.equal == (not diff)
     assert chk.first_mismatch == (diff[0] if diff else None)
@@ -952,13 +997,13 @@ def _symmetric_cases(draw):
 @given(_symmetric_cases(), st.sampled_from([1, 8, 64, 1 << 18]), st.data())
 def test_pruned_scan_matches_unpruned(case, cells, data):
     kind, obj, n = case
-    with patch.object(oracle, "_CHUNK_CELLS", cells):
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
         pruned = _kernel_values(kind, obj, n, pruned=True)
         values = _kernel_values(kind, obj, n)
         assert all(p in (-1, v) for p, v in zip(pruned, values))
         target = data.draw(st.none() | st.integers(0, max(values) + 1))
         got = _kernel_scan(kind, obj, n, target)
-        with patch.object(oracle, "_transpositions", _no_swaps):
+        with patch.object(kernel, "_transpositions", _no_swaps):
             want = _kernel_scan(kind, obj, n, target)
     assert got == want  # value, least index, perfect-hit index
 
@@ -1001,7 +1046,7 @@ def test_keep_mask_contains_every_orbit_minimum():
     # chunks of 1, 3, 9 and 81 indices; in the chunk [6, 9), 6 and 8 have a
     # smaller conjugate under the swap (1 2) and 7 is its own
     for cells in (1, 9, 27, 1 << 18):
-        with patch.object(oracle, "_CHUNK_CELLS", cells):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
             values = _kernel_values("count", system, n, pruned=True)
         assert {i for i, v in enumerate(values) if v >= 0} == at_most_swaps
 
@@ -1009,7 +1054,7 @@ def test_keep_mask_contains_every_orbit_minimum():
 def test_no_pruning_below_n3(monkeypatch):
     def no_filter(*args):
         raise AssertionError("the filter ran")
-    monkeypatch.setattr(oracle, "_least_in_orbit", no_filter)
+    monkeypatch.setattr(kernel, "_least_in_orbit", no_filter)
     diamond, fx = load("diamond.disp"), load("fx.inst")
     assert brute_dispersion(diamond, 2).value == 10
     assert not check_perfect_fixed(diamond, 2).perfect
@@ -1031,9 +1076,9 @@ def test_count_preservation_first_mismatch_pruned():
     pruned = _kernel_values("count", before, 3, pruned=True)
     assert -1 in pruned[:first]  # the filter drops indices before it
     for cells in (1, 8, 1 << 18):
-        with patch.object(oracle, "_CHUNK_CELLS", cells):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
             chk = check_counts_preserved(before, after, 3)
-            with patch.object(oracle, "_transpositions", _no_swaps):
+            with patch.object(kernel, "_transpositions", _no_swaps):
                 assert check_counts_preserved(before, after, 3) == chk
         assert not chk.equal and chk.first_mismatch == first
         assert chk.interpretations == 81
