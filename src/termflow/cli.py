@@ -3,18 +3,21 @@
 Every command prints one canonical JSON report on stdout: keys sorted,
 two-space indent, trailing newline.  Reports contain only input-determined
 data (command, input digest, parameters, result, tool version), so repeated
-runs are byte-identical; wall-clock timing goes to stderr.  Every scan
-runs in this process; `brute --jobs J` is accepted for compatibility and
-ignored.
+runs are byte-identical; wall-clock timing goes to stderr.  A `brute` or
+`normalize` result is its record's fields, written out by `_json`.  Every
+scan runs in this process; `brute --jobs J` is accepted for compatibility
+and ignored.
 
 Exit codes: 0 success, 2 parse or input error, 3 precondition violation,
-4 budget refusal, 1 internal error.  TERMFLOW_BUDGET=EVALS[:INTERPS]
-overrides the default search budget; --budget beats the environment.
+4 budget refusal, 1 internal error.  TERMFLOW_BUDGET=EVALS[:INTERPS], in
+ASCII digits, overrides the default search budget; --budget beats the
+environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -55,34 +58,29 @@ def _budget(args) -> SearchBudget:
     if text is None:
         return DEFAULT_BUDGET
     parts = text.split(":")
-    if len(parts) not in (1, 2) or not all(p.isdigit() for p in parts):
+    try:  # ASCII digits only, and within Python's int-string limit
+        if len(parts) > 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError
+        return SearchBudget(*map(int, parts))  # EVALS alone keeps INTERPS
+    except ValueError:
         raise ValidationError(
-            f"bad budget {text!r}; expected EVALS or EVALS:INTERPS")
-    evals = int(parts[0])
-    interps = int(parts[1]) if len(parts) == 2 else DEFAULT_BUDGET.max_interpretations
-    return SearchBudget(evals, interps)
+            f"bad budget {text!r}; expected EVALS or EVALS:INTERPS") from None
 
 
-def _budget_json(budget: SearchBudget) -> dict:
-    return {"max_evaluations": budget.max_evaluations,
-            "max_interpretations": budget.max_interpretations}
-
-
-def _tables_json(witness: Interpretation) -> dict:
-    return {"n": witness.n,
-            "tables": {name: list(tbl) for name, tbl in witness.tables.items()}}
-
-
-def _oracle_json(res) -> dict:
-    return {"value": res.value, "rate": res.rate,
-            "evaluations": res.evaluations,
-            "witness": _tables_json(res.witness)}
-
-
-def _edges_json(graph: DependencyGraph) -> list[list[str]]:
-    order = {v: i for i, v in enumerate(graph.vertices)}
-    return [[u, v] for u, v in
-            sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]]))]
+def _json(record):
+    """A result record as its report: an interpretation is its tables, a
+    tuple a list, and any other dataclass its fields, so the record types
+    define the report schema.  A name is its own report and skips the
+    call: a pipeline report can list thousands."""
+    if isinstance(record, tuple):
+        return [x if isinstance(x, str) else _json(x) for x in record]
+    if isinstance(record, Interpretation):
+        return {"n": record.n, "tables": {name: list(table) for name, table
+                                          in record.tables.items()}}
+    if dataclasses.is_dataclass(record):
+        return {key: x if isinstance(x, str) else _json(x)
+                for key, x in vars(record).items()}
+    return record
 
 
 def _as_graph(obj) -> DependencyGraph:
@@ -99,20 +97,8 @@ def _as_graph(obj) -> DependencyGraph:
 def cmd_normalize(args) -> tuple[dict, int]:
     system, meta = _load(args.file, "system")
     norm, rep = pipeline(system)
-    result = {
-        "input_size": instance_size(system),
-        "stages": list(rep.stages),
-        "auxiliaries": list(rep.auxiliaries),
-        "merges": [{"kept": m.kept, "removed": m.removed, "stage": m.stage}
-                   for m in rep.merges],
-        "defined": list(rep.defined),
-        "sources": list(rep.sources),
-        "is_normal": rep.is_normal,
-        "is_fnf": rep.is_fnf,
-        "is_collision_free": rep.is_collision_free,
-        "is_cfnf": rep.is_cfnf,
-        "system": render(norm),
-    }
+    result = _json(rep) | {"input_size": instance_size(system),
+                           "system": render(norm)}
     if args.diversify:
         result["diversified"] = render(diversify(norm))
     if args.dot is not None:
@@ -144,43 +130,27 @@ def cmd_brute(args) -> tuple[dict, int]:
     budget = _budget(args)
     if args.mode == "disp":
         spec, meta = _load(args.file, "dispersion")
-        result = _oracle_json(brute_dispersion(spec, args.n, budget))
+        record = brute_dispersion(spec, args.n, budget)
     elif args.mode == "solve":
         system, meta = _load(args.file, "system")
-        result = _oracle_json(brute_max_solutions(system, args.n, budget))
+        record = brute_max_solutions(system, args.n, budget)
     elif args.mode == "guess":
         obj, meta = _load(args.file, "auto")
-        graph = _as_graph(obj)
-        result = _oracle_json(brute_guessing(graph, args.n, budget))
+        record = brute_guessing(_as_graph(obj), args.n, budget)
     elif args.mode == "perfect":
         spec, meta = _load(args.file, "dispersion")
-        dec = check_perfect_fixed(spec, args.n, budget)
-        result = {"perfect": dec.perfect, "target": dec.target,
-                  "max_image": dec.max_image,
-                  "interpretations": dec.interpretations,
-                  "evaluations": dec.evaluations,
-                  "witness": _tables_json(dec.witness)}
+        record = check_perfect_fixed(spec, args.n, budget)
     elif args.mode == "embed":
         spec, meta = _load(args.file, "dispersion")
-        chk = check_embedding(spec, args.n, budget)
-        result = {"equal": chk.equal,
-                  "dispersion": _oracle_json(chk.dispersion),
-                  "embedded": _oracle_json(chk.embedded)}
+        record = check_embedding(spec, args.n, budget)
     else:  # sandwich
         system, meta = _load(args.file, "system")
         norm, _ = pipeline(system)
-        rep = sandwich_check(norm, args.n, budget)
-        result = {"n": rep.n, "v": rep.v, "m": rep.m,
-                  "original": _oracle_json(rep.original),
-                  "diversified_same_n": _oracle_json(rep.diversified_same_n),
-                  "diversified_small": _oracle_json(rep.diversified_small),
-                  "lifted_count": rep.lifted_count,
-                  "upper_ok": rep.upper_ok, "lower_ok": rep.lower_ok,
-                  "lift_ok": rep.lift_ok, "ok": rep.ok}
+        record = sandwich_check(norm, args.n, budget)
     report = _report(f"brute {args.mode}", meta,
                      {"mode": args.mode, "n": args.n,
-                      "budget": _budget_json(budget)},
-                     result)
+                      "budget": _json(budget)},
+                     _json(record))
     return report, 0
 
 
@@ -201,7 +171,7 @@ def cmd_graph(args) -> tuple[dict, int]:
         graph = add_source_loops(graph)
     result = {"vertices": list(graph.vertices),
               "sources": [v for v in graph.vertices if v in graph.sources],
-              "edges": _edges_json(graph),
+              "edges": [list(edge) for edge in graph.sorted_edges],
               "vertex_count": len(graph.vertices),
               "edge_count": len(graph.edges)}
     if args.dot is not None:

@@ -27,6 +27,9 @@ class DependencyGraph:
     edges: frozenset[tuple[Ident, Ident]]
     sources: frozenset[Ident]
     _in: dict[Ident, tuple[Ident, ...]] = field(init=False, repr=False, compare=False)
+    # (tail, head) in vertex order: the order every output lists edges in
+    sorted_edges: tuple[tuple[Ident, Ident], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.vertices)
@@ -38,10 +41,14 @@ class DependencyGraph:
         if not self.sources <= declared:
             raise ValidationError("sources must be vertices")
         order = {v: i for i, v in enumerate(self.vertices)}
+        n = len(order)  # sorts like (tail, head), but an int key is faster
+        edges = tuple(sorted(self.edges,
+                             key=lambda e: order[e[0]] * n + order[e[1]]))
         nbrs: dict[Ident, list[Ident]] = {v: [] for v in self.vertices}
-        for u, v in sorted(self.edges, key=lambda e: order[e[0]]):
+        for u, v in edges:
             nbrs[v].append(u)
         object.__setattr__(self, "_in", {v: tuple(us) for v, us in nbrs.items()})
+        object.__setattr__(self, "sorted_edges", edges)
 
     def in_neighbors(self, v: Ident) -> tuple[Ident, ...]:
         """In-neighborhood as a set, ordered by vertex order."""
@@ -86,12 +93,11 @@ def add_source_loops(graph: DependencyGraph) -> DependencyGraph:
 
 def to_dot(graph: DependencyGraph) -> str:
     """Deterministic DOT text; sources are drawn boxed."""
-    order = {v: i for i, v in enumerate(graph.vertices)}
     lines = ["digraph dependencies {"]
     for v in graph.vertices:
         mark = " [shape=box]" if v in graph.sources else ""
         lines.append(f'  "{v}"{mark};')
-    for u, v in sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]])):
+    for u, v in graph.sorted_edges:
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -115,8 +115,12 @@ class _Parser:
         self.take("/")
         if not self.here.isdigit():
             self.fail(f"expected arity, found {self.here!r}")
+        try:
+            arity = int(self.here)
+        except ValueError:  # past Python's int-string limit
+            self.fail(f"arity too large ({len(self.here)} digits)")
         self.pos += 1
-        return at, int(self.toks[self.pos - 1])
+        return at, arity
 
     def term(self, arities: dict[Ident, int], variables: dict[Ident, Var]) -> Term:
         """One term, parsed on an explicit stack of open applications.  Every
@@ -301,10 +305,8 @@ def render(obj) -> str:
                       f"sig {_render_sig(obj.signature)};",
                       f"outputs {', '.join(obj.dag.labels(obj.dag.outputs))};")
     if isinstance(obj, DependencyGraph):
-        order = {v: i for i, v in enumerate(obj.vertices)}
-        sources = sorted(obj.sources, key=order.__getitem__)
-        edges = sorted(obj.edges, key=lambda e: (order[e[0]], order[e[1]]))
+        sources = [v for v in obj.vertices if v in obj.sources]
         return _block("graph", f"nodes {', '.join(obj.vertices)};",
                       f"sources {', '.join(sources)};",
-                      *(f"edge {u} -> {v};" for u, v in edges))
+                      *(f"edge {u} -> {v};" for u, v in obj.sorted_edges))
     raise ParseError(f"cannot render {type(obj).__name__}")

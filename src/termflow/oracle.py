@@ -23,7 +23,8 @@ are the strategies.  Tests pin the two routes against each other, and
 every reported witness can be replayed through the scalar route to
 reproduce its value.
 
-Every search is one kernel scan.  `sandwich_check` and `check_embedding`
+Every search is one `_search` call: the budget check, then one kernel scan
+and its witness decode.  `sandwich_check` and `check_embedding`
 then re-count one witness each through the scalar route: the lift of the
 small diversified witness, and the dispersion witness with decoders that
 send each image point to its least preimage.  Those decoders admit one
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .depgraph import DependencyGraph, dependency_graph, graph_system
 from .errors import BudgetError, PreconditionError, ValidationError
@@ -70,14 +71,19 @@ DEFAULT_BUDGET = SearchBudget()
 
 @dataclass(frozen=True)
 class OracleResult:
-    """value, the lexicographically least witness attaining it, the rate
-    log value / log n (None when n < 2), and the unpruned scan's closed-form
-    number of (interpretation, assignment) evaluations."""
+    """value, the lexicographically least witness attaining it, the unpruned
+    scan's closed-form number of (interpretation, assignment) evaluations,
+    and the rate log value / log n (None when n < 2)."""
 
     value: int
     witness: Interpretation
-    rate: float | None
     evaluations: int
+    rate: float | None = field(init=False)
+
+    def __post_init__(self):
+        n = self.witness.n
+        object.__setattr__(self, "rate", math.log(self.value) / math.log(n)
+                           if n > 1 else None)
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,11 @@ class SandwichReport:
     upper_ok: bool                  # S_n <= S_n(diversified)
     lower_ok: bool                  # S_n >= S_m(diversified)
     lift_ok: bool                   # lifted interpretation re-count >= S_m(div)
+    ok: bool = field(init=False)    # all three hold
 
-    @property
-    def ok(self) -> bool:
-        return self.upper_ok and self.lower_ok and self.lift_ok
+    def __post_init__(self):
+        object.__setattr__(self, "ok",
+                           self.upper_ok and self.lower_ok and self.lift_ok)
 
 
 # ---- interpretation space ---------------------------------------------------
@@ -171,7 +178,7 @@ def table_space(n: int, arity: int) -> int:
 
 
 def interpretation_count(signature: Signature, n: int) -> int:
-    return _used_space(signature.symbols, n)
+    return math.prod(table_space(n, arity) for _, arity in signature.symbols)
 
 
 def _space_log2(symbols, n: int) -> float:
@@ -180,7 +187,7 @@ def _space_log2(symbols, n: int) -> float:
     l2n = math.log2(n)
     bits = 0.0
     for _, arity in symbols:
-        if arity * l2n > _INDEX_BITS:
+        if arity > _INDEX_BITS / l2n:  # an int arity may exceed any float
             return float("inf")
         bits += (n ** arity) * l2n
     return bits
@@ -296,26 +303,34 @@ def count_winning(graph: DependencyGraph, strategy: Interpretation) -> int:
     return total
 
 
-# ---- scan space ------------------------------------------------------------
-
-
-def _enumerated(signature: Signature, *dags: TermDag):
-    """The symbols some DAG applies, in signature order: a scan's space."""
-    used = {symbol for dag in dags for symbol, _ in dag.ops}
-    return tuple((s, a) for s, a in signature.symbols if s in used)
-
-
-def _rate(value: int, n: int) -> float | None:
-    if n < 2:
-        return None
-    return math.log(value) / math.log(n)
-
-
-def _used_space(used, n: int) -> int:
-    return math.prod(table_space(n, arity) for _, arity in used)
-
-
 # ---- search operations -------------------------------------------------------
+
+
+def _scan_space(signature: Signature, n: int, *dags: TermDag):
+    """A scan's space: the symbols some DAG applies, in signature order,
+    and their interpretation count."""
+    used = {symbol for dag in dags for symbol, _ in dag.ops}
+    symbols = tuple((s, a) for s, a in signature.symbols if s in used)
+    return symbols, math.prod(table_space(n, arity) for _, arity in symbols)
+
+
+def _search(kind: str, obj, k: int, n: int, budget: SearchBudget,
+            target: int | None = None):
+    """The one kernel scan behind every search, over `obj`'s DAG with k
+    inputs: (best value, least witness attaining it, interpretations
+    scanned, whether `target` was reached).  A scan reaching `target` stops
+    there, and its witness is the least one reaching it.  The budget is
+    checked on the whole signature before the DAG is read."""
+    _admit(obj.signature, n, k, budget)
+    symbols, total = _scan_space(obj.signature, n, obj.dag)
+    if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
+        raise BudgetError("output tuple codes exceed the engine's index range")
+    from . import kernel
+    value, index, hit = kernel._scan(kind, symbols, obj.dag, n, target)
+    if hit is not None:
+        index, total = hit, hit + 1
+    witness = kernel._witness(obj.signature, symbols, n, index)
+    return value, witness, total, hit is not None
 
 
 def brute_max_solutions(system, n: int,
@@ -324,34 +339,15 @@ def brute_max_solutions(system, n: int,
     witness attaining it.  The budget is checked before the DAG is read."""
     system = _system(system)
     k = len(system.variables)
-    _admit(system.signature, n, k, budget)
-    from . import kernel
-    used = _enumerated(system.signature, system.dag)
-    total = _used_space(used, n)
-    value, index, _ = kernel._scan("count", used, system.dag, n)
-    witness = kernel._witness(system.signature, used, n, index)
-    return OracleResult(value, witness, _rate(value, n), total * n ** k)
-
-
-def _image_scan(spec: DispersionSpec, n: int, budget: SearchBudget,
-                target: int | None = None):
-    """(enumerated symbols, their interpretation count, `_scan` result)."""
-    _admit(spec.signature, n, spec.k, budget)
-    if n > 1 and spec.r * math.log2(n) > _INDEX_BITS:
-        raise BudgetError("output tuple codes exceed the engine's index range")
-    from . import kernel
-    used = _enumerated(spec.signature, spec.dag)
-    total = _used_space(used, n)
-    return used, total, kernel._scan("image", used, spec.dag, n, target)
+    value, witness, total, _ = _search("count", system, k, n, budget)
+    return OracleResult(value, witness, total * n ** k)
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
                      budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum image size of the dispersion map over every interpretation."""
-    used, total, (value, index, _) = _image_scan(spec, n, budget)
-    from . import kernel
-    return OracleResult(value, kernel._witness(spec.signature, used, n, index),
-                        _rate(value, n), total * n ** spec.k)
+    value, witness, total, _ = _search("image", spec, spec.k, n, budget)
+    return OracleResult(value, witness, total * n ** spec.k)
 
 
 def check_perfect_fixed(spec: DispersionSpec, n: int,
@@ -360,17 +356,13 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
     """Does some interpretation make the map surjective onto [n]^r?
 
     Early-exits on the first witness; otherwise the refutation carries the
-    best image found over the full scan."""
+    best image found over the full scan.  No image exceeds the target, so
+    on a hit the best image is the target."""
     target = n ** spec.r
-    used, total, (value, index, hit) = _image_scan(spec, n, budget, target)
-    from . import kernel
-    if hit is not None:
-        return PerfectDecision(True, target, target,
-                               kernel._witness(spec.signature, used, n, hit),
-                               hit + 1, (hit + 1) * n ** spec.k)
-    return PerfectDecision(False, target, value,
-                           kernel._witness(spec.signature, used, n, index),
-                           total, total * n ** spec.k)
+    value, witness, scanned, perfect = _search("image", spec, spec.k, n,
+                                               budget, target)
+    return PerfectDecision(perfect, target, value, witness, scanned,
+                           scanned * n ** spec.k)
 
 
 def brute_guessing(graph: DependencyGraph, n: int,
@@ -415,8 +407,7 @@ def check_counts_preserved(before, after, n: int,
     per = n ** len(before.variables) + n ** len(after.variables)
     _admit(before.signature, n, 0, budget, per_interp=per)
     from . import kernel
-    used = _enumerated(before.signature, before.dag, after.dag)
-    total = _used_space(used, n)
+    used, total = _scan_space(before.signature, n, before.dag, after.dag)
     low = min(kernel._low_digits(used, n, len(dag.inputs))
               for dag in (before.dag, after.dag))
     for (pos, ca), (_, cb) in zip(
@@ -536,6 +527,6 @@ def check_embedding(spec: DispersionSpec, n: int,
         tables[h] = tuple(entries)
     witness = Interpretation(n, tables)
     value = count_solutions(embedded, witness)
-    total = _used_space(_enumerated(spec.signature, spec.dag), n)
-    result = OracleResult(value, witness, _rate(value, n), total * per)
+    total = dispersion.evaluations // n ** spec.k
+    result = OracleResult(value, witness, total * per)
     return EmbeddingCheck(dispersion.value == value, dispersion, result)

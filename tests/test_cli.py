@@ -212,13 +212,21 @@ def test_env_budget_is_honored_and_flag_wins():
     assert json.loads(proc.stdout)["result"]["value"] == 10
 
 
+_BAD_BUDGETS = ["10x", "100:20:3", "", ":5", "\u00b2", "1:\u00b9",
+                "\u0661\u0662", "0", "9" * 5000, "1:" + "9" * 5000]
+
+
 def test_bad_budget_exits_2():
-    proc = run_cli("brute", "disp", path("diamond.disp"), "-n", "2",
-                   "--budget", "10x")
-    assert proc.returncode == 2
-    proc = run_cli("brute", "disp", path("diamond.disp"), "-n", "2",
-                   "--budget", "100:20:3")
-    assert proc.returncode == 2
+    """Budget digits are ASCII; a superscript, an Arabic-Indic digit or a
+    value past Python's int-string limit is a bad value, never a crash,
+    whether it comes from the flag or the environment."""
+    args = ["brute", "disp", path("diamond.disp"), "-n", "2"]
+    for budget in _BAD_BUDGETS:
+        for proc in (run_cli(*args, "--budget", budget),
+                     run_cli(*args, env_extra={"TERMFLOW_BUDGET": budget})):
+            assert proc.returncode == 2, (budget[:20], proc.stderr[-300:])
+            assert b"Traceback" not in proc.stderr
+            assert proc.stdout == b""
 
 
 def test_normalize_report_and_diversify():
@@ -445,3 +453,65 @@ def test_duplicate_equations_collapse_whatever_else_merges(tmp_path, extra):
     code, out, _ = _main("graph", str(file))
     assert code == 0
     assert json.loads(out)["result"]["edges"] == [["x", "y"]]
+
+
+@pytest.mark.parametrize("digits,command,code", [
+    (5000, ["exponent"], 2),  # past Python's int-string limit: a parse error
+    (5000, ["brute", "disp"], 2),
+    (400, ["exponent"], 0),  # an arity no float holds: refused, not a crash
+    (400, ["brute", "disp"], 4),
+    (400, ["brute", "perfect"], 4),
+])
+def test_huge_arity_exits_cleanly(tmp_path, digits, command, code):
+    spec = tmp_path / "huge.disp"
+    spec.write_text(f"dispersion {{ inputs x; sig f/{'9' * digits}; "
+                    "outputs x; }\n")
+    extra = ["-n", "2"] if command[0] == "brute" else []
+    got, out, err = _main(*command, str(spec), *extra)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"1:30: arity too large ({digits} digits)" in err
+
+
+# The `result` keys of each record-backed report.  A report is its record's
+# fields, so a field added to a record changes the report; this list makes
+# that change deliberate.
+_ORACLE_KEYS = {"value", "rate", "evaluations", "witness"}
+_REPORT_KEYS = {
+    ("disp", "diamond.disp"): _ORACLE_KEYS,
+    ("solve", "index_coding.inst"): _ORACLE_KEYS,
+    ("guess", "cycle3.graph"): _ORACLE_KEYS,
+    ("perfect", "diamond.disp"): {"perfect", "target", "max_image",
+                                  "interpretations", "evaluations", "witness"},
+    ("embed", "single_fn.disp"): {"equal", "dispersion", "embedded"},
+    ("sandwich", "fx.inst"): {"n", "v", "m", "original", "diversified_same_n",
+                              "diversified_small", "lifted_count", "upper_ok",
+                              "lower_ok", "lift_ok", "ok"},
+}
+
+
+@pytest.mark.parametrize("mode,name", list(_REPORT_KEYS))
+def test_brute_report_keys(mode, name):
+    code, out, err = _main("brute", mode, path(name), "-n", "2")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert set(result) == _REPORT_KEYS[mode, name]
+    for res in [result] + [v for v in result.values() if isinstance(v, dict)]:
+        if "value" in res:  # an OracleResult, alone or nested
+            assert set(res) == _ORACLE_KEYS
+        if "witness" in res:
+            assert set(res["witness"]) == {"n", "tables"}
+    budget = json.loads(out)["parameters"]["budget"]
+    assert set(budget) == {"max_evaluations", "max_interpretations"}
+
+
+def test_normalize_report_keys():
+    code, out, err = _main("normalize", path("flatten_nested.inst"))
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert set(result) == {"input_size", "stages", "auxiliaries", "merges",
+                           "defined", "sources", "is_normal", "is_fnf",
+                           "is_collision_free", "is_cfnf", "system"}
+    assert all(set(m) == {"kept", "removed", "stage"}
+               for m in result["merges"]) and result["merges"]

@@ -4,6 +4,7 @@ import pytest
 
 from termflow.depgraph import (DependencyGraph, add_source_loops,
                                dependency_graph, to_dot)
+from termflow.dsl import render
 from termflow.errors import PreconditionError, ValidationError
 from termflow.normalize import pipeline
 from corpus_loader import load
@@ -94,3 +95,17 @@ def test_to_dot_orders_edges_by_vertex_position():
                 '  "c" -> "a";\n'
                 '}\n')
     assert to_dot(g) == expected
+
+
+def test_sorted_edges_is_the_order_every_output_lists():
+    g = DependencyGraph(("c", "a", "b"),
+                        frozenset({("b", "a"), ("a", "a"), ("c", "b"),
+                                   ("a", "c"), ("c", "a")}),
+                        frozenset())
+    want = (("c", "a"), ("c", "b"), ("a", "c"), ("a", "a"), ("b", "a"))
+    assert g.sorted_edges == want
+    assert g.in_neighbors("a") == ("c", "a", "b")
+    dot = to_dot(g).splitlines()
+    assert dot[4:-1] == [f'  "{u}" -> "{v}";' for u, v in want]
+    assert render(g).splitlines()[3:-1] == [f"  edge {u} -> {v};"
+                                            for u, v in want]

@@ -331,6 +331,9 @@ _GOLDEN_ERRORS = [
     ("comment_at_eof", "auto",
      "graph { nodes a; sources ; # no newline",
      "expected '}', found end of input", 1, 40),
+    ("huge_arity", "auto",
+     "instance { vars x; sig f/" + "9" * 5000 + "; }",
+     "arity too large (5000 digits)", 1, 26),
     ("unknown_kind", "tree",
      "graph { nodes a; sources ; }",
      "unknown input kind 'tree'", 0, 0),

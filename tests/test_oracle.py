@@ -318,11 +318,10 @@ def _pseudo_symbol_guessing(graph, n, budget):
         t for v, us in nbrs.items()
         for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
     oracle._admit(pseudo, n, len(dag.inputs), budget)
-    used = oracle._enumerated(pseudo, dag)
-    total = oracle._used_space(used, n)
+    used, total = oracle._scan_space(pseudo, n, dag)
     value, index, _ = kernel._scan("count", used, dag, n)
     return OracleResult(value, kernel._witness(pseudo, used, n, index),
-                        oracle._rate(value, n), total * n ** len(dag.inputs))
+                        total * n ** len(dag.inputs))
 
 
 @st.composite
@@ -613,8 +612,7 @@ def _embedding_by_recount(spec, n, budget):
     dispersion = brute_dispersion(spec, n, budget)
     decoders = embedded.signature.names[len(spec.signature.names):]
     outputs = [term_steps(t) for t in spec.outputs]
-    used = oracle._enumerated(spec.signature, spec.dag)
-    total = oracle._used_space(used, n)
+    used, total = oracle._scan_space(spec.signature, n, spec.dag)
     best_value, best_witness = -1, None
     for index in range(total):
         interp = kernel._witness(spec.signature, used, n, index)
@@ -633,8 +631,7 @@ def _embedding_by_recount(spec, n, budget):
         value = count_solutions(embedded, full)
         if value > best_value:
             best_value, best_witness = value, full
-    result = OracleResult(best_value, best_witness,
-                          oracle._rate(best_value, n), total * per)
+    result = OracleResult(best_value, best_witness, total * per)
     return EmbeddingCheck(dispersion.value == best_value, dispersion, result)
 
 
@@ -780,7 +777,7 @@ def _reference_scan(values, target):
 
 
 def _kernel_scan(kind, obj, n, target=None):
-    used = oracle._enumerated(obj.signature, obj.dag)
+    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
     return kernel._scan(kind, used, obj.dag, n, target)
 
 
@@ -792,7 +789,7 @@ def _no_swaps(symbols, digits):
 def _kernel_values(kind, obj, n, pruned=False):
     """`_chunks` values per index of the kernel's space (the symbols the
     DAG uses), unpruned unless `pruned` (then pruned indices read -1)."""
-    used = oracle._enumerated(obj.signature, obj.dag)
+    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
     swaps = kernel._transpositions if pruned else _no_swaps
     out = []
     with patch.object(kernel, "_transpositions", swaps):
@@ -865,10 +862,10 @@ def test_chunk_cells_patch_reaches_the_kernel():
     # the tests that patch `kernel._CHUNK_CELLS` rely on the kernel reading
     # it per scan: at one cell a chunk is one interpretation
     spec = load("diamond.disp")
-    used = oracle._enumerated(spec.signature, spec.dag)
+    used, total = oracle._scan_space(spec.signature, 2, spec.dag)
     with patch.object(kernel, "_CHUNK_CELLS", 1):
         chunks = list(kernel._chunks("image", used, spec.dag, 2))
-    assert len(chunks) == oracle._used_space(used, 2) > 1
+    assert len(chunks) == total > 1
 
 
 @pytest.mark.parametrize("kind,text,n", [
@@ -893,9 +890,8 @@ def test_grid_kernel_edge_cases(kind, text, n):
     values = _scalar_values(kind, obj, n)
     # the kernel enumerates only the symbols the DAG uses; the others keep
     # their all-zero tables (`sig f/1` unused: one interpretation)
-    used = oracle._enumerated(obj.signature, obj.dag)
-    space = [kernel._witness(obj.signature, used, n, i)
-             for i in range(oracle._used_space(used, n))]
+    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    space = [kernel._witness(obj.signature, used, n, i) for i in range(total)]
     want = [count_solutions(obj, it) if kind == "count"
             else len(image_of(obj, it)) for it in space]
     for cells in (1, 1 << 18):
