@@ -53,6 +53,14 @@ def _load(path: Path, kind: str):
     return obj, meta
 
 
+def _write_dot(path: str, text: str) -> str:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}")
+    return path
+
+
 def _budget(args) -> SearchBudget:
     text = args.budget if args.budget is not None else os.environ.get("TERMFLOW_BUDGET")
     if text is None:
@@ -102,8 +110,7 @@ def cmd_normalize(args) -> tuple[dict, int]:
     if args.diversify:
         result["diversified"] = render(diversify(norm))
     if args.dot is not None:
-        Path(args.dot).write_text(to_dot(dependency_graph(norm)))
-        result["dot_path"] = args.dot
+        result["dot_path"] = _write_dot(args.dot, to_dot(dependency_graph(norm)))
     report = _report("normalize", meta,
                      {"fnf_check": args.fnf_check, "diversify": args.diversify,
                       "dot": args.dot},
@@ -119,8 +126,7 @@ def cmd_exponent(args) -> tuple[dict, int]:
     if args.certificate:
         result["certificate"] = res.certificate()
     if args.dot is not None:
-        Path(args.dot).write_text(network_dot(res.network))
-        result["dot_path"] = args.dot
+        result["dot_path"] = _write_dot(args.dot, network_dot(res.network))
     report = _report("exponent", meta,
                      {"certificate": args.certificate, "dot": args.dot}, result)
     return report, 0
@@ -175,8 +181,7 @@ def cmd_graph(args) -> tuple[dict, int]:
               "vertex_count": len(graph.vertices),
               "edge_count": len(graph.edges)}
     if args.dot is not None:
-        Path(args.dot).write_text(to_dot(graph))
-        result["dot_path"] = args.dot
+        result["dot_path"] = _write_dot(args.dot, to_dot(graph))
     report = _report("graph", meta, {"loops": args.loops, "dot": args.dot},
                      result)
     return report, 0

@@ -16,9 +16,10 @@ Application is prefix (`f(a, b)`), constants render with explicit parens
 (`c()`), and `#` starts a comment running to end of line.  Id-lists may be
 empty so that source-free graphs and symbol-free specs stay expressible.
 
-Tokenizing is one regex pass that yields plain strings, and a token's kind
-is read from its first character.  Tokens are named by their index; line:col
-is computed only for an error, by tokenizing the text again up to it.
+Tokenizing is one regex pass into plain strings; a token's kind is its first
+character, and a token is named by its index (line:col is found only for an
+error, by tokenizing again up to it).  Each term is hash-consed into the DAG
+as it is read, and every check a constructor would make is made here.
 
 User identifiers may not start with "_" or contain "@"; those namespaces are
 reserved for pipeline-minted auxiliary variables and diversified symbols.
@@ -33,8 +34,8 @@ import re
 from .depgraph import DependencyGraph
 from .errors import ParseError
 from .normalize import NormalSystem
-from .terms import (IDENT_RE, KEYWORDS, App, DispersionSpec, Equation, Ident,
-                    Signature, Term, TermSystem, Var, is_reserved_ident)
+from .terms import (IDENT_RE, KEYWORDS, DispersionSpec, Ident, Signature,
+                    TermSystem, _from_dag, _Nodes, is_reserved_ident)
 
 # comment | identifier | arity | arrow | any other visible character
 _TOKEN_RE = re.compile(rf"#[^\n]*|{IDENT_RE.pattern}|[0-9]+|->|\S")
@@ -122,16 +123,16 @@ class _Parser:
         self.pos += 1
         return at, arity
 
-    def term(self, arities: dict[Ident, int], variables: dict[Ident, Var]) -> Term:
-        """One term, parsed on an explicit stack of open applications.  Every
-        occurrence of a variable is its one `Var` in `variables`."""
+    def term(self, arities: dict[Ident, int], nodes: _Nodes) -> int:
+        """One term's DAG node, parsed on an explicit stack of open
+        applications; each is interned in `nodes` when it closes."""
         toks, i = self.toks, self.pos
-        stack: list[tuple[int, list[Term]]] = []  # (symbol's index, outer args)
-        args: list[Term] = []  # the innermost open application's arguments
+        stack: list[tuple[int, list[int]]] = []  # (symbol's index, outer args)
+        args: list[int] = []  # the innermost open application's argument nodes
         while True:
             tok = toks[i]
-            if tok in variables and toks[i + 1] != "(":
-                args.append(variables[tok])
+            if tok in nodes and toks[i + 1] != "(":
+                args.append(nodes[tok])
                 i += 1
             elif tok in arities and toks[i + 1] == "(":
                 stack.append((i, args))
@@ -158,7 +159,7 @@ class _Parser:
                 if len(args) != arities[symbol]:
                     self.fail(f"arity mismatch: {symbol!r} declared "
                               f"/{arities[symbol]}, applied to {len(args)}", at)
-                outer.append(App(symbol, tuple(args)))
+                outer.append(nodes[symbol, tuple(args)])
                 args = outer
                 i += 1
             if not stack:
@@ -180,8 +181,8 @@ class _Parser:
         return tuple(self.toks[at] for at in ats)
 
     def header(self, keyword: str, what: str):
-        """`keyword names; sig symbols;` as the names, the symbols' arities
-        in declaration order, and one `Var` per name."""
+        """`keyword names; sig symbols;` as the symbols' arities in
+        declaration order and a hash-consing table over the names."""
         names = self.names_block(keyword)
         self.take("sig")
         symbols = self.listed(self.symbol)
@@ -194,34 +195,34 @@ class _Parser:
         for v in names:
             if v in arities:
                 self.fail(f"{v!r} is both {what} and a symbol")
-        return names, arities, {v: Var(v) for v in names}
+        return arities, _Nodes(names)
 
     def system(self) -> TermSystem:
-        variables, arities, declared = self.header("vars", "a variable")
-        equations = []
+        arities, nodes = self.header("vars", "a variable")
+        sides = []
         while self.here == "eq":
             self.pos += 1
-            lhs = self.term(arities, declared)
+            sides.append(self.term(arities, nodes))
             self.take("=")
-            equations.append(Equation(lhs, self.term(arities, declared)))
+            sides.append(self.term(arities, nodes))
             self.take(";")
         self.take("}")
-        return TermSystem(variables, Signature(tuple(arities.items())),
-                          tuple(equations))
+        return _from_dag(TermSystem, Signature(tuple(arities.items())),
+                         nodes.dag(sides))
 
     def dispersion(self) -> DispersionSpec:
-        inputs, arities, declared = self.header("inputs", "an input")
+        arities, nodes = self.header("inputs", "an input")
         self.take("outputs")
-        outputs = [self.term(arities, declared)]
+        outputs = [self.term(arities, nodes)]
         while self.here == ",":
             self.pos += 1
-            outputs.append(self.term(arities, declared))
+            outputs.append(self.term(arities, nodes))
         self.take(";")
         self.take("}")
-        if not inputs:
+        if not nodes.inputs:
             self.fail("dispersion spec needs at least one input")
-        return DispersionSpec(inputs, Signature(tuple(arities.items())),
-                              tuple(outputs))
+        return _from_dag(DispersionSpec, Signature(tuple(arities.items())),
+                         nodes.dag(outputs))
 
     def graph(self) -> DependencyGraph:
         toks = self.toks

@@ -154,44 +154,32 @@ class PipelineReport:
     is_cfnf: bool
 
 
-def _shallow(eq: Equation):
-    """`f(vars) = v` (either way round) as a NormalEquation, `x = y` as an
-    equality pair, anything else as None: it needs auxiliaries."""
-    lhs, rhs = eq.lhs, eq.rhs
-    for app, var in ((lhs, rhs), (rhs, lhs)):
-        if (isinstance(app, App) and isinstance(var, Var)
-                and all(isinstance(a, Var) for a in app.args)):
-            return NormalEquation(app.symbol, tuple(a.name for a in app.args),
-                                  var.name)
-    if isinstance(lhs, Var) and isinstance(rhs, Var):
-        return (lhs.name, rhs.name)
-    return None
-
-
 def flatten(system: TermSystem) -> NormalSystem:
     """Rewrite to depth-1 equations over the original variables plus
     auxiliaries.
 
-    Equations already of shape `f(vars) = v` (either orientation) pass
-    through untouched.  `x = y` becomes a variable equality.  Anything else
-    gets one auxiliary per distinct application subterm, shared across the
-    whole system, with a variable equality tying the two sides' handles.
-    `_z<i>` is the i-th op of `system.dag` that a post-order walk (children
-    left to right) from those equations' sides reaches; each equation
-    defines the ops its two sides reach first.
+    An equation's shape is read off its two roots in `system.dag`, never
+    off its trees.  An op over variables against a variable (`f(vars) = v`,
+    either way round) passes through untouched.  `x = y` becomes a variable
+    equality.  Anything else gets one auxiliary per distinct application
+    subterm, shared across the whole system, with a variable equality tying
+    the two sides' handles.  `_z<i>` is the i-th op of `system.dag` that a
+    post-order walk (children left to right) from those equations' sides
+    reaches; each equation defines the ops its two sides reach first.
     """
     dag, k = system.dag, len(system.variables)
     names = dict(enumerate(system.variables))  # DAG node -> variable name
     roots = iter(dag.outputs)
     equations: list[NormalEquation] = []
     equalities: list[tuple[Ident, Ident]] = []
-    for eq in system.equations:
-        lhs, rhs = next(roots), next(roots)
-        flat = _shallow(eq)
-        if isinstance(flat, NormalEquation):
-            equations.append(flat)
-        elif flat is not None:
-            equalities.append(flat)
+    for lhs, rhs in zip(roots, roots):
+        op, var = (lhs, rhs) if rhs < k else (rhs, lhs)  # var < k: a variable
+        if op < k:
+            equalities.append((names[lhs], names[rhs]))
+        elif var < k and all(c < k for c in dag.ops[op - k][1]):
+            symbol, children = dag.ops[op - k]
+            equations.append(NormalEquation(
+                symbol, tuple(names[c] for c in children), names[var]))
         else:
             stack = [rhs, lhs]
             while stack:

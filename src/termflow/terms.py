@@ -11,15 +11,16 @@ lexicographically (first argument most significant), which fixes a canonical
 integer encoding of every table; the oracle module's enumerator counts
 through exactly that encoding.
 
-A system or spec hash-conses its terms into one `TermDag` (`.dag`) as it
-is built; equality and hashing compare the DAG.  No term walk recurses.
+A system or spec hash-conses its terms into one `TermDag` (`.dag`): the
+parser as it reads them, a constructor through `term_dag`.  Equality and
+hashing compare the DAG.  No term walk recurses.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import EvalError, ValidationError
@@ -165,14 +166,30 @@ class TermDag:
         return [done[node] for node in nodes]
 
 
+class _Nodes(dict):
+    """The one hash-consing table, shared by `term_dag` and the parser: each
+    input's name, then each op's key (symbol, child node ids), maps to its
+    node id, numbered in first-lookup order.  Inputs must be distinct."""
+
+    def __init__(self, inputs):
+        self.inputs = tuple(inputs)
+        super().__init__(zip(self.inputs, itertools.count()))
+
+    def __missing__(self, key) -> int:
+        self[key] = node = len(self)
+        return node
+
+    def dag(self, outputs) -> TermDag:  # every op so far, with these roots
+        ops = itertools.islice(self, len(self.inputs), None)
+        return TermDag(self.inputs, tuple(ops), tuple(outputs))
+
+
 def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
-    """Hash-cons `terms` over the variables `inputs` into one DAG, keying
-    nodes on (symbol, child node ids) and walking an explicit stack, so any
-    depth costs linear time.  Ops come out in first-encounter post-order.
-    A variable outside `inputs` raises ValidationError."""
-    # variables are keyed by name, ops by (symbol, child node ids)
-    ids: dict[object, int] = {name: i for i, name in enumerate(inputs)}
-    ops: list[tuple[Ident, tuple[int, ...]]] = []
+    """Hash-cons `terms` over the variables `inputs` into one DAG, walking
+    an explicit stack, so any depth costs linear time.  Ops come out in
+    first-encounter post-order.  A variable outside `inputs` raises
+    ValidationError."""
+    nodes = _Nodes(inputs)
     outputs = []
     for term in terms:
         stack: list[tuple[Term, bool]] = [(term, False)]
@@ -180,23 +197,17 @@ def term_dag(inputs: tuple[Ident, ...], terms) -> TermDag:
         while stack:
             t, expanded = stack.pop()
             if isinstance(t, Var):
-                if t.name not in ids:
+                if t.name not in nodes:
                     raise ValidationError(f"undeclared variable {t.name!r}")
-                done.append(ids[t.name])
+                done.append(nodes[t.name])
             elif not expanded:
                 stack.append((t, True))
                 stack.extend((a, False) for a in reversed(t.args))
             else:
                 split = len(done) - len(t.args)
-                key = (t.symbol, tuple(done[split:]))
-                del done[split:]
-                node = ids.get(key)
-                if node is None:
-                    ids[key] = node = len(inputs) + len(ops)
-                    ops.append(key)
-                done.append(node)
+                done[split:] = [nodes[t.symbol, tuple(done[split:])]]
         outputs.append(done[0])
-    return TermDag(tuple(inputs), tuple(ops), tuple(outputs))
+    return nodes.dag(outputs)
 
 
 def _validated_dag(names, what: str, signature: Signature, terms) -> TermDag:
@@ -265,6 +276,21 @@ class DispersionSpec:
     @property
     def r(self) -> int:
         return len(self.outputs)
+
+
+def _from_dag(cls, signature: Signature, dag: TermDag):
+    """A TermSystem or DispersionSpec over a DAG that the parser has checked
+    as `_validated_dag` would; its trees are read off the DAG, node by node."""
+    terms = [Var(v) for v in dag.inputs]
+    for symbol, children in dag.ops:
+        terms.append(App(symbol, tuple([terms[c] for c in children])))
+    roots = tuple(terms[node] for node in dag.outputs)
+    if cls is TermSystem:
+        roots = tuple(map(Equation, roots[::2], roots[1::2]))
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), (dag.inputs, signature, roots, dag)):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 def table_index(n: int, args: tuple[int, ...]) -> int:

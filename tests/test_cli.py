@@ -251,6 +251,24 @@ def test_dot_files_are_written(tmp_path):
     assert net.read_text().startswith("digraph network {")
 
 
+@pytest.mark.parametrize("target,reason", [
+    ("missing/x.dot", "No such file or directory"),
+    (".", "Is a directory"),
+])
+@pytest.mark.parametrize("command,name", [
+    ("normalize", "fx.inst"), ("exponent", "diamond.disp"), ("graph", "fx.inst"),
+])
+def test_unwritable_dot_path_exits_2(tmp_path, command, name, target, reason):
+    """An unwritable --dot path is an input error, like an unreadable file:
+    exit 2, one line on stderr, and no report."""
+    dot = tmp_path / target
+    proc = run_cli(command, path(name), "--dot", str(dot))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode() == f"error: cannot write {dot}: {reason}\n"
+
+
 def test_graph_command_reports_structure():
     proc = run_cli("graph", path("index_coding.inst"))
     result = json.loads(proc.stdout)["result"]

@@ -10,8 +10,9 @@ from termflow.corpus import corpus_names, corpus_path
 from termflow.depgraph import DependencyGraph
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import ParseError
+from termflow import terms
 from termflow.terms import (App, DispersionSpec, Equation, Signature,
-                            TermSystem, Var)
+                            TermSystem, Var, term_dag)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -152,6 +153,42 @@ def _systems(draw):
 @given(_systems())
 def test_render_parse_round_trip_random(system):
     assert parse(render(system)) == system
+
+
+def _check_parsed_dag(obj):
+    """The parser's DAG is `term_dag` of the object's trees, and the public
+    constructor, which validates and builds its own DAG, rebuilds an equal
+    object with an equal hash from the same fields."""
+    if isinstance(obj, TermSystem):
+        trees = [t for eq in obj.equations for t in (eq.lhs, eq.rhs)]
+        assert obj.dag == term_dag(obj.variables, trees)
+        again = TermSystem(obj.variables, obj.signature, obj.equations)
+    else:
+        assert obj.dag == term_dag(obj.inputs, obj.outputs)
+        again = DispersionSpec(obj.inputs, obj.signature, obj.outputs)
+    assert again == obj and hash(again) == hash(obj)
+
+
+@given(_systems())
+def test_parsed_dag_is_the_term_dag_of_the_trees(system):
+    parsed = parse(render(system))
+    assert parsed.dag == system.dag
+    _check_parsed_dag(parsed)
+
+
+def test_parse_builds_no_dag_through_term_dag(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return term_dag(*args)
+
+    monkeypatch.setattr(terms, "term_dag", counting)
+    system = parse(corpus_path("index_coding.inst").read_text())
+    parse(corpus_path("diamond.disp").read_text())
+    assert calls == []
+    TermSystem(system.variables, system.signature, system.equations)
+    assert len(calls) == 1  # a public constructor builds one
 
 
 def test_round_trip_and_hash_at_depth_100000():
@@ -414,3 +451,14 @@ def test_stray_character_is_reported_first(text):
                 f"unexpected character {c!r}", line, col)
     else:
         assert stray is None
+
+
+@given(_mutated_corpus_text())
+def test_parsed_dag_of_mutated_corpus_text(text):
+    """Whatever the parser accepts, the public constructors accept too."""
+    try:
+        obj = parse(text)
+    except ParseError:
+        return
+    if not isinstance(obj, DependencyGraph):
+        _check_parsed_dag(obj)

@@ -287,9 +287,25 @@ def test_quotients_append_to_a_merges_sink(name):
     assert tuple(merges) == rep.merges
 
 
+def _shallow(eq):
+    """The tree rule for an equation's shape: `f(vars) = v` (either way
+    round) as a NormalEquation, `x = y` as an equality pair, anything else
+    as None: it needs auxiliaries."""
+    lhs, rhs = eq.lhs, eq.rhs
+    for app, var in ((lhs, rhs), (rhs, lhs)):
+        if (isinstance(app, App) and isinstance(var, Var)
+                and all(isinstance(a, Var) for a in app.args)):
+            return NormalEquation(app.symbol, tuple(a.name for a in app.args),
+                                  var.name)
+    if isinstance(lhs, Var) and isinstance(rhs, Var):
+        return (lhs.name, rhs.name)
+    return None
+
+
 def _recursive_flatten(system):
-    """Flattening as a recursive walk keyed on whole subterms: the
-    reference for auxiliary numbering and equation order."""
+    """Flattening as a recursive walk of the trees keyed on whole subterms,
+    with `_shallow` picking each equation's shape: the reference for
+    auxiliary numbering and equation order."""
     aux, equations, equalities = {}, [], []
 
     def handle(t):
@@ -302,23 +318,56 @@ def _recursive_flatten(system):
         return aux[t]
 
     for eq in system.equations:
-        flat = [(app, var) for app, var in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
-                if isinstance(app, App) and isinstance(var, Var)
-                and all(isinstance(a, Var) for a in app.args)]
-        if flat:
-            app, var = flat[0]
-            equations.append((app.symbol, tuple(a.name for a in app.args),
-                              var.name))
-        elif isinstance(eq.lhs, Var) and isinstance(eq.rhs, Var):
-            equalities.append((eq.lhs.name, eq.rhs.name))
+        flat = _shallow(eq)
+        if isinstance(flat, NormalEquation):
+            equations.append((flat.symbol, flat.args, flat.defined))
+        elif flat is not None:
+            equalities.append(flat)
         else:
             equalities.append((handle(eq.lhs), handle(eq.rhs)))
     return equations, tuple(equalities), tuple(aux.values())
 
 
+@st.composite
+def _shaped_systems(draw):
+    """Systems over x, y, z and c/0, f/1, g/2 whose equations take every
+    shape flatten tells apart: `f(vars) = v` either way round, `x = y` and
+    `x = x`, constants `c() = v`, two equal sides (`f(x) = f(x)`), and
+    nested sides."""
+    variables = ("x", "y", "z")
+    symbols = (("c", 0), ("f", 1), ("g", 2))
+
+    def term(depth):
+        if depth == 0 or draw(st.booleans()):
+            return Var(draw(st.sampled_from(variables)))
+        name, arity = draw(st.sampled_from(symbols))
+        return App(name, tuple(term(depth - 1) for _ in range(arity)))
+
+    def flat():  # an application to variables only, constants included
+        name, arity = draw(st.sampled_from(symbols))
+        return App(name, tuple(term(0) for _ in range(arity)))
+
+    shapes = [lambda: (flat(), term(0)), lambda: (term(0), flat()),
+              lambda: (term(0), term(0)), lambda: (term(2),) * 2,
+              lambda: (term(3), term(3))]
+    eqs = tuple(Equation(*draw(st.sampled_from(shapes))())
+                for _ in range(draw(st.integers(1, 4))))
+    return TermSystem(variables, Signature(symbols), eqs)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_term_systems())
 def test_flatten_matches_recursive_reference(system):
+    flat = flatten(system)
+    assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
+        _recursive_flatten(system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_systems())
+def test_flatten_shapes_match_the_tree_rule(system):
+    """flatten reads each equation's shape off its two DAG roots; the
+    reference reads it off the trees with `_shallow`."""
     flat = flatten(system)
     assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
         _recursive_flatten(system)
