@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .terms import DispersionSpec, TermDag, term_vars
+from .terms import DispersionSpec, TermDag
 
 
 def build_dag(spec: DispersionSpec) -> TermDag:
@@ -246,9 +246,14 @@ def decide_threshold(spec: DispersionSpec, d: int) -> ThresholdDecision:
 def decide_perfect_r1(spec: DispersionSpec) -> bool:
     """Single-output perfect dispersion: attainable iff the output term
     contains any variable occurrence (a projection-like table then maps
-    onto the whole alphabet)."""
+    onto the whole alphabet).  The DAG of one output holds only what the
+    output reaches, so that is: the root is an input, or some op has an
+    input child."""
     if spec.r != 1:
         raise PreconditionError(
             f"perfect-dispersion decision is implemented for r=1 only, "
             f"got r={spec.r}")
-    return next(term_vars(spec.outputs[0]), None) is not None
+    dag = spec.dag
+    k = len(dag.inputs)
+    return dag.outputs[0] < k or any(c < k for _, children in dag.ops
+                                     for c in children)

@@ -13,7 +13,11 @@ through exactly that encoding.
 
 A system or spec hash-conses its terms into one `TermDag` (`.dag`): the
 parser as it reads them, a constructor through `term_dag`.  Equality and
-hashing compare the DAG.  No term walk recurses.
+hashing compare the DAG.  A parsed system or spec holds only its names,
+signature and DAG; its `Var`/`App` trees (`equations`/`outputs`) are read
+off the DAG by `_dag_trees` the first time something reads them, and kept.
+The polynomial commands and the scan kernel read only the DAG, so only the
+scalar route and the constructions build trees.  No term walk recurses.
 """
 
 from __future__ import annotations
@@ -236,6 +240,29 @@ class Equation:
     rhs: Term
 
 
+def _dag_trees(dag: TermDag) -> tuple[Term, ...]:
+    """The tree of each DAG root, read off node by node: the one builder of
+    a parsed object's trees."""
+    terms = [Var(v) for v in dag.inputs]
+    for symbol, children in dag.ops:
+        terms.append(App(symbol, tuple([terms[c] for c in children])))
+    return tuple(terms[node] for node in dag.outputs)
+
+
+def _trees_on_demand(obj, name: str):
+    """`__getattr__` of TermSystem and DispersionSpec, so reached only for
+    an attribute the instance lacks.  A parsed one lacks its trees (its third
+    field) until the first read, which builds them and keeps them."""
+    if name != fields(obj)[2].name:
+        raise AttributeError(
+            f"{type(obj).__name__!r} object has no attribute {name!r}")
+    roots = _dag_trees(obj.dag)
+    if name == "equations":
+        roots = tuple(map(Equation, roots[::2], roots[1::2]))
+    object.__setattr__(obj, name, roots)
+    return roots
+
+
 @dataclass(frozen=True)
 class TermSystem:
     """Variables, signature, and term equations; every variable used in an
@@ -250,6 +277,8 @@ class TermSystem:
         object.__setattr__(self, "dag", _validated_dag(
             self.variables, "variable", self.signature,
             [t for eq in self.equations for t in (eq.lhs, eq.rhs)]))
+
+    __getattr__ = _trees_on_demand
 
 
 @dataclass(frozen=True)
@@ -269,27 +298,25 @@ class DispersionSpec:
         object.__setattr__(self, "dag", _validated_dag(
             self.inputs, "input", self.signature, self.outputs))
 
+    __getattr__ = _trees_on_demand
+
     @property
     def k(self) -> int:
         return len(self.inputs)
 
     @property
     def r(self) -> int:
-        return len(self.outputs)
+        return len(self.dag.outputs)
 
 
 def _from_dag(cls, signature: Signature, dag: TermDag):
     """A TermSystem or DispersionSpec over a DAG that the parser has checked
-    as `_validated_dag` would; its trees are read off the DAG, node by node."""
-    terms = [Var(v) for v in dag.inputs]
-    for symbol, children in dag.ops:
-        terms.append(App(symbol, tuple([terms[c] for c in children])))
-    roots = tuple(terms[node] for node in dag.outputs)
-    if cls is TermSystem:
-        roots = tuple(map(Equation, roots[::2], roots[1::2]))
+    as `_validated_dag` would.  It holds only its names, signature and DAG;
+    its trees are built by `_trees_on_demand` if something reads them."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), (dag.inputs, signature, roots, dag)):
-        object.__setattr__(obj, f.name, value)
+    object.__setattr__(obj, fields(cls)[0].name, dag.inputs)
+    object.__setattr__(obj, "signature", signature)
+    object.__setattr__(obj, "dag", dag)
     return obj
 
 
@@ -402,11 +429,15 @@ def assignments(variables: tuple[Ident, ...], n: int) -> Iterator[dict[Ident, in
 
 
 def instance_size(obj: Union[TermSystem, DispersionSpec]) -> int:
-    """Occurrence count plus equation (resp. output) count."""
+    """Occurrence count plus equation (resp. output) count, in one pass of
+    node sizes over the DAG, summed at the roots."""
+    if not isinstance(obj, (TermSystem, DispersionSpec)):
+        raise ValidationError(f"instance_size undefined for {type(obj).__name__}")
+    dag = obj.dag
+    sizes = [1] * len(dag.inputs)  # occurrences in each node's term
+    for _, children in dag.ops:
+        sizes.append(1 + sum([sizes[c] for c in children]))
+    count = len(dag.outputs)  # roots: two per equation, one per output
     if isinstance(obj, TermSystem):
-        occ = sum(term_size(eq.lhs) + term_size(eq.rhs) for eq in obj.equations)
-        return occ + len(obj.equations)
-    if isinstance(obj, DispersionSpec):
-        occ = sum(term_size(t) for t in obj.outputs)
-        return occ + len(obj.outputs)
-    raise ValidationError(f"instance_size undefined for {type(obj).__name__}")
+        count //= 2
+    return sum([sizes[node] for node in dag.outputs]) + count

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import termflow
 from termflow import cli
-from termflow.corpus import corpus_path
+from termflow.corpus import corpus_names, corpus_path
 
 
 def run_cli(*args, env_extra=None):
@@ -533,3 +533,38 @@ def test_normalize_report_keys():
                            "is_collision_free", "is_cfnf", "system"}
     assert all(set(m) == {"kept", "removed", "stage"}
                for m in result["merges"]) and result["merges"]
+
+
+def test_parsed_inputs_build_no_tree(monkeypatch, tmp_path):
+    """The polynomial commands and the kernel scans read only a parsed
+    input's DAG: no command below builds its `Var`/`App` trees.  `brute
+    embed` re-counts through the scalar route, so it builds them on demand."""
+    from termflow import terms
+    build, calls = terms._dag_trees, []
+
+    def counting(dag):
+        calls.append(dag)
+        return build(dag)
+
+    monkeypatch.setattr(terms, "_dag_trees", counting)
+    dot = str(tmp_path / "out.dot")
+    runs = [("normalize", "index_coding.inst"),
+            ("normalize", "flatten_nested.inst", "--diversify"),
+            ("normalize", "collision.inst", "--dot", dot),
+            ("exponent", "diamond.disp", "--certificate"),
+            ("threshold", "shared_subterm.disp", "-d", "1"),
+            ("graph", "cycle3.inst"),
+            ("brute", "disp", "diamond.disp", "-n", "2"),
+            ("brute", "solve", "fx.inst", "-n", "2"),
+            ("brute", "perfect", "nested_r1.disp", "-n", "2"),
+            ("brute", "guess", "two_cycle.inst", "-n", "2")]
+    names = set(corpus_names())
+    for argv in runs:
+        code, _, err = _main(*[path(a) if a in names else a for a in argv])
+        assert code == 0, (argv, err)
+        assert calls == [], argv
+    code, out, err = _main("brute", "embed", path("single_fn.disp"), "-n", "2")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert len(calls) == 1  # the spec's outputs, built once for the recount
+    assert result["equal"] and result["embedded"]["value"] == 2

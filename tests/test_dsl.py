@@ -12,7 +12,8 @@ from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import ParseError
 from termflow import terms
 from termflow.terms import (App, DispersionSpec, Equation, Signature,
-                            TermSystem, Var, term_dag)
+                            TermSystem, Var, instance_size, term_dag,
+                            term_size)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -21,6 +22,8 @@ def test_corpus_round_trip(name):
     obj = parse(text)
     again = parse(render(obj))
     assert again == obj
+    if not isinstance(obj, DependencyGraph):
+        _check_trees_on_demand(text)
 
 
 @pytest.mark.parametrize("name,cls", [
@@ -174,6 +177,7 @@ def test_parsed_dag_is_the_term_dag_of_the_trees(system):
     parsed = parse(render(system))
     assert parsed.dag == system.dag
     _check_parsed_dag(parsed)
+    _check_trees_on_demand(render(system), system.equations)
 
 
 def test_parse_builds_no_dag_through_term_dag(monkeypatch):
@@ -462,3 +466,47 @@ def test_parsed_dag_of_mutated_corpus_text(text):
         return
     if not isinstance(obj, DependencyGraph):
         _check_parsed_dag(obj)
+        _check_trees_on_demand(text)
+
+
+# ---- trees on demand ---------------------------------------------------------
+
+
+def _tree_instance_size(obj):
+    """`instance_size` by walking the trees, as it was before it read the DAG."""
+    if isinstance(obj, TermSystem):
+        occ = sum(term_size(eq.lhs) + term_size(eq.rhs) for eq in obj.equations)
+        return occ + len(obj.equations)
+    return sum(term_size(t) for t in obj.outputs) + len(obj.outputs)
+
+
+def _check_trees_on_demand(text, trees=None):
+    """A parsed system or spec holds no trees until something reads them.
+    The first read keeps them, changes neither `==`, `hash` nor `repr`, and
+    the public constructor rebuilds an equal object from them.  `trees`,
+    when given, are the trees the text was rendered from."""
+    obj, twin = parse(text), parse(text)
+    name = "equations" if isinstance(obj, TermSystem) else "outputs"
+    size, digest, same = instance_size(obj), hash(obj), obj == twin
+    assert name not in vars(obj) and name not in vars(twin)
+    read = getattr(obj, name)
+    assert vars(obj)[name] is read and getattr(obj, name) is read
+    assert same and obj == twin and hash(obj) == digest == hash(twin)
+    assert repr(twin) == repr(obj)  # twin's first read is its repr's
+    if trees is not None:
+        assert read == trees
+    names = obj.variables if name == "equations" else obj.inputs
+    again = type(obj)(names, obj.signature, read)
+    assert again == obj and hash(again) == digest and repr(again) == repr(obj)
+    assert size == _tree_instance_size(again)
+
+
+def _spec_of(system):
+    """A spec whose outputs are a system's equation sides."""
+    sides = (t for eq in system.equations for t in (eq.lhs, eq.rhs))
+    return DispersionSpec(system.variables, system.signature, tuple(sides))
+
+
+@given(_systems().map(_spec_of))
+def test_spec_trees_on_demand(spec):
+    _check_trees_on_demand(render(spec), spec.outputs)

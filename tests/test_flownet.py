@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from termflow import cli
 from termflow.corpus import corpus_names, corpus_path
+from termflow.dsl import parse, render
 from termflow.errors import PreconditionError
 from termflow.flownet import (_Dinic, build_dag, build_network,
                               cut_certificate, decide_perfect_r1,
                               decide_threshold, dispersion_exponent,
                               max_flow, network_dot)
 from termflow.normalize import pad_dispersion
-from termflow.terms import App, DispersionSpec, Signature, Var, render_term
+from termflow.terms import (App, DispersionSpec, Signature, Var, render_term,
+                            term_vars)
 from corpus_loader import load
 
 
@@ -175,6 +177,17 @@ def test_perfect_r1_syntactic_decision():
     assert decide_perfect_r1(load("constants.disp")) is False
     with pytest.raises(PreconditionError):
         decide_perfect_r1(load("diamond.disp"))
+    nested = "dispersion {{ inputs x; sig c/0, g/2; outputs {}; }}"
+    assert decide_perfect_r1(parse(nested.format("g(c(), c())"))) is False
+    assert decide_perfect_r1(parse(nested.format("g(c(), x)"))) is True
+    for spec in map(load, corpus_names(".disp")):
+        if spec.r == 1:
+            assert decide_perfect_r1(spec) is _has_variable(spec.outputs[0])
+
+
+def _has_variable(term) -> bool:
+    """The tree rule `decide_perfect_r1` used: any variable occurrence."""
+    return next(term_vars(term), None) is not None
 
 
 _inputs = st.sampled_from(("a", "b", "c"))
@@ -196,6 +209,14 @@ def _specs(draw):
     outputs = tuple(term(2) for _ in range(draw(st.integers(1, 3))))
     return DispersionSpec(inputs=inputs, signature=Signature(symbols=symbols),
                           outputs=outputs)
+
+
+@given(_specs())
+def test_perfect_r1_matches_the_tree_rule_on_random_specs(spec):
+    single = DispersionSpec(spec.inputs, spec.signature, spec.outputs[-1:])
+    parsed = parse(render(single))
+    assert decide_perfect_r1(single) is _has_variable(single.outputs[0])
+    assert decide_perfect_r1(parsed) is _has_variable(single.outputs[0])
 
 
 @settings(max_examples=80, deadline=None)
