@@ -2,19 +2,19 @@
 
 This is the only termflow module that imports numpy, and `oracle` loads it
 only once a search has passed its budget check, so commands that never
-scan never load numpy.  `oracle` keeps the budgets, the result types, the
-scalar reference route and the constructions; nothing here is public.
+scan never load numpy.  `oracle` keeps budgets, result types, the scalar
+route and constructions; it calls only `_scan`, `_first_mismatch`, `_witness`.
 
 `_chunks` scans the whole grid of interpretations x assignments.  It
 decodes a chunk of consecutive interpretation indices as base-n digit rows
 (`_Digits`, the one table decoder, also behind `_witness`), evaluates each
 node of the system's or spec's term DAG (`.dag`) once per chunk, with one
-gather, over the inputs the node depends on, and reduces per
-interpretation: a `count_nonzero` of the satisfied assignments, or a sort
-of the output tuple codes for image sizes.  `_scan` runs once, in this
-process, over the whole index range.  Results are independent of chunking:
-chunks reduce in index order to (max value, least index attaining it), and
-early-exit searches stop at the hit.
+gather, over the inputs the node depends on, and yields the indices it
+evaluated with their values: a `count_nonzero` of the satisfied
+assignments, or a sort of the output tuple codes for image sizes.  `_scan`
+runs once, in this process, over the whole index range.  Chunks reduce in
+index order to (max value, least index attaining it), and early-exit
+searches stop at the hit, so no result depends on chunking.
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
@@ -84,9 +84,9 @@ def _low_digits(symbols, n: int, k: int) -> int:
 
 def _chunks(kind: str, symbols, dag: TermDag, n: int,
             low: int | None = None):
-    """The scan kernel: yield (first index, per-interpretation values) for
-    every interpretation of `symbols`, in chunks of n^low, evaluating the
-    term DAG `dag`.  The n^w indices split into whole chunks.
+    """The scan kernel: yield (indices, values) for the interpretations of
+    `symbols` it evaluates, in increasing index order, one pair per chunk
+    of n^low indices (n^w splits into whole chunks), evaluating `dag`.
 
     Each DAG node is evaluated once per chunk, over the inputs it depends
     on: its value has one axis per input (size n, or 1 off its support)
@@ -94,9 +94,9 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
     distinct output tuples.  From n = _PRUNE_MIN_N only the indices
-    `_least_in_orbit` keeps are evaluated and the others read -1: the max
-    value, its least index and the least index reaching a target stay
-    those of the unpruned scan."""
+    `_least_in_orbit` keeps are evaluated, and a chunk it empties yields
+    nothing: the max value, its least index and the least index reaching a
+    target stay those of the unpruned scan."""
     k = len(dag.inputs)
     if low is None:
         low = _low_digits(symbols, n, k)
@@ -121,7 +121,6 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
         if swaps:
             cols = _least_in_orbit(rows[:high, 0].tolist(), base, swaps)
             if not len(cols):  # common at n >= 4, past the low indices
-                yield base, np.full(size, -1, dtype=np.int64)
                 continue
             view = rows[:, cols]
         vals = list(inputs)
@@ -138,11 +137,7 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
                                                       off * size + cols)))
             for c in dead:
                 vals[c] = None
-        out = reduce(dag, vals, n, k, len(cols))
-        if swaps:
-            out, kept = np.full(size, -1, dtype=np.int64), out
-            out[cols] = kept
-        yield base, out
+        yield base + cols, reduce(dag, vals, n, k, len(cols))
 
 
 def _transpositions(symbols, digits: _Digits):
@@ -248,14 +243,25 @@ def _scan(kind: str, symbols, dag: TermDag, n: int,
     index of it, least index reaching `target` or None).  A hit ends the
     scan, so the best value then covers only the chunks up to the hit."""
     best_v, best_i = -1, -1
-    for pos, vals in _chunks(kind, symbols, dag, n):
-        mx = int(vals.max())
-        if mx > best_v:
-            best_v = mx
-            best_i = pos + int(vals.argmax())
-        if target is not None and mx >= target:
-            return best_v, best_i, pos + int(np.argmax(vals >= target))
+    for indices, vals in _chunks(kind, symbols, dag, n):
+        at = int(vals.argmax())
+        if vals[at] > best_v:
+            best_v, best_i = int(vals[at]), int(indices[at])
+        if target is not None and vals[at] >= target:
+            return best_v, best_i, int(indices[np.argmax(vals >= target)])
     return best_v, best_i, None
+
+
+def _first_mismatch(symbols, dag_a: TermDag, dag_b: TermDag, n: int):
+    """The least index of `symbols` at which two systems' DAGs differ in
+    solution count, or None.  Both scans share one chunk size, so both keep
+    the same indices, and the least mismatch (S_n-invariant) is kept."""
+    low = min(_low_digits(symbols, n, len(d.inputs)) for d in (dag_a, dag_b))
+    for (indices, ca), (_, cb) in zip(_chunks("count", symbols, dag_a, n, low),
+                                      _chunks("count", symbols, dag_b, n, low)):
+        if (ca != cb).any():
+            return int(indices[(ca != cb).argmax()])
+    return None
 
 
 def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:

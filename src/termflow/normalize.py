@@ -24,6 +24,7 @@ transformed further.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,12 +164,14 @@ def flatten(system: TermSystem) -> NormalSystem:
     either way round) passes through untouched.  `x = y` becomes a variable
     equality.  Anything else gets one auxiliary per distinct application
     subterm, shared across the whole system, with a variable equality tying
-    the two sides' handles.  `_z<i>` is the i-th op of `system.dag` that a
-    post-order walk (children left to right) from those equations' sides
-    reaches; each equation defines the ops its two sides reach first.
+    the two sides' handles.  The ops of `system.dag` that a post-order walk
+    (children left to right) from those sides reaches are `_z0`, `_z1`, ...
+    less any name declared; each equation defines those its sides reach first.
     """
     dag, k = system.dag, len(system.variables)
     names = dict(enumerate(system.variables))  # DAG node -> variable name
+    taken = set(system.variables)
+    fresh = (z for i in itertools.count() if (z := f"_z{i}") not in taken)
     roots = iter(dag.outputs)
     equations: list[NormalEquation] = []
     equalities: list[tuple[Ident, Ident]] = []
@@ -193,7 +196,7 @@ def flatten(system: TermSystem) -> NormalSystem:
                     stack += todo
                     continue
                 stack.pop()
-                names[node] = f"_z{len(names) - k}"
+                names[node] = next(fresh)
                 equations.append(NormalEquation(
                     symbol, tuple(names[c] for c in children), names[node]))
             equalities.append((names[lhs], names[rhs]))

@@ -23,8 +23,9 @@ are the strategies.  Tests pin the two routes against each other, and
 every reported witness can be replayed through the scalar route to
 reproduce its value.
 
-Every search is one `_search` call: the budget check, then one kernel scan
-and its witness decode.  `sandwich_check` and `check_embedding`
+Every search is one `_search` call: the budget check, then one
+`kernel._scan` and its `kernel._witness` decode; `check_counts_preserved`
+is one `kernel._first_mismatch`.  `sandwich_check` and `check_embedding`
 then re-count one witness each through the scalar route: the lift of the
 small diversified witness, and the dispersion witness with decoders that
 send each image point to its least preimage.  Those decoders admit one
@@ -48,8 +49,8 @@ from .depgraph import DependencyGraph, dependency_graph, graph_system
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (DispersionSpec, Ident, Interpretation, Signature, TermDag,
-                    TermSystem, assignments, equation_steps, run_steps,
-                    table_index, term_steps)
+                    TermSystem, assignments, run_steps, table_index,
+                    term_steps)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 
@@ -265,11 +266,11 @@ def _system(system):
 
 def count_solutions(system, interp: Interpretation) -> int:
     """Reference count of satisfying assignments for one interpretation;
-    a normal system is read as a term system."""
-    if isinstance(_system(system), NormalSystem):
-        system = system.to_term_system()
+    a normal system's sides are the pairs its `dag` is built from."""
+    pairs = (system._sides() if isinstance(_system(system), NormalSystem)
+             else ((eq.lhs, eq.rhs) for eq in system.equations))
     interp.validate_against(system.signature)
-    sides = equation_steps(system)
+    sides = [(term_steps(lhs), term_steps(rhs)) for lhs, rhs in pairs]
     total = 0
     for assign in assignments(system.variables, interp.n):
         if all(run_steps(lhs, interp, assign) == run_steps(rhs, interp, assign)
@@ -406,17 +407,10 @@ def check_counts_preserved(before, after, n: int,
         raise PreconditionError("count comparison needs a shared signature")
     per = n ** len(before.variables) + n ** len(after.variables)
     _admit(before.signature, n, 0, budget, per_interp=per)
-    from . import kernel
     used, total = _scan_space(before.signature, n, before.dag, after.dag)
-    low = min(kernel._low_digits(used, n, len(dag.inputs))
-              for dag in (before.dag, after.dag))
-    for (pos, ca), (_, cb) in zip(
-            kernel._chunks("count", used, before.dag, n, low),
-            kernel._chunks("count", used, after.dag, n, low)):
-        if (ca != cb).any():
-            first = pos + int((ca != cb).argmax())
-            return CountPreservation(False, total, first)
-    return CountPreservation(True, total, None)
+    from . import kernel
+    first = kernel._first_mismatch(used, before.dag, after.dag, n)
+    return CountPreservation(first is None, total, first)
 
 
 # ---- constructions verified by re-counting ------------------------------------
@@ -507,7 +501,6 @@ def check_embedding(spec: DispersionSpec, n: int,
     value and witness.  That witness's decoders are synthesized once and
     its solutions re-counted by the reference route.  `evaluations` stays
     the closed form of decoding and re-counting every interpretation."""
-    embedded = embed_dispersion(spec)
     per = n ** spec.k + n ** (spec.k + spec.r)
     _admit(spec.signature, n, 0, budget, per_interp=per)
     dispersion = brute_dispersion(spec, n, budget)
@@ -519,6 +512,7 @@ def check_embedding(spec: DispersionSpec, n: int,
         outs = tuple(run_steps(t, interp, assign) for t in outputs)
         least.setdefault(outs, tuple(assign.values()))
     tables = dict(interp.tables)
+    embedded = embed_dispersion(spec)  # after the scan: a refusal builds none
     decoder_names = embedded.signature.names[len(spec.signature.names):]
     for j, h in enumerate(decoder_names):
         entries = [0] * (n ** spec.r)

@@ -409,16 +409,12 @@ def eval_term(t: Term, interp: Interpretation, assignment: Assignment) -> int:
     return run_steps(term_steps(t), interp, assignment)
 
 
-def equation_steps(system: TermSystem) -> list:
-    """`term_steps` of every equation's (lhs, rhs), for one search."""
-    return [(term_steps(eq.lhs), term_steps(eq.rhs)) for eq in system.equations]
-
-
 def satisfies(system: TermSystem, interp: Interpretation,
               assignment: Assignment) -> bool:
     """True when every equation holds under the interpretation/assignment."""
-    return all(run_steps(lhs, interp, assignment) == run_steps(rhs, interp, assignment)
-               for lhs, rhs in equation_steps(system))
+    return all(eval_term(eq.lhs, interp, assignment)
+               == eval_term(eq.rhs, interp, assignment)
+               for eq in system.equations)
 
 
 def assignments(variables: tuple[Ident, ...], n: int) -> Iterator[dict[Ident, int]]:

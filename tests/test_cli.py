@@ -128,6 +128,22 @@ def test_only_the_kernel_imports_numpy():
     assert importers == {"kernel.py"}
 
 
+def test_only_the_kernel_names_its_chunk_geometry():
+    # `oracle` calls `_scan`, `_first_mismatch` and `_witness`; how a scan
+    # splits into chunks and which n it prunes from stay inside `kernel`
+    package = Path(termflow.__file__).parent
+    private = {"_chunks", "_low_digits", "_CHUNK_CELLS", "_PRUNE_MIN_N"}
+    readers = set()
+    for source in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in private:
+                readers.add(source.name)
+    assert readers == {"kernel.py"}
+
+
 def test_timing_goes_to_stderr_only():
     proc = run_cli("exponent", path("diamond.disp"))
     assert b"elapsed_ms=" in proc.stderr
@@ -537,8 +553,9 @@ def test_normalize_report_keys():
 
 def test_parsed_inputs_build_no_tree(monkeypatch, tmp_path):
     """The polynomial commands and the kernel scans read only a parsed
-    input's DAG: no command below builds its `Var`/`App` trees.  `brute
-    embed` re-counts through the scalar route, so it builds them on demand."""
+    input's DAG: no command below builds its `Var`/`App` trees, nor does a
+    refused `brute embed`.  An admitted `brute embed` re-counts through the
+    scalar route, so it builds them on demand."""
     from termflow import terms
     build, calls = terms._dag_trees, []
 
@@ -563,6 +580,9 @@ def test_parsed_inputs_build_no_tree(monkeypatch, tmp_path):
         code, _, err = _main(*[path(a) if a in names else a for a in argv])
         assert code == 0, (argv, err)
         assert calls == [], argv
+    # a refused embedding builds neither the trees nor the decoder system
+    code, _, err = _main("brute", "embed", path("diamond.disp"), "-n", "4")
+    assert code == 4 and calls == [], err
     code, out, err = _main("brute", "embed", path("single_fn.disp"), "-n", "2")
     assert code == 0, err
     result = json.loads(out)["result"]

@@ -11,6 +11,7 @@ from termflow.normalize import (Merge, NormalEquation, NormalSystem, UnionFind,
                                 classify, collision_quotient, diversify,
                                 embed_dispersion, flatten, pad_dispersion,
                                 pipeline, quotient_vars)
+from termflow.oracle import check_counts_preserved
 from termflow.terms import App, Equation, Signature, TermSystem, Var
 from corpus_loader import load
 
@@ -475,3 +476,16 @@ def test_collision_quotient_rekeys_through_an_absorbed_class():
                       Merge("a", "_z1", "collision_quotient"),
                       Merge("c", "d", "collision_quotient")]
     assert (out, merges) == _fixpoint_collision_quotient(system)
+
+
+@pytest.mark.parametrize("declared,minted", [("_z0", ("_z1", "_z2")),
+                                             ("_z1", ("_z0", "_z2"))])
+def test_flatten_skips_declared_auxiliary_names(declared, minted):
+    # the CLI refuses such names, but the library accepts them
+    system = parse(f"instance {{ vars {declared}, x; sig f/1; "
+                   f"eq f(f(x)) = {declared}; }}", allow_reserved=True)
+    assert flatten(system).auxiliaries == minted
+    norm, _ = pipeline(system)
+    assert check_counts_preserved(system, norm, 3).equal
+    built = TermSystem((declared, "x"), system.signature, system.equations)
+    assert flatten(built) == flatten(system)

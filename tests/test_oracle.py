@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from termflow import kernel, normalize, oracle
+from termflow.corpus import corpus_names
 from termflow.dsl import parse
 
 from termflow.depgraph import (DependencyGraph, add_source_loops,
@@ -360,6 +361,27 @@ def test_graph_system_round_trips(graph):
     assert dependency_graph(system) == graph
     assert system.signature.names == tuple(
         v for v in graph.vertices if v not in graph.sources)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_graphs(), st.sampled_from([1, 2, 3]), st.data())
+def test_game_solutions_are_the_strategy_wins(graph, n, data):
+    # each player is a variable and also the symbol of its own table
+    system = graph_system(graph)
+    strategy = Interpretation(n, {
+        name: tuple(data.draw(st.lists(st.integers(0, n - 1),
+                                       min_size=n ** a, max_size=n ** a)))
+        for name, a in system.signature.symbols})
+    assert count_solutions(system, strategy) == count_winning(graph, strategy)
+
+
+@pytest.mark.parametrize("name", corpus_names(".graph"))
+def test_corpus_game_solutions_are_the_strategy_wins(name):
+    graph = load(name)
+    for n in (2, 3):
+        strategy = brute_guessing(graph, n).witness
+        assert (count_solutions(graph_system(graph), strategy)
+                == count_winning(graph, strategy))
 
 
 def test_kernel_routes_build_no_term_system(monkeypatch):
@@ -788,14 +810,18 @@ def _no_swaps(symbols, digits):
 
 def _kernel_values(kind, obj, n, pruned=False):
     """`_chunks` values per index of the kernel's space (the symbols the
-    DAG uses), unpruned unless `pruned` (then pruned indices read -1)."""
-    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    DAG uses), unpruned unless `pruned`; -1 marks an index the kernel did
+    not evaluate, which only the pruned scan skips."""
+    used, total = oracle._scan_space(obj.signature, n, obj.dag)
     swaps = kernel._transpositions if pruned else _no_swaps
-    out = []
+    out, last = [-1] * total, -1
     with patch.object(kernel, "_transpositions", swaps):
-        for pos, vals in kernel._chunks(kind, used, obj.dag, n):
-            assert pos == len(out)  # chunks are contiguous and in order
-            out.extend(int(v) for v in vals)
+        for indices, vals in kernel._chunks(kind, used, obj.dag, n):
+            assert len(indices) == len(vals) > 0
+            for i, v in zip(indices.tolist(), vals.tolist()):
+                assert i > last  # in increasing index order
+                out[i], last = v, i
+    assert pruned or -1 not in out
     return out
 
 
@@ -1004,6 +1030,22 @@ def test_pruned_scan_matches_unpruned(case, cells, data):
     assert got == want  # value, least index, perfect-hit index
 
 
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_cases(), st.integers(1, 2), st.sampled_from([1, 8, 64, 1 << 18]))
+def test_first_mismatch_aligns_systems_of_different_widths(case, extra, cells):
+    # extra free variables scale every count by n^extra; the two scans
+    # have different widths, so only a shared chunk size keeps them aligned
+    kind, before, n = case
+    assume(kind == "count")
+    after = TermSystem(before.variables + tuple(f"w{i}" for i in range(extra)),
+                       before.signature, before.equations)
+    counts = [_kernel_values("count", s, n) for s in (before, after)]
+    diff = [i for i, (a, b) in enumerate(zip(*counts)) if a != b]
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
+        chk = check_counts_preserved(before, after, n)
+    assert chk.first_mismatch == (diff[0] if diff else None)
+
+
 def _conjugate(interp, arities, sigma):
     """The tables of interp relabelled by the permutation sigma of [n]:
     entry sigma(args) of the new table is sigma(entry args)."""
@@ -1045,6 +1087,36 @@ def test_keep_mask_contains_every_orbit_minimum():
         with patch.object(kernel, "_CHUNK_CELLS", cells):
             values = _kernel_values("count", system, n, pruned=True)
         assert {i for i, v in enumerate(values) if v >= 0} == at_most_swaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(_symmetric_cases())
+def test_kept_indices_are_the_swap_minimal_set(case):
+    kind, obj, n = case
+    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    arities = dict(obj.signature.symbols)
+
+    def index(it):  # the digits of the used tables, most significant first
+        return _table_pos(n, [d for name, _ in used for d in it.tables[name]])
+
+    space = [kernel._witness(obj.signature, used, n, i) for i in range(total)]
+    perms = list(itertools.permutations(range(n)))
+    swaps = [p for p in perms if sum(a != b for a, b in enumerate(p)) == 2]
+    at_most_swaps = {i for i, it in enumerate(space)
+                     if all(i <= index(_conjugate(it, arities, p))
+                            for p in swaps)}
+    least, seen = set(), set()
+    for i, it in enumerate(space):  # the first member met is its orbit's least
+        if i not in seen:
+            least.add(i)
+            seen.update(index(_conjugate(it, arities, p)) for p in perms)
+    for cells in (1, 8, 64, 1 << 18):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
+            kept = [i for indices, _ in kernel._chunks(kind, used, obj.dag, n)
+                    for i in indices.tolist()]
+        assert kept == sorted(set(kept))  # increasing, each index once
+        assert set(kept) == at_most_swaps
+        assert least <= at_most_swaps
 
 
 def test_no_pruning_below_n3(monkeypatch):
