@@ -4,7 +4,11 @@ Every command prints one canonical JSON report on stdout: keys sorted,
 two-space indent, trailing newline.  Reports contain only input-determined
 data (command, input digest, parameters, result, tool version), so repeated
 runs are byte-identical; wall-clock timing goes to stderr.  A `brute` or
-`normalize` result is its record's fields, written out by `_json`.  Every
+`normalize` result is its record's fields, written out by `_json`.  `main`
+writes every report through the one writer, `_write`, byte-identical to
+`json.dumps(report, indent=2, sort_keys=True)` (ASCII-escaped): with an
+indent, Python 3.11's `json.dumps` runs json's pure-Python encoder, which
+on the largest `exponent` reports costs more than the max-flow.  Every
 scan runs in this process; `brute --jobs J` is accepted for compatibility
 and ignored.
 
@@ -24,6 +28,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -192,6 +197,35 @@ def _report(command: str, meta: dict, parameters: dict, result: dict) -> dict:
             "result": result, "version": __version__}
 
 
+# Each scalar's JSON text by its exact type, from C-level callables
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def _write(obj, indent: str = "\n") -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it.
+
+    A float, a subclass or anything else goes through `json.dumps`.  A
+    non-`str` key raises `TypeError`, where json would coerce it and sort
+    it differently."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": "
+            + (_SCALARS[type(x)](x) if type(x) in _SCALARS else _write(x, inner))
+            for key, x in sorted(obj.items())]) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _SCALARS[type(x)](x) if type(x) in _SCALARS else _write(x, inner)
+            for x in obj]) + indent + "]"
+    return json.dumps(obj)
+
+
 @functools.cache  # built on first use, shared by every `main` call
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -263,7 +297,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in _EXIT_CODES)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_write(report))
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
     return code

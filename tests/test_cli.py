@@ -45,12 +45,95 @@ def test_report_shape_and_digest():
     assert report["result"]["min_cut"] == ["w", "x", "y", "z"]
 
 
+# Every command form that accepts a corpus file, by the file's kind
+_FORMS = {
+    ".inst": [("normalize",), ("normalize", "--diversify"), ("graph",),
+              ("graph", "--loops"), ("brute", "solve", "-n", "2"),
+              ("brute", "guess", "-n", "2")],
+    ".graph": [("graph",), ("graph", "--loops"), ("brute", "guess", "-n", "2")],
+    ".disp": [("exponent",), ("exponent", "--certificate"),
+              ("threshold", "-d", "1"), ("brute", "disp", "-n", "2"),
+              ("brute", "perfect", "-n", "2")],
+}
+
+
 def test_stdout_is_canonical_json():
+    """Every report json.dumps(indent=2, sort_keys=True) would write, byte
+    for byte; a refusal or precondition error prints none."""
+    printed = 0
+    for name in corpus_names():
+        for form in _FORMS[Path(name).suffix]:
+            code, out, err = _main(*form, path(name))
+            assert code in (0, 3, 4), (form, name, err)
+            assert (code == 0) == bool(out), (form, name)
+            if out:
+                assert out == json.dumps(json.loads(out), indent=2,
+                                         sort_keys=True) + "\n", (form, name)
+                printed += 1
+    assert printed >= 100
     proc = run_cli("threshold", path("diamond.disp"), "-d", "3")
     text = proc.stdout.decode()
     parsed = json.loads(text)
     assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
     assert parsed["result"]["answer"] == "yes"
+
+
+_TEXT = st.text(st.characters()
+                | st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028')
+                | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+_SCALAR = (_TEXT | st.integers(-(2 ** 130), 2 ** 130)
+           | st.sampled_from([0, 1, True, False, None])
+           | st.floats()
+           | st.sampled_from([-0.0, 1e300, float("inf"), float("-inf"),
+                              float("nan")]))
+_NESTED = st.recursive(
+    _SCALAR, lambda inner: (st.lists(inner, max_size=4)
+                            | st.lists(inner, max_size=4).map(tuple)
+                            | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NESTED)
+def test_writer_is_indented_sorted_json(obj):
+    assert cli._write(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", [1, None, 2.5, True])
+def test_writer_refuses_a_non_str_key(key):
+    # json would write the key coerced to a string, sorted among the rest
+    with pytest.raises(TypeError):
+        cli._write({"a": [{key: 0}]})
+
+
+def _call_name(node):
+    return (node.func.id if isinstance(node.func, ast.Name) else
+            node.func.attr if isinstance(node.func, ast.Attribute) else None)
+
+
+def test_one_report_writer():
+    """No json call indents, and only `cli.main` writes to stdout: every
+    report goes through the one writer, `cli._write`."""
+    package = Path(termflow.__file__).parent
+    writers = []
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        for node in ast.walk(tree):
+            assert getattr(node, "attr", None) != "stdout", source.name
+            if (isinstance(node, ast.Call)
+                    and _call_name(node) in ("dump", "dumps")):
+                assert "indent" not in {k.arg for k in node.keywords}, \
+                    (source.name, node.lineno)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "_write":
+                writers += [(source.name, func.name, _call_name(node))
+                            for node in ast.walk(func)
+                            if isinstance(node, ast.Call)
+                            and (_call_name(node) == "_write"
+                                 or _call_name(node) == "print" and not any(
+                                     k.arg == "file" for k in node.keywords))]
+    assert sorted(writers) == [("cli.py", "main", "_write"),
+                               ("cli.py", "main", "print")]
 
 
 def test_repeated_runs_are_byte_identical():
