@@ -1,33 +1,25 @@
 """Command-line front end.
 
-Every command prints one canonical JSON report on stdout: keys sorted,
-two-space indent, trailing newline.  Reports contain only input-determined
-data (command, input digest, parameters, result, tool version), so repeated
-runs are byte-identical; wall-clock timing goes to stderr.  A `brute` or
-`normalize` result is its record's fields, written out by `_json`.  `main`
-writes every report through the one writer, `_write`, byte-identical to
-`json.dumps(report, indent=2, sort_keys=True)` (ASCII-escaped): with an
-indent, Python 3.11's `json.dumps` runs json's pure-Python encoder, which
-on the largest `exponent` reports costs more than the max-flow.  Every
-scan runs in this process; `brute --jobs J` is accepted for compatibility
-and ignored.
-
-Exit codes: 0 success, 2 parse or input error, 3 precondition violation,
-4 budget refusal, 1 internal error.  TERMFLOW_BUDGET=EVALS[:INTERPS], in
-ASCII digits, overrides the default search budget; --budget beats the
-environment.
+Every command prints one JSON report on stdout, byte-identical across runs
+and written by `_write` as `json.dumps(report, indent=2, sort_keys=True)`
+would, and its wall-clock time on stderr.  `_parse` reads argv with one
+table, `_COMMANDS`; `_USAGE` is the -h/--help text.  Exit codes: 0 success
+(also -h/--help and --version), 2 usage, parse or input error, 3
+precondition violation, 4 budget refusal, 1 internal error.
+TERMFLOW_BUDGET=EVALS[:INTERPS], in ASCII digits, overrides the default
+search budget; --budget beats the environment.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
+import types
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -53,9 +45,8 @@ def _load(path: Path, kind: str):
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
                          f"at byte {exc.start})") from None
-    obj = parse(text, kind)
-    meta = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return obj, meta
+    return parse(text, kind), {"path": str(path),
+                               "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _write_dot(path: str, text: str) -> str:
@@ -101,8 +92,7 @@ def _as_graph(obj) -> DependencyGraph:
     if isinstance(obj, DependencyGraph):
         return obj
     if isinstance(obj, TermSystem):
-        norm, _ = pipeline(obj)
-        return dependency_graph(norm)
+        return dependency_graph(pipeline(obj)[0])
     raise PreconditionError(
         "this command needs a graph or instance input, not a dispersion spec")
 
@@ -116,53 +106,36 @@ def cmd_normalize(args) -> tuple[dict, int]:
         result["diversified"] = render(diversify(norm))
     if args.dot is not None:
         result["dot_path"] = _write_dot(args.dot, to_dot(dependency_graph(norm)))
-    report = _report("normalize", meta,
-                     {"fnf_check": args.fnf_check, "diversify": args.diversify,
-                      "dot": args.dot},
-                     result)
-    return report, (3 if args.fnf_check and not rep.is_fnf else 0)
+    return _report("normalize", meta,
+                   {"fnf_check": args.fnf_check, "diversify": args.diversify,
+                    "dot": args.dot},
+                   result), (3 if args.fnf_check and not rep.is_fnf else 0)
 
 
 def cmd_exponent(args) -> tuple[dict, int]:
     spec, meta = _load(args.file, "dispersion")
     res = dispersion_exponent(spec)
-    result = {"D": res.D, "max_flow_value": res.D,
-              "min_cut": list(res.min_cut)}
+    result = {"D": res.D, "max_flow_value": res.D, "min_cut": list(res.min_cut)}
     if args.certificate:
         result["certificate"] = res.certificate()
     if args.dot is not None:
         result["dot_path"] = _write_dot(args.dot, network_dot(res.network))
-    report = _report("exponent", meta,
-                     {"certificate": args.certificate, "dot": args.dot}, result)
-    return report, 0
+    return _report("exponent", meta,
+                   {"certificate": args.certificate, "dot": args.dot}, result), 0
 
 
 def cmd_brute(args) -> tuple[dict, int]:
     budget = _budget(args)
-    if args.mode == "disp":
-        spec, meta = _load(args.file, "dispersion")
-        record = brute_dispersion(spec, args.n, budget)
-    elif args.mode == "solve":
-        system, meta = _load(args.file, "system")
-        record = brute_max_solutions(system, args.n, budget)
-    elif args.mode == "guess":
-        obj, meta = _load(args.file, "auto")
-        record = brute_guessing(_as_graph(obj), args.n, budget)
-    elif args.mode == "perfect":
-        spec, meta = _load(args.file, "dispersion")
-        record = check_perfect_fixed(spec, args.n, budget)
-    elif args.mode == "embed":
-        spec, meta = _load(args.file, "dispersion")
-        record = check_embedding(spec, args.n, budget)
-    else:  # sandwich
-        system, meta = _load(args.file, "system")
-        norm, _ = pipeline(system)
-        record = sandwich_check(norm, args.n, budget)
-    report = _report(f"brute {args.mode}", meta,
-                     {"mode": args.mode, "n": args.n,
-                      "budget": _json(budget)},
-                     _json(record))
-    return report, 0
+    kind = {"solve": "system", "guess": "auto", "sandwich": "system"}
+    obj, meta = _load(args.file, kind.get(args.mode, "dispersion"))
+    obj = (_as_graph(obj) if args.mode == "guess" else
+           pipeline(obj)[0] if args.mode == "sandwich" else obj)
+    search = {"disp": brute_dispersion, "solve": brute_max_solutions,
+              "guess": brute_guessing, "perfect": check_perfect_fixed,
+              "embed": check_embedding, "sandwich": sandwich_check}[args.mode]
+    return _report(f"brute {args.mode}", meta,
+                   {"mode": args.mode, "n": args.n, "budget": _json(budget)},
+                   _json(search(obj, args.n, budget))), 0
 
 
 def cmd_threshold(args) -> tuple[dict, int]:
@@ -171,15 +144,12 @@ def cmd_threshold(args) -> tuple[dict, int]:
     result = {"answer": "yes" if dec.answer else "no", "d": dec.d,
               "D": dec.exponent.D, "criterion": "D >= d+1",
               "min_cut": list(dec.exponent.min_cut)}
-    report = _report("threshold", meta, {"d": args.d}, result)
-    return report, 0
+    return _report("threshold", meta, {"d": args.d}, result), 0
 
 
 def cmd_graph(args) -> tuple[dict, int]:
     obj, meta = _load(args.file, "auto")
-    graph = _as_graph(obj)
-    if args.loops:
-        graph = add_source_loops(graph)
+    graph = add_source_loops(_as_graph(obj)) if args.loops else _as_graph(obj)
     result = {"vertices": list(graph.vertices),
               "sources": [v for v in graph.vertices if v in graph.sources],
               "edges": [list(edge) for edge in graph.sorted_edges],
@@ -187,9 +157,8 @@ def cmd_graph(args) -> tuple[dict, int]:
               "edge_count": len(graph.edges)}
     if args.dot is not None:
         result["dot_path"] = _write_dot(args.dot, to_dot(graph))
-    report = _report("graph", meta, {"loops": args.loops, "dot": args.dot},
-                     result)
-    return report, 0
+    return _report("graph", meta, {"loops": args.loops, "dot": args.dot},
+                   result), 0
 
 
 def _report(command: str, meta: dict, parameters: dict, result: dict) -> dict:
@@ -226,62 +195,91 @@ def _write(obj, indent: str = "\n") -> str:
     return json.dumps(obj)
 
 
-@functools.cache  # built on first use, shared by every `main` call
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="termflow",
-        description="Normalize equational instances, extract dependency "
-                    "graphs, compute dispersion exponents by max-flow, and "
-                    "verify values by exhaustive small-alphabet search.")
-    p.add_argument("--version", action="version",
-                   version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: termflow normalize FILE [--fnf-check] [--diversify] [--dot PATH]
+       termflow exponent  FILE [--certificate] [--dot PATH]
+       termflow brute {disp|solve|guess|perfect|embed|sandwich} FILE -n N
+                [--budget EVALS[:INTERPS]]
+       termflow threshold FILE -d D
+       termflow graph     FILE [--loops] [--dot PATH]
+       termflow --version | -h | --help"""
+_MODES = ("disp", "solve", "guess", "perfect", "embed", "sandwich")
+_FILE, _DOT, _REQUIRED = ("file", Path), ("dot", str, None), object()
+# Each command's handler, its positionals as (attribute, converter) and its
+# options as {option: (attribute, converter or None for a flag, default)}
+_COMMANDS = {
+    "normalize": (cmd_normalize, [_FILE], {
+        "--fnf-check": ("fnf_check", None, False),
+        "--diversify": ("diversify", None, False), "--dot": _DOT}),
+    "exponent": (cmd_exponent, [_FILE], {
+        "--certificate": ("certificate", None, False), "--dot": _DOT}),
+    "brute": (cmd_brute, [("mode", lambda m: _MODES[_MODES.index(m)]), _FILE], {
+        "-n": ("n", int, _REQUIRED), "--budget": ("budget", str, None),
+        "--jobs": ("jobs", int, 1)}),  # --jobs is accepted and ignored
+    "threshold": (cmd_threshold, [_FILE], {"-d": ("d", int, _REQUIRED)}),
+    "graph": (cmd_graph, [_FILE], {"--loops": ("loops", None, False),
+                                   "--dot": _DOT})}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, though it starts with -
 
-    norm = sub.add_parser("normalize", help="run the flatten/quotient pipeline")
-    norm.add_argument("file", type=Path)
-    norm.add_argument("--fnf-check", action="store_true",
-                      help="exit 3 unless the result is functional")
-    norm.add_argument("--diversify", action="store_true",
-                      help="also emit the diversified system")
-    norm.add_argument("--dot", metavar="PATH",
-                      help="write the dependency graph in DOT form")
-    norm.set_defaults(handler=cmd_normalize)
 
-    exp = sub.add_parser("exponent", help="dispersion exponent via max-flow")
-    exp.add_argument("file", type=Path)
-    exp.add_argument("--certificate", action="store_true",
-                     help="include per-bottleneck saturation detail")
-    exp.add_argument("--dot", metavar="PATH",
-                     help="write the flow network in DOT form")
-    exp.set_defaults(handler=cmd_exponent)
+def _option(arg: str, options: dict) -> tuple[str | None, str | None]:
+    """`arg` as argparse reads it: (option, attached value) or (None, None)."""
+    name, eq, value = arg.partition("=")
+    if name in options:  # --opt, --opt=VALUE, -n=N
+        return name, value if eq else None
+    if arg[:2] in options:  # -nN
+        return arg[:2], arg[2:]
+    plain = arg[:1] != "-" or arg in ("-", "--") or " " in arg or _NUMBER.match(arg)
+    return (None, None) if plain else (arg, None)
 
-    brute = sub.add_parser("brute", help="exhaustive search oracles")
-    brute.add_argument("mode", choices=["disp", "solve", "guess", "perfect",
-                                        "embed", "sandwich"])
-    brute.add_argument("file", type=Path)
-    brute.add_argument("-n", dest="n", type=int, required=True,
-                       help="alphabet size")
-    brute.add_argument("--budget", metavar="EVALS[:INTERPS]",
-                       help="override the search budget")
-    brute.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: every scan runs in this "
-                            "process")
-    brute.set_defaults(handler=cmd_brute)
 
-    thr = sub.add_parser("threshold",
-                         help="asymptotic growth decision for a spec")
-    thr.add_argument("file", type=Path)
-    thr.add_argument("-d", dest="d", type=int, required=True,
-                     help="threshold degree")
-    thr.set_defaults(handler=cmd_threshold)
+def _convert(name: str, convert, text: str | None):
+    """`text` through `convert`; a flag (`convert` None) takes no value."""
+    try:
+        if convert is None and text is not None:
+            raise ValueError
+        return True if convert is None else convert(text)
+    except ValueError:
+        raise ValidationError(f"bad {name} {text!r}") from None
 
-    graph = sub.add_parser("graph", help="dependency-graph extraction and DOT")
-    graph.add_argument("file", type=Path)
-    graph.add_argument("--loops", action="store_true",
-                       help="replace sources by identity self-loops")
-    graph.add_argument("--dot", metavar="PATH", help="write DOT to a file")
-    graph.set_defaults(handler=cmd_graph)
-    return p
+
+def _parse(argv) -> types.SimpleNamespace | str:
+    """The namespace the `cmd_*` handlers read, or the -h/--help or --version
+    text.  As in argparse, a bad value raises at once, an unknown or a
+    missing argument only at the end, after any -h."""
+    handler, positionals, options, values, extras = None, [], {}, {}, []
+    rest, ended, beside = iter(argv), False, None
+    for i, arg in enumerate(rest):  # an option reads its value in its own step
+        option, value = (None, None) if ended else _option(arg, options)
+        if option in ("-h", "--help") or option == "--version" and not handler:
+            return f"termflow {__version__}" if option == "--version" else _USAGE
+        if option is None and not handler:
+            if arg not in _COMMANDS:
+                raise ValidationError(f"unknown command {arg!r}")
+            handler, positionals, options = _COMMANDS[arg]
+            positionals, values = positionals[:], {"command": arg, "handler": handler}
+        elif option is None and arg == "--" and not ended:
+            ended = True  # argparse keeps a `--` only beside a positional
+            extras += [] if positionals or beside == i else [arg]
+        elif option is None and positionals:
+            (dest, convert), beside = positionals.pop(0), i + 1
+            values[dest] = _convert(dest, convert, arg)
+        elif option not in options:
+            extras.append(arg)
+        else:
+            dest, convert, _ = options[option]
+            if convert is not None and value is None:  # the end reads as --
+                value = next(rest, "--")
+                if value == "--" or _option(value, options)[0]:
+                    raise ValidationError(f"{option} needs a value")
+            values[dest] = _convert(option, convert, value)
+    missing = [d for d, _ in positionals] + [o for o, (d, _, v) in options.items()
+                                             if v is _REQUIRED and d not in values]
+    if extras or missing or not handler:
+        raise ValidationError(f"unknown argument {extras[0]!r}" if extras else
+                              f"missing {', '.join(missing) or 'command'}")
+    return types.SimpleNamespace(**{
+        dest: default for dest, _, default in options.values()} | values)
 
 
 _EXIT_CODES = {ParseError: 2, ValidationError: 2, PreconditionError: 3,
@@ -289,15 +287,17 @@ _EXIT_CODES = {ParseError: 2, ValidationError: 2, PreconditionError: 3,
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    started = time.perf_counter()
+    args = None  # a usage error leaves it None
     try:
-        report, code = args.handler(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        started = time.perf_counter()
+        report, code = (None, 0) if isinstance(args, str) else args.handler(args)
     except TermflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}" + ("" if args else f"\n{_USAGE}"), file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in _EXIT_CODES)
-    print(_write(report))
-    elapsed = (time.perf_counter() - started) * 1000.0
-    print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
+    print(args if report is None else _write(report))  # help, version, report
+    if report is not None:
+        elapsed = (time.perf_counter() - started) * 1000.0
+        print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
     return code

@@ -417,17 +417,211 @@ def test_certificate_flag():
     assert sorted(result["certificate"]["cut"]) == ["w", "x", "y", "z"]
 
 
+_USAGE_ERRORS = [
+    (),  # no command
+    ("bogus", "diamond.disp"),  # an unknown command
+    ("exponent", "diamond.disp", "--bogus"),  # an unknown option
+    ("exponent", "diamond.disp", "--cert"),  # an abbreviated option
+    ("brute", "disp", "diamond.disp"),  # no -n
+    ("threshold", "diamond.disp"),  # no -d
+    ("brute", "disp", "diamond.disp", "-n", "two"),  # a non-integer -n
+    ("brute", "draw", "diamond.disp", "-n", "2"),  # an unknown brute mode
+    ("exponent",),  # a missing positional
+    ("exponent", "diamond.disp", "fg.disp"),  # an extra positional
+    ("brute", "disp", "diamond.disp", "-n"),  # an option without its value
+    ("exponent", "diamond.disp", "--dot", "--certificate"),
+    ("exponent", "diamond.disp", "--certificate=yes"),  # a flag's value
+    ("exponent", "diamond.disp", "--version"),  # --version after a command
+]
+
+
 def test_usage_errors_exit_2():
-    proc = run_cli("brute", "disp", path("diamond.disp"))  # missing -n
-    assert proc.returncode == 2
-    proc = run_cli()  # missing subcommand
-    assert proc.returncode == 2
+    """In-process: exit 2, the usage on stderr, nothing on stdout, and no
+    exception (`SystemExit` included) out of `cli.main`."""
+    names = set(corpus_names())
+    for argv in _USAGE_ERRORS:
+        code, out, err = _main(*[path(a) if a in names else a for a in argv])
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error: ") and cli._USAGE in err, argv
+
+
+def test_cli_import_loads_no_argparse():
+    # the table parser replaced argparse, which also loaded gettext
+    code = ("import sys, termflow.cli; print(sorted(m for m in sys.modules "
+            "if m in ('argparse', 'gettext')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--bogus", "-h"),
+                                  ("brute", "-h"), ("exponent", "f", "--help")])
+def test_help_prints_the_usage(argv):
+    assert _main(*argv) == (0, cli._USAGE + "\n", "")
 
 
 def test_version_flag():
-    proc = run_cli("--version")
-    assert proc.returncode == 0
-    assert termflow.__version__.encode() in proc.stdout
+    assert _main("--version") == (0, f"termflow {termflow.__version__}\n", "")
+
+
+def test_usage_is_the_readme_synopsis():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"```\n{cli._USAGE}\n```" in readme.read_text()
+
+
+def test_option_forms():
+    """`--opt VALUE`, `--opt=VALUE`, `-n N`, `-nN`, `-n=N` anywhere after
+    the command, and `--` ending the options."""
+    disp = path("diamond.disp")
+    want = {"command": "brute", "mode": "disp", "file": Path(disp), "n": 2,
+            "budget": "9", "jobs": 1, "handler": cli.cmd_brute}
+    for argv in (["brute", "disp", disp, "-n", "2", "--budget", "9"],
+                 ["brute", "--budget=9", "disp", "-n2", disp],
+                 ["brute", "-n=2", "disp", "--budget", "9", "--", disp],
+                 ["brute", "-n", "7", "disp", disp, "--budget=9", "-n2"]):
+        assert vars(cli._parse(argv)) == want, argv
+    assert vars(cli._parse(["exponent", "--", "--dot"]))["file"] == Path("--dot")
+
+
+def _argparse_parser():
+    """The argparse parser that `cli` used before its table: the reference
+    that `test_table_parser_reads_argv_as_argparse_did` holds `cli._parse`
+    to."""
+    import argparse
+    p = argparse.ArgumentParser(prog="termflow")
+    p.add_argument("--version", action="version",
+                   version=f"%(prog)s {termflow.__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+    norm = sub.add_parser("normalize")
+    norm.add_argument("file", type=Path)
+    norm.add_argument("--fnf-check", action="store_true")
+    norm.add_argument("--diversify", action="store_true")
+    norm.add_argument("--dot", metavar="PATH")
+    norm.set_defaults(handler=cli.cmd_normalize)
+    exp = sub.add_parser("exponent")
+    exp.add_argument("file", type=Path)
+    exp.add_argument("--certificate", action="store_true")
+    exp.add_argument("--dot", metavar="PATH")
+    exp.set_defaults(handler=cli.cmd_exponent)
+    brute = sub.add_parser("brute")
+    brute.add_argument("mode", choices=["disp", "solve", "guess", "perfect",
+                                        "embed", "sandwich"])
+    brute.add_argument("file", type=Path)
+    brute.add_argument("-n", dest="n", type=int, required=True)
+    brute.add_argument("--budget", metavar="EVALS[:INTERPS]")
+    brute.add_argument("--jobs", type=int, default=1)
+    brute.set_defaults(handler=cli.cmd_brute)
+    thr = sub.add_parser("threshold")
+    thr.add_argument("file", type=Path)
+    thr.add_argument("-d", dest="d", type=int, required=True)
+    thr.set_defaults(handler=cli.cmd_threshold)
+    graph = sub.add_parser("graph")
+    graph.add_argument("file", type=Path)
+    graph.add_argument("--loops", action="store_true")
+    graph.add_argument("--dot", metavar="PATH")
+    graph.set_defaults(handler=cli.cmd_graph)
+    return p
+
+
+# The grammar the differential test draws from: each command's
+# positionals and options, True for an option that takes a value
+_GRAMMAR = {
+    "normalize": (["FILE"], {"--fnf-check": False, "--diversify": False,
+                             "--dot": True}),
+    "exponent": (["FILE"], {"--certificate": False, "--dot": True}),
+    "brute": (["MODE", "FILE"], {"-n": True, "--budget": True,
+                                 "--jobs": True}),
+    "threshold": (["FILE"], {"-d": True}),
+    "graph": (["FILE"], {"--loops": False, "--dot": True}),
+    "bogus": (["FILE"], {}),
+}
+_MODES = ["disp", "solve", "guess", "perfect", "embed", "sandwich", "draw"]
+_WORDS = ["f", "a b", "-", "-3", "", "x=y", "-x y", "٣"]
+# Option values, the valid ones first; a bad one is drawn 1 time in 6
+_NUMBERS = (["2", "0", "-3", "٣", "-٣", " 4", "3_0"],
+            ["x", "", "1.5", "-1.5", "-x"])
+_VALUES = (["p", "-", "-3", "-x y", "a=b", ""],
+           ["-x", "--", "-n", "-n5", "--dot", "--bogus", "-h"])
+_UNKNOWN = ["--bogus", "-x", "--bogus=1", "-q5", *(
+    option for _, options in _GRAMMAR.values() for option in options)]
+# Forms the table parser reads differently on purpose, never drawn:
+# - an abbreviated long option (`--cert`): argparse expands it, `_parse`
+#   rejects it;
+# - an attached value `--` (`--dot=--`, `-n--`): argparse 3.11 strips it
+#   and stores [], which the handlers cannot read;
+# - a second `--`: argparse 3.11 strips the first `--` of each positional,
+#   and stores [] for one that is only `--`;
+# - -h or --version with anything attached (`-hn2`, `--help=x`).
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(list(_GRAMMAR)[:-1])) if draw(
+        st.integers(0, 9)) else "bogus"
+    kinds, options = _GRAMMAR[command]
+    words = [draw(st.sampled_from(_MODES if kind == "MODE" else _WORDS))
+             for kind in kinds]
+    if draw(st.integers(0, 4)) == 0:  # a missing or an extra positional
+        words = words[:-1] if draw(st.booleans()) else words + ["g"]
+    drawn = [draw(st.sampled_from(list(options) or _UNKNOWN))
+             for _ in range(draw(st.integers(0, 3)))]
+    drawn += [o for o in ("-n", "-d") if o in options and draw(st.integers(0, 4))]
+    items = []  # (before which word, the option's argv)
+    for option in drawn:
+        if not draw(st.integers(0, 9)):
+            option = draw(st.sampled_from(_UNKNOWN))
+        good, bad = _NUMBERS if option in ("-n", "-d", "--jobs") else _VALUES
+        value = draw(st.sampled_from(bad if not draw(st.integers(0, 5))
+                                     else good))
+        form = draw(st.sampled_from(["separate", "=", "attached"]))
+        if not options.get(option):  # a flag, or unknown here
+            argv = [f"{option}={value}"] if not draw(st.integers(0, 5)) else [option]
+        elif form == "separate" or value == "--":
+            argv = [option, value]
+        else:
+            glue = "" if form == "attached" and option[1] != "-" else "="
+            argv = [f"{option}{glue}{value}"]
+        items.append((draw(st.integers(0, len(words))), argv))
+    argv = [command]
+    for at in range(len(words) + 1):
+        argv += [a for before, item in items if before == at for a in item]
+        argv += words[at:at + 1]
+    for extra in ("--", "-h", "--help", "--version", "--bogus"):
+        if not draw(st.integers(0, 11)):
+            argv.insert(draw(st.integers(0, len(argv))), extra)
+    return argv
+
+
+def _argparse_reads(parser, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return ("error" if exc.code else
+                "version" if out.getvalue().startswith("termflow ") else "help")
+
+
+def _table_reads(argv):
+    try:
+        args = cli._parse(argv)
+    except termflow.ValidationError:
+        return "error"
+    if isinstance(args, str):
+        return "help" if args == cli._USAGE else "version"
+    return vars(args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_table_parser_reads_argv_as_argparse_did(argv):
+    """The same namespace for every argv argparse accepted, a rejection
+    for every one it rejected, and help or the version where it printed
+    one; `main` returns a code for each and raises nothing."""
+    assert _table_reads(argv) == _argparse_reads(_argparse_parser(), argv)
+    code, _, err = _main(*argv)
+    assert code in (0, 2), err
 
 
 def _main(*argv):
@@ -543,8 +737,8 @@ def test_fuzzed_inputs_exit_only_0_2_3_or_4(tmp_path_factory, case):
 
 
 def test_parser_reuse_keeps_no_state_between_calls():
-    """`main` builds its argument parser once; a flag from one call must
-    not leak into the next."""
+    """`main` reads one module-level table; a flag from one call must not
+    leak into the next."""
     code, out, _ = _main("normalize", path("flatten_nested.inst"),
                          "--diversify")
     assert code == 0 and "diversified" in json.loads(out)["result"]
