@@ -286,6 +286,23 @@ _EXIT_CODES = {ParseError: 2, ValidationError: 2, PreconditionError: 3,
                BudgetError: 4, TermflowError: 1}
 
 
+def _gone(fd: int) -> None:
+    """Point a descriptor whose reader is gone (a broken pipe, a closed or
+    read-only stream) at os.devnull, as the Python docs' note on SIGPIPE
+    does, so the command still ends quietly with its own exit code."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
+def _warn(text: str) -> None:
+    """Print one line on stderr.  Python leaves sys.stderr None when fd 2
+    is closed at start, and print would then write to stdout: skip it."""
+    if sys.stderr is not None:
+        try:
+            print(text, file=sys.stderr, flush=True)
+        except OSError:
+            _gone(sys.stderr.fileno())
+
+
 def main(argv=None) -> int:
     args = None  # a usage error leaves it None
     try:
@@ -293,11 +310,14 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         report, code = (None, 0) if isinstance(args, str) else args.handler(args)
     except TermflowError as exc:
-        print(f"error: {exc}" + ("" if args else f"\n{_USAGE}"), file=sys.stderr)
+        _warn(f"error: {exc}" + ("" if args else f"\n{_USAGE}"))
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in _EXIT_CODES)
-    print(args if report is None else _write(report))  # help, version, report
+    try:  # help, version or the report
+        print(args if report is None else _write(report), flush=True)
+    except OSError:
+        _gone(1)
     if report is not None:
         elapsed = (time.perf_counter() - started) * 1000.0
-        print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
+        _warn(f"elapsed_ms={elapsed:.1f}")
     return code

@@ -13,8 +13,9 @@ gather, over the inputs the node depends on, and yields the indices it
 evaluated with their values: a `count_nonzero` of the satisfied
 assignments, or a sort of the output tuple codes for image sizes.  `_scan`
 runs once, in this process, over the whole index range.  Chunks reduce in
-index order to (max value, least index attaining it), and early-exit
-searches stop at the hit, so no result depends on chunking.
+index order to (max value, least index attaining it), and a scan stops at
+the first chunk reaching its target (a search's ceiling), with the least
+index reaching it, so no result depends on chunking.
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
@@ -241,7 +242,10 @@ def _scan(kind: str, symbols, dag: TermDag, n: int,
           target: int | None = None) -> tuple[int, int, int | None]:
     """Scan every interpretation of `symbols`; returns (best value, least
     index of it, least index reaching `target` or None).  A hit ends the
-    scan, so the best value then covers only the chunks up to the hit."""
+    scan at its chunk, so the best value then covers only the chunks up to
+    the hit.  When `target` is a ceiling no value exceeds, as every
+    `oracle` search passes, that is the full scan's best value, and its
+    least index is the hit."""
     best_v, best_i = -1, -1
     for indices, vals in _chunks(kind, symbols, dag, n):
         at = int(vals.argmax())

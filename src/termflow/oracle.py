@@ -32,7 +32,15 @@ send each image point to its least preimage.  Those decoders admit one
 solution per image point, so the embedded count equals the image size
 under every interpretation and needs no scan of its own.
 
-Early-exit searches report the work up to the hit (witness index + 1).
+Every max search stops at its ceiling, the most its value can be by the
+object's shape alone: n^min(k, r) image points, n^|V| solutions.  The
+value is then the maximum and the witness the least index attaining it,
+so a ceiling stop is not a truncation, and `evaluations` and
+`interpretations` stay the closed forms of the whole space.  The ceiling
+never comes from `flownet`'s exponent, so the two routes stay independent
+checks on each other.  Only a perfect hit reports the work up to it
+(witness index + 1).
+
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant (see `kernel`); reported `evaluations` and
 `interpretations` stay the unpruned scan's closed forms, and budgets
@@ -315,23 +323,25 @@ def _scan_space(signature: Signature, n: int, *dags: TermDag):
     return symbols, math.prod(table_space(n, arity) for _, arity in symbols)
 
 
-def _search(kind: str, obj, k: int, n: int, budget: SearchBudget,
-            target: int | None = None):
+def _search(kind: str, obj, k: int, n: int, budget: SearchBudget):
     """The one kernel scan behind every search, over `obj`'s DAG with k
-    inputs: (best value, least witness attaining it, interpretations
-    scanned, whether `target` was reached).  A scan reaching `target` stops
-    there, and its witness is the least one reaching it.  The budget is
-    checked on the whole signature before the DAG is read."""
+    inputs: (best value, least witness attaining it, the closed-form
+    interpretation count, the index where the scan reached its ceiling or
+    None).  No value can exceed the ceiling read off the shape alone: a
+    system has at most n^k solutions, an image at most n^min(k, r)
+    points.  So a scan reaching it stops there (branch and bound's
+    stop-at-bound rule), and its value and witness are the full scan's:
+    a ceiling stop is not a truncation.  The budget is checked on the
+    whole signature before the DAG is read."""
     _admit(obj.signature, n, k, budget)
     symbols, total = _scan_space(obj.signature, n, obj.dag)
     if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
+    ceiling = n ** (min(k, obj.r) if kind == "image" else k)
     from . import kernel
-    value, index, hit = kernel._scan(kind, symbols, obj.dag, n, target)
-    if hit is not None:
-        index, total = hit, hit + 1
+    value, index, hit = kernel._scan(kind, symbols, obj.dag, n, ceiling)
     witness = kernel._witness(obj.signature, symbols, n, index)
-    return value, witness, total, hit is not None
+    return value, witness, total, hit
 
 
 def brute_max_solutions(system, n: int,
@@ -356,12 +366,14 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
                         ) -> PerfectDecision:
     """Does some interpretation make the map surjective onto [n]^r?
 
-    Early-exits on the first witness; otherwise the refutation carries the
-    best image found over the full scan.  No image exceeds the target, so
-    on a hit the best image is the target."""
+    The answer is yes exactly when the image search reaches n^r, which is
+    its ceiling when k >= r; a hit reports the work up to it (hit + 1
+    interpretations).  Otherwise the refutation carries the best image
+    and reports the whole space."""
     target = n ** spec.r
-    value, witness, scanned, perfect = _search("image", spec, spec.k, n,
-                                               budget, target)
+    value, witness, total, hit = _search("image", spec, spec.k, n, budget)
+    perfect = value == target
+    scanned = hit + 1 if perfect else total
     return PerfectDecision(perfect, target, value, witness, scanned,
                            scanned * n ** spec.k)
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +289,53 @@ def test_budget_refusal_exits_4():
     proc = run_cli("brute", "disp", path("diamond.disp"), "-n", "4")
     assert proc.returncode == 4
     assert b"4294967296" in proc.stderr
+
+
+# A reader that has gone: the command still ends quietly with its own exit
+# code.  Each stream is dead before the child starts, so nothing races.
+
+def _run_dead_stream(*args, **streams):
+    env = {k: v for k, v in os.environ.items() if k != "TERMFLOW_BUDGET"}
+    return subprocess.run([sys.executable, "-m", "termflow", *args], env=env,
+                          **streams)
+
+
+@pytest.mark.parametrize("args,stderr", [
+    (("brute", "disp", path("diamond.disp"), "-n", "2"), rb"elapsed_ms=\S+\n"),
+    (("exponent", path("diamond.disp")), rb"elapsed_ms=\S+\n"),
+    (("--help",), rb""),
+])
+def test_closed_stdout_pipe_ends_quietly(args, stderr):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails with EPIPE
+    try:
+        proc = _run_dead_stream(*args, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert re.fullmatch(stderr, proc.stderr), proc.stderr  # no traceback
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)  # writes fail with EBADF
+
+
+@pytest.mark.parametrize("dead", [_close_stderr, _read_only_stderr])
+@pytest.mark.parametrize("args,code", [
+    (("exponent", path("diamond.disp")), 0),
+    (("brute", "disp", path("diamond.disp"), "-n", "4"), 4),
+    (("exponent", "--no-such-option"), 2),
+])
+def test_dead_stderr_ends_quietly(dead, args, code):
+    proc = _run_dead_stream(*args, stdout=subprocess.PIPE, preexec_fn=dead)
+    assert proc.returncode == code
+    # stdout holds the report alone: nothing meant for stderr lands there
+    assert proc.stdout == run_cli(*args).stdout
+    assert (code == 0) == bool(proc.stdout)
 
 
 def test_index_range_refusal_names_no_infinity(tmp_path):

@@ -4,10 +4,12 @@ Every frozen constant below was computed by a second, independent route
 (hand derivation or the scalar evaluators) before being pinned.
 """
 
+import ast
 import itertools
 import math
 import subprocess
 import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -967,6 +969,163 @@ def test_count_preservation_first_mismatch(before, after, cells):
         chk = check_counts_preserved(before, after, 2)
     assert chk.equal == (not diff)
     assert chk.first_mismatch == (diff[0] if diff else None)
+
+
+# ---- ceiling stops ----------------------------------------------------------
+#
+# A max search stops at the first chunk reaching its ceiling, the most its
+# value can be by the object's shape: n^min(k, r) image points, n^|V|
+# solutions.  Its value and least witness are those of the uncapped scan.
+
+def _check_ceiling_search(kind, obj, n):
+    """Pin the oracle's ceiling search to the uncapped scan; return whether
+    it stopped at the ceiling."""
+    k = obj.k if kind == "image" else len(obj.variables)
+    ceiling = n ** (min(k, obj.r) if kind == "image" else k)
+    search = brute_dispersion if kind == "image" else brute_max_solutions
+    res = search(obj, n)  # first, so that a refusal scans nothing
+    *_, stop = oracle._search(kind, obj, k, n, oracle.DEFAULT_BUDGET)
+    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    value, index, _ = kernel._scan(kind, used, obj.dag, n, target=None)
+    witness = kernel._witness(obj.signature, used, n, index)
+    # the closed-form evaluations, stop or not
+    assert res == OracleResult(value, witness, total * n ** k)
+    assert value <= ceiling and (stop is not None) == (value == ceiling)
+    assert stop in (None, index)
+    return stop is not None
+
+
+@st.composite
+def _ceiling_cases(draw):
+    """(kind, system or spec, n) at n = 1, 2, 3 over 0-3 variables and up
+    to three symbols of arity 0-2: specs with k < r and k > r, repeated
+    outputs and constants; systems with no equations and with always-true
+    ones such as f(x) = f(x)."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["count", "image"]))
+    k = draw(st.integers(1 if kind == "image" else 0, 3))
+    variables = _KERNEL_VARS[:k]
+    arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    symbols = [(f"s{i}", a) for i, a in enumerate(arities)]
+    leaves = [Var(v) for v in variables] + [App(s, ()) for s, a in symbols
+                                            if a == 0]
+    assume(leaves)
+
+    def term(depth):
+        if depth == 0 or draw(st.integers(0, 2)) == 0:
+            return draw(st.sampled_from(leaves))
+        s, a = draw(st.sampled_from(symbols))
+        return App(s, tuple(term(depth - 1) for _ in range(a)))
+
+    terms = [term(2) for _ in range(draw(st.integers(
+        1 if kind == "image" else 0, 4)))]
+    if kind == "image":
+        terms += draw(st.lists(st.sampled_from(terms), max_size=2))
+    else:
+        terms = [(t, draw(st.sampled_from([t, term(2)]))) for t in terms]
+        terms = [t for pair in terms for t in pair]
+    used = {s.symbol for t in terms for s in _subterms(t)
+            if isinstance(s, App)}
+    sig = Signature(symbols=tuple((s, a) for s, a in symbols if s in used))
+    assume(interpretation_count(sig, n) * n ** k <= 1 << 14)
+    if kind == "image":
+        return kind, DispersionSpec(inputs=variables, signature=sig,
+                                    outputs=tuple(terms)), n
+    eqs = tuple(Equation(a, b) for a, b in zip(terms[::2], terms[1::2]))
+    return kind, TermSystem(variables=variables, signature=sig,
+                            equations=eqs), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ceiling_cases(), st.sampled_from([1, 8, 1 << 18]))
+def test_ceiling_search_matches_uncapped_scan(case, cells):
+    kind, obj, n = case
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
+        _check_ceiling_search(kind, obj, n)
+
+
+def _corpus_searches(name):
+    """Every max search the CLI runs on a corpus file: (kind, object)."""
+    obj = load(name)
+    if name.endswith(".disp"):
+        return [("image", obj)]
+    if name.endswith(".graph"):
+        return [("count", graph_system(obj))]
+    norm, _ = pipeline(obj)
+    searches = [("count", obj), ("count", norm)]
+    for derived in (diversify, lambda s: graph_system(dependency_graph(s))):
+        try:  # sandwich's diversified system, guess's game
+            searches.append(("count", derived(norm)))
+        except PreconditionError:  # not FNF: the CLI exits 3
+            pass
+    return searches
+
+
+def test_corpus_ceiling_searches_match_uncapped_scans():
+    ran = stopped = 0
+    for name in corpus_names():
+        for kind, obj in _corpus_searches(name):
+            for n in (1, 2, 3):
+                try:
+                    stopped += _check_ceiling_search(kind, obj, n)
+                except BudgetError:
+                    continue
+                ran += 1
+    assert ran >= 80 and 0 < stopped < ran
+
+
+_DISP4 = ("dispersion { inputs x, y, z; sig f/2, g/1; outputs f(x, g(y)), "
+          "g(f(x, z)), f(g(f(x, y)), g(z)), f(y, g(z)); }")
+
+
+@pytest.mark.parametrize("text,n,drawn,chunks", [
+    (_DISP4, 3, 4, 45),  # reaches 27 = 3^3 at index 23,754 of 531,441
+    ("diamond.disp", 3, 6, 6),  # never reaches 81: the max is 53
+    ("index_coding.inst", 2, 64, 64),  # never reaches 16: the max is 4
+], ids=["disp4", "diamond", "index_coding"])
+def test_ceiling_stop_draws_fewer_chunks(monkeypatch, text, n, drawn, chunks):
+    # work, never wall time: the (indices, values) pairs `_scan` draws
+    obj = parse(text) if "{" in text else load(text)
+    kind = "image" if isinstance(obj, DispersionSpec) else "count"
+    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    assert len(list(kernel._chunks(kind, used, obj.dag, n))) == chunks
+    every, pairs = kernel._chunks, []
+
+    def counting(*args):
+        for pair in every(*args):
+            pairs.append(pair)
+            yield pair
+
+    monkeypatch.setattr(kernel, "_chunks", counting)
+    search = brute_dispersion if kind == "image" else brute_max_solutions
+    res = search(obj, n)
+    assert len(pairs) == drawn
+    if drawn < chunks:
+        assert res.value == n ** 3
+        assert res.witness == interpretation_at(obj.signature, n, 23754)
+
+
+def test_routes_share_no_code_with_flownet():
+    # the ceiling, like everything else in a search, must never come from
+    # the exponent D: each route is the independent check on the other
+    src = Path(oracle.__file__).parent
+    seen, todo = set(), ["oracle", "kernel"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [a.name for a in node.names]
+            if getattr(node, "level", 0):  # a termflow module: follow it
+                todo += [node.module] if node.module else names
+            else:
+                names.append(getattr(node, "module", None) or "")
+                assert not any("flownet" in a for a in names), module
+    assert "flownet" not in seen
+    assert {"oracle", "kernel", "terms"} <= seen
 
 
 # ---- alphabet-symmetry pruning ----------------------------------------------
