@@ -13,6 +13,7 @@ search budget; --budget beats the environment.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -286,21 +287,29 @@ _EXIT_CODES = {ParseError: 2, ValidationError: 2, PreconditionError: 3,
                BudgetError: 4, TermflowError: 1}
 
 
-def _gone(fd: int) -> None:
-    """Point a descriptor whose reader is gone (a broken pipe, a closed or
-    read-only stream) at os.devnull, as the Python docs' note on SIGPIPE
+# The errnos that mean nobody reads a stream any more: a closed pipe, and
+# on stderr also a closed or read-only descriptor.  Any other failed write
+# (a full disk, an I/O error) loses output someone wants, and raises.
+_STDOUT_GONE = frozenset({errno.EPIPE})
+_STDERR_GONE = frozenset({errno.EPIPE, errno.EBADF})
+
+
+def _say(text: str, stream, gone: frozenset) -> None:
+    """Print one line on `stream` and flush it.  Python leaves a stream None
+    when its descriptor is closed at start, and print would then write to
+    stdout: skip it.  A write that fails with an errno in `gone` points the
+    stream's descriptor at os.devnull, as the Python docs' note on SIGPIPE
     does, so the command still ends quietly with its own exit code."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-
-
-def _warn(text: str) -> None:
-    """Print one line on stderr.  Python leaves sys.stderr None when fd 2
-    is closed at start, and print would then write to stdout: skip it."""
-    if sys.stderr is not None:
-        try:
-            print(text, file=sys.stderr, flush=True)
-        except OSError:
-            _gone(sys.stderr.fileno())
+    if stream is None:
+        return
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        if exc.errno not in gone:
+            raise
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
 
 
 def main(argv=None) -> int:
@@ -310,14 +319,13 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         report, code = (None, 0) if isinstance(args, str) else args.handler(args)
     except TermflowError as exc:
-        _warn(f"error: {exc}" + ("" if args else f"\n{_USAGE}"))
+        _say(f"error: {exc}" + ("" if args else f"\n{_USAGE}"), sys.stderr,
+             _STDERR_GONE)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in _EXIT_CODES)
-    try:  # help, version or the report
-        print(args if report is None else _write(report), flush=True)
-    except OSError:
-        _gone(1)
+    # help, version or the report
+    _say(args if report is None else _write(report), sys.stdout, _STDOUT_GONE)
     if report is not None:
         elapsed = (time.perf_counter() - started) * 1000.0
-        _warn(f"elapsed_ms={elapsed:.1f}")
+        _say(f"elapsed_ms={elapsed:.1f}", sys.stderr, _STDERR_GONE)
     return code

@@ -114,27 +114,34 @@ def _call_name(node):
 
 def test_one_report_writer():
     """No json call indents, and only `cli.main` writes to stdout: every
-    report goes through the one writer, `cli._write`."""
+    report goes through the one writer, `cli._write`, and no print falls
+    back to stdout for want of a `file`."""
     package = Path(termflow.__file__).parent
     writers = []
     for source in package.glob("*.py"):
         tree = ast.parse(source.read_text())
+        named = 0  # every `.stdout` the module names, in a function or not
         for node in ast.walk(tree):
-            assert getattr(node, "attr", None) != "stdout", source.name
+            named += getattr(node, "attr", None) == "stdout"
             if (isinstance(node, ast.Call)
                     and _call_name(node) in ("dump", "dumps")):
                 assert "indent" not in {k.arg for k in node.keywords}, \
                     (source.name, node.lineno)
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef) and func.name != "_write":
+                found = [node for node in ast.walk(func)
+                         if getattr(node, "attr", None) == "stdout"]
+                named -= len(found)
+                writers += [(source.name, func.name, "stdout") for _ in found]
                 writers += [(source.name, func.name, _call_name(node))
                             for node in ast.walk(func)
                             if isinstance(node, ast.Call)
                             and (_call_name(node) == "_write"
                                  or _call_name(node) == "print" and not any(
                                      k.arg == "file" for k in node.keywords))]
+        assert named == 0, source.name
     assert sorted(writers) == [("cli.py", "main", "_write"),
-                               ("cli.py", "main", "print")]
+                               ("cli.py", "main", "stdout")]
 
 
 def test_repeated_runs_are_byte_identical():
@@ -314,6 +321,28 @@ def test_closed_stdout_pipe_ends_quietly(args, stderr):
         os.close(write)
     assert proc.returncode == 0
     assert re.fullmatch(stderr, proc.stderr), proc.stderr  # no traceback
+
+
+def _read_only_stdout():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 1)  # writes fail with EBADF
+
+
+@pytest.mark.parametrize("args", [("exponent", path("diamond.disp")),
+                                  ("--help",)])
+@pytest.mark.parametrize("stdout", ["full", "read-only"])
+def test_unwritable_stdout_fails(args, stdout):
+    """Only a closed pipe is absorbed: a report that cannot be written at
+    all (a full disk, a descriptor not open for writing) ends non-zero."""
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "wb") as full:
+            proc = _run_dead_stream(*args, stdout=full, stderr=subprocess.PIPE)
+    else:
+        proc = _run_dead_stream(*args, stderr=subprocess.PIPE,
+                                preexec_fn=_read_only_stdout)
+    assert proc.returncode != 0
+    assert b"OSError" in proc.stderr
 
 
 def _close_stderr():
