@@ -10,12 +10,16 @@ decodes a chunk of consecutive interpretation indices as base-n digit rows
 (`_Digits`, the one table decoder, also behind `_witness`), evaluates each
 node of the system's or spec's term DAG (`.dag`) once per chunk, with one
 gather, over the inputs the node depends on, and yields the indices it
-evaluated with their values: a `count_nonzero` of the satisfied
-assignments, or a sort of the output tuple codes for image sizes.  `_scan`
-runs once, in this process, over the whole index range.  Chunks reduce in
-index order to (max value, least index attaining it), and a scan stops at
-the first chunk reaching its target (a search's ceiling), with the least
-index reaching it, so no result depends on chunking.
+evaluated with their values: a sum of the satisfied assignments, or a sort
+of the output tuple codes for image sizes.  A gather whose arguments are
+all inputs reads the same rows in every chunk, so its row selection is
+built once per scan.  Both reductions accumulate in the narrowest unsigned
+dtype that holds n^k and return int64, so no caller depends on numpy's
+promotion rules.  `_scan` runs once, in this process, over the whole index
+range.  Chunks reduce in index order to (max value, least index attaining
+it), and a scan stops at the first chunk reaching its target (a search's
+ceiling), with the least index reaching it, so no result depends on
+chunking.
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
@@ -92,6 +96,8 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
     Each DAG node is evaluated once per chunk, over the inputs it depends
     on: its value has one axis per input (size n, or 1 off its support)
     and the chunk axis last, and costs one gather from the digit rows.
+    An op whose arguments are all inputs has the same row selection in
+    every chunk, built once before the first.
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
     distinct output tuples.  From n = _PRUNE_MIN_N only the indices
@@ -114,6 +120,11 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
     for node, i in last.items():
         if node not in roots:
             drops[i].append(node)  # freed after its last reader
+    # built from `inputs`: `vals` frees an input after its last reader
+    rowsels = [_table_rows([inputs[c] for c in children], n, 1,
+                           digits.offset[symbol])[..., 0]
+               if children and max(children) < k else None
+               for symbol, children in dag.ops]
     reduce = {"count": _satisfied, "image": _distinct}[kind]
     for base in range(0, n ** len(digits.rows), size):
         rows = digits.at(base)
@@ -125,17 +136,15 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
                 continue
             view = rows[:, cols]
         vals = list(inputs)
-        for (symbol, children), dead in zip(dag.ops, drops):
+        for (symbol, children), rowsel, dead in zip(dag.ops, rowsels, drops):
             off = digits.offset[symbol]
-            args = [vals[c] for c in children]
-            if not args:  # a constant: one digit row
+            if rowsel is not None:  # arguments are inputs: gather rows
+                vals.append(np.take(view, rowsel, axis=0))
+            elif not children:  # a constant: one digit row
                 vals.append(view[off].reshape((1,) * k + (len(cols),)))
-            elif max(children) < k:  # arguments are inputs: gather rows
-                vals.append(np.take(view, _table_rows(args, n, 1, off)[..., 0],
-                                    axis=0))
             else:  # each interpretation reads its own column of `rows`
-                vals.append(np.take(flat, _table_rows(args, n, size,
-                                                      off * size + cols)))
+                vals.append(np.take(flat, _table_rows(
+                    [vals[c] for c in children], n, size, off * size + cols)))
             for c in dead:
                 vals[c] = None
         yield base + cols, reduce(dag, vals, n, k, len(cols))
@@ -207,23 +216,32 @@ def _table_rows(args, n: int, scale: int, start):
 
 def _satisfied(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
     """Per interpretation, the assignments where every (lhs, rhs) output
-    pair agrees."""
-    sat = None
-    for a, b in zip(dag.outputs[::2], dag.outputs[1::2]):
-        eq = vals[a] == vals[b]
-        sat = eq if sat is None else sat & eq
-    if sat is None:
+    pair agrees, as int64.  The satisfied cells of each interpretation are
+    summed in the narrowest unsigned dtype that holds their number (at most
+    n^k), then widened once while multiplying by the free assignments."""
+    if not dag.outputs:
         return np.full(c, n ** k, dtype=np.int64)
-    free = n ** sum(1 for j in range(k) if sat.shape[j] == 1)
-    counts = np.multiply(np.count_nonzero(sat, axis=tuple(range(k))), free,
-                         dtype=np.int64)
-    return np.broadcast_to(counts, (c,))
+    # each axis of a value is 1 or its full size: the max is the joint shape
+    shape = tuple(map(max, *(vals[o].shape for o in dag.outputs)))
+    sat = np.empty(shape, dtype=bool)  # each equation ANDed in place
+    lhs, rhs = dag.outputs[::2], dag.outputs[1::2]
+    np.equal(vals[lhs[0]], vals[rhs[0]], out=sat)
+    for a, b in zip(lhs[1:], rhs[1:]):
+        sat &= vals[a] == vals[b]
+    cells = sat.size // shape[-1]  # <= n^k: the sum cannot wrap
+    counts = sat.reshape(cells, shape[-1]).sum(
+        axis=0, dtype=np.min_scalar_type(cells))
+    # times the assignments off the support, over all c interpretations
+    return np.multiply(counts, n ** shape[:k].count(1), dtype=np.int64,
+                       out=np.empty(c, dtype=np.int64))
 
 
 def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
     """Per interpretation, the number of distinct output tuples: each
-    tuple's base-n code, sorted per interpretation.  Codes are int16/32/64,
-    never uint8, which numpy sorts far more slowly."""
+    tuple's base-n code, sorted per interpretation, and 1 + the code
+    changes, summed in the narrowest unsigned dtype that holds n^k and
+    returned as int64.  Codes are int16/32/64, never uint8, which numpy
+    sorts far more slowly."""
     width = n ** len(dag.outputs)
     dtype = (np.int16 if width <= 1 << 15 else
              np.int32 if width <= 1 << 31 else np.int64)
@@ -235,7 +253,8 @@ def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
     grid[...] = np.moveaxis(code, -1, 0)
     grid = grid.reshape(c, n ** k)
     grid.sort(axis=1)
-    return 1 + np.count_nonzero(grid[:, 1:] != grid[:, :-1], axis=1)
+    return np.add.reduce(grid[:, 1:] != grid[:, :-1], axis=1, initial=1,
+                         dtype=np.min_scalar_type(n ** k)).astype(np.int64)
 
 
 def _scan(kind: str, symbols, dag: TermDag, n: int,

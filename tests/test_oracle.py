@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,8 +38,8 @@ from termflow.oracle import (BlockEncoding, EmbeddingCheck, OracleResult,
                              interpretation_count, lift_interpretation,
                              sandwich_check, table_space)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
-                            Signature, TermSystem, Var, assignments, run_steps,
-                            table_index, term_dag, term_steps)
+                            Signature, TermDag, TermSystem, Var, assignments,
+                            run_steps, table_index, term_dag, term_steps)
 from corpus_loader import load
 
 
@@ -1126,6 +1127,158 @@ def test_routes_share_no_code_with_flownet():
                 assert not any("flownet" in a for a in names), module
     assert "flownet" not in seen
     assert {"oracle", "kernel", "terms"} <= seen
+
+
+# ---- narrow reductions and per-scan gathers ---------------------------------
+#
+# `_satisfied` and `_distinct` sum in the narrowest unsigned dtype that holds
+# n^k and return int64; `_chunks` builds an input-only op's row selection
+# once per scan.
+
+def _xs(k):
+    return ", ".join(f"x{i}" for i in range(k))
+
+
+@pytest.mark.parametrize("kind,text,n,value", [
+    # 256 distinct codes: a uint8 sum of 1 + 255 code changes would wrap
+    ("image", f"dispersion {{ inputs {_xs(8)}; sig f/1; "
+              f"outputs {_xs(8)}, f(x0); }}", 2, 256),
+    ("image", f"dispersion {{ inputs {_xs(5)}; sig f/1; "
+              f"outputs {_xs(5)}, f(x0); }}", 3, 243),
+    # two cells on f(x0)'s support, times 2^7 free assignments
+    ("count", f"instance {{ vars {_xs(8)}; sig f/1; eq f(x0) = f(x0); }}",
+     2, 256),
+    # 256 cells: 64 and 256 of them satisfied
+    ("count", f"instance {{ vars {_xs(4)}; sig f/1; eq f(x0) = x1; "
+              f"eq x2 = x2; eq x3 = x3; }}", 4, 64),
+    ("count", f"instance {{ vars {_xs(4)}; sig f/1; eq f(x0) = f(x0); "
+              f"eq x1 = x1; eq x2 = x2; eq x3 = x3; }}", 4, 256),
+], ids=["image256", "image243", "count256_free", "count64", "count256"])
+def test_reductions_at_dtype_boundaries(kind, text, n, value):
+    obj = parse(text)
+    values = _scalar_values(kind, obj, n)
+    assert set(values) == {value}
+    assert _kernel_values(kind, obj, n) == values
+    assert _kernel_values(kind, obj, n, pruned=True)[0] == value
+    search = brute_dispersion if kind == "image" else brute_max_solutions
+    res = search(obj, n)
+    assert res.value == value
+    assert res.witness == interpretation_at(obj.signature, n, 0)
+
+
+@st.composite
+def _reduction_grids(draw):
+    """(kind, dag, vals, n, k, c): value arrays in kernel layout, the k
+    inputs first as `_chunks` makes them, then up to three drawn nodes, each
+    with size-1 axes off a drawn support and a chunk axis of length c or 1.
+    The reductions read only the DAG's `outputs`; a count may have none."""
+    n, k, c = draw(st.integers(1, 4)), draw(st.integers(0, 5)), draw(
+        st.sampled_from([1, 2, 7, 16]))
+    dtype = np.min_scalar_type(n - 1)
+    vals = [np.arange(n, dtype=dtype).reshape(
+        [n if j == i else 1 for j in range(k)] + [1]) for i in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(0 if k else 1, 3))):
+        shape = draw(st.just([n] * k) | st.lists(
+            st.sampled_from([n, 1]), min_size=k, max_size=k))
+        vals.append(rng.integers(0, n, size=shape + [draw(
+            st.sampled_from([c, 1]))], dtype=dtype))
+    kind = draw(st.sampled_from(["count", "image"]))
+    nodes = st.integers(0, len(vals) - 1)
+    if kind == "count":  # (i, i) is always true
+        pairs = st.tuples(nodes, nodes) | nodes.map(lambda i: (i, i))
+        outputs = [o for pair in draw(st.lists(pairs, max_size=3))
+                   for o in pair]
+    else:  # every node, the inputs among them, is one injective tuple
+        outputs = draw(st.lists(nodes, min_size=1, max_size=4)
+                       | st.permutations(range(len(vals))))
+    dag = TermDag(inputs=tuple(f"x{i}" for i in range(k)), ops=(),
+                  outputs=tuple(outputs))
+    return kind, dag, vals, n, k, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reduction_grids())
+def test_reductions_match_a_plain_reference(grid):
+    # grids up to 4^5 assignments x 16 interpretations, past the reach of
+    # the scalar-route pins above
+    kind, dag, vals, n, k, c = grid
+    full = [np.broadcast_to(vals[o], (n,) * k + (c,)) for o in dag.outputs]
+    if kind == "count":
+        sat = np.ones((n,) * k + (c,), dtype=bool)
+        for a, b in zip(full[::2], full[1::2]):
+            sat &= a == b
+        want = [int(np.count_nonzero(sat[..., j])) for j in range(c)]
+        reduce = kernel._satisfied
+    else:
+        want = [len(np.unique(np.stack([f[..., j].ravel() for f in full],
+                                       axis=1), axis=0)) for j in range(c)]
+        reduce = kernel._distinct
+    before = [v.copy() for v in vals]
+    got = reduce(dag, vals, n, k, c)
+    assert got.dtype == np.int64 and got.shape == (c,)
+    assert got.tolist() == want
+    assert all(np.array_equal(v, w) for v, w in zip(vals, before))
+
+
+def _count_table_rows(monkeypatch):
+    calls = []
+    table_rows = kernel._table_rows
+
+    def counting(*args):
+        calls.append(args)
+        return table_rows(*args)
+
+    monkeypatch.setattr(kernel, "_table_rows", counting)
+    return calls
+
+
+def test_index_coding_gathers_are_built_once_per_scan(monkeypatch):
+    # work, never wall time: each of the 4 ops reads only inputs, so a scan
+    # of 64 chunks builds 4 row selections, not 4 x 64
+    obj = load("index_coding.inst")
+    k = len(obj.dag.inputs)
+    assert all(max(children) < k for _, children in obj.dag.ops)
+    used, _ = oracle._scan_space(obj.signature, 2, obj.dag)
+    calls = _count_table_rows(monkeypatch)
+    assert len(list(kernel._chunks("count", used, obj.dag, 2))) == 64
+    assert len(calls) == len(obj.dag.ops) == 4
+    calls.clear()
+    assert brute_max_solutions(obj, 2).value == 4
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("text,n,cells", [
+    (_DISP4, 2, 8), (_DISP4, 3, 1 << 18), ("nested_r1.disp", 2, 1),
+    ("nested_r1.disp", 3, 1 << 18),
+    # a constant is one digit row, not a gather
+    ("dispersion { inputs x, y; sig c/0, f/2; "
+     "outputs c(), f(x, c()), f(y, f(c(), x)), f(x, y); }", 3, 64),
+], ids=["disp4-n2", "disp4-n3", "nested_r1-n2", "nested_r1-n3", "constants"])
+def test_nested_gathers_run_once_per_evaluated_chunk(monkeypatch, text, n,
+                                                     cells):
+    obj = parse(text) if "{" in text else load(text)
+    k = len(obj.dag.inputs)
+    fixed = sum(1 for _, ch in obj.dag.ops if ch and max(ch) < k)
+    nested = sum(1 for _, ch in obj.dag.ops if ch and max(ch) >= k)
+    assert fixed and nested
+    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    calls = _count_table_rows(monkeypatch)
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
+        chunks = len(list(kernel._chunks("image", used, obj.dag, n)))
+        assert len(calls) == fixed + nested * chunks
+        calls.clear()
+        drawn = []
+        every = kernel._chunks
+
+        def counting(*args):
+            for pair in every(*args):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(kernel, "_chunks", counting)
+        brute_dispersion(obj, n)
+    assert len(calls) == fixed + nested * len(drawn)
 
 
 # ---- alphabet-symmetry pruning ----------------------------------------------
