@@ -8,6 +8,11 @@ table, `_COMMANDS`; `_USAGE` is the -h/--help text.  Exit codes: 0 success
 precondition violation, 4 budget refusal, 1 internal error.
 TERMFLOW_BUDGET=EVALS[:INTERPS], in ASCII digits, overrides the default
 search budget; --budget beats the environment.
+
+`main` pauses the cyclic garbage collector for the command and restores
+its state on every way out: termflow builds no reference cycles, so
+reference counting still frees all it drops, and the pause only skips the
+collector's repeated scans of the live objects a large input builds.
 """
 
 from __future__ import annotations
@@ -313,7 +318,9 @@ def _say(text: str, stream, gone: frozenset) -> None:
 
 
 def main(argv=None) -> int:
-    args = None  # a usage error leaves it None
+    import gc  # here, so that importing termflow.cli loads no module for it
+    args, collecting = None, gc.isenabled()  # a usage error leaves args None
+    gc.disable()
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         started = time.perf_counter()
@@ -323,9 +330,13 @@ def main(argv=None) -> int:
              _STDERR_GONE)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__
                     if cls in _EXIT_CODES)
-    # help, version or the report
-    _say(args if report is None else _write(report), sys.stdout, _STDOUT_GONE)
-    if report is not None:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        _say(f"elapsed_ms={elapsed:.1f}", sys.stderr, _STDERR_GONE)
-    return code
+    else:  # help, version or the report
+        _say(args if report is None else _write(report), sys.stdout,
+             _STDOUT_GONE)
+        if report is not None:
+            elapsed = (time.perf_counter() - started) * 1000.0
+            _say(f"elapsed_ms={elapsed:.1f}", sys.stderr, _STDERR_GONE)
+        return code
+    finally:
+        if collecting:
+            gc.enable()

@@ -27,15 +27,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .terms import (App, DispersionSpec, Equation, Ident, Signature, TermDag,
                     TermSystem, Var, term_dag)
 
 
-@dataclass(frozen=True)
-class NormalEquation:
-    """Depth-1 equation `symbol(args) = defined`; args are variable names."""
+class NormalEquation(NamedTuple):
+    """Depth-1 equation `symbol(args) = defined`; args are variable names.
+    A named tuple: it is built, hashed and compared in C, and it equals
+    the plain tuple `(symbol, args, defined)`."""
 
     symbol: Ident
     args: tuple[Ident, ...]
@@ -53,7 +55,9 @@ class NormalSystem:
     auxiliaries lists the live variables that flattening minted.  `dag`,
     built on first use, is `to_term_system().dag` without that system's
     trees or checks, so a variable may share a symbol's name (as a game's
-    players do, see `depgraph.graph_system`).
+    players do, see `depgraph.graph_system`).  `classification`, also
+    built on first use, is what `classify` returns for the system, so the
+    pipeline and every later stage share one.
     """
 
     variables: tuple[Ident, ...]
@@ -90,6 +94,10 @@ class NormalSystem:
     def dag(self) -> TermDag:
         return term_dag(self.variables,
                         [t for sides in self._sides() for t in sides])
+
+    @cached_property
+    def classification(self) -> Classification:
+        return _classify(self)
 
     def to_term_system(self) -> TermSystem:
         return TermSystem(self.variables, self.signature,
@@ -250,45 +258,56 @@ def collision_quotient(system: NormalSystem,
     keys every equation, later rounds only those over a root the round
     before removed (found by use-lists).  A round keys before it unions,
     so it removes the same roots as re-substituting the whole system after
-    every round would.  Each merge is appended to `merges` when given."""
+    every round would.  Each merge is appended to `merges` when given.  An
+    input where no key collides and no equation repeats comes back as is."""
     if system.var_equalities:
         raise PreconditionError("collision quotient expects a quotiented system")
-    uf = UnionFind(system.variables, system.auxiliaries)
     equations = system.equations
+    table: dict[tuple, Ident] = {}
+    # round 1, where every variable is its own root; a pair whose two sides
+    # are one variable would be a no-op union, so none is made
+    pairs = [(kept, defined) for symbol, args, defined in equations
+             if (kept := table.setdefault((symbol, args), defined)) != defined]
+    if not pairs and len(table) == len(equations):
+        return system  # no key collides and no equation repeats
+    uf = UnionFind(system.variables, system.auxiliaries)
     uses: dict[Ident, list[int]] = {v: [] for v in system.variables}
     for i, eq in enumerate(equations):
         for u in eq.args:
             uses[u].append(i)
-    table: dict[tuple, Ident] = {}
-    todo = range(len(equations))
-    while todo:
-        pairs = []
-        for i in todo:
-            eq = equations[i]
-            key = (eq.symbol, tuple(uf.find(u) for u in eq.args))
-            pairs.append((table.setdefault(key, eq.defined), eq.defined))
+    while pairs:
         removed = _union_round(uf, pairs, "collision_quotient", merges)
         todo = sorted({i for d in removed for i in uses[d]})
         for d in removed:  # the shorter use-list joins the longer
             keep = uf.find(d)
             small, uses[keep] = sorted((uses.pop(d), uses[keep]), key=len)
             uses[keep] += small
+        pairs = []
+        for i in todo:
+            symbol, args, defined = equations[i]
+            kept = table.setdefault((symbol, tuple(map(uf.find, args))), defined)
+            if kept != defined:
+                pairs.append((kept, defined))
     return _substitute(system, uf)
 
 
 def classify(system: NormalSystem) -> Classification:
-    """Split variables into defined and source, and test FNF/CFNF."""
-    if system.var_equalities:
+    """Split variables into defined and source, and test FNF/CFNF: the
+    system's cached `classification`."""
+    return system.classification
+
+
+def _classify(system: NormalSystem) -> Classification:
+    if system.var_equalities:  # raises every time: nothing is cached
         raise PreconditionError("classify expects a quotiented system")
-    defining: dict[Ident, int] = {}
-    keys: dict[tuple, set[Ident]] = {}
-    for eq in system.equations:
-        defining[eq.defined] = defining.get(eq.defined, 0) + 1
-        keys.setdefault(eq.key, set()).add(eq.defined)
+    equations = system.equations
+    defining = {defined for _, _, defined in equations}
+    distinct = set(equations)
     defined = tuple(v for v in system.variables if v in defining)
     sources = tuple(v for v in system.variables if v not in defining)
-    is_fnf = all(c == 1 for c in defining.values())
-    is_collision_free = all(len(ds) == 1 for ds in keys.values())
+    is_fnf = len(defining) == len(equations)  # one equation per variable
+    # no two distinct equations share a key
+    is_collision_free = len({eq[:2] for eq in distinct}) == len(distinct)
     return Classification(defined, sources, is_fnf, is_collision_free)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termflow
-from termflow import cli
+from termflow import cli, normalize
 from termflow.corpus import corpus_names, corpus_path
 
 
@@ -942,3 +943,59 @@ def test_parsed_inputs_build_no_tree(monkeypatch, tmp_path):
     result = json.loads(out)["result"]
     assert len(calls) == 1  # the spec's outputs, built once for the recount
     assert result["equal"] and result["embedded"]["value"] == 2
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector on at the start, and on again at the end."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def test_collector_is_restored_on_every_exit(tmp_path, collector):
+    bad = tmp_path / "bad.inst"
+    bad.write_text("instance { vars x; sig f/1; eq f(x = y; }")
+    for argv, code in [(("graph", path("index_coding.inst")), 0),
+                       (("--help",), 0), (("--version",), 0),
+                       (("nonsense",), 2), (("normalize", str(bad)), 2),
+                       (("brute", "guess", path("diamond.disp"), "-n", "2"), 3),
+                       (("brute", "disp", path("diamond.disp"), "-n", "4"), 4)]:
+        assert _main(*argv)[0] == code, argv
+        assert gc.isenabled(), argv
+
+
+def test_collector_is_paused_while_a_command_runs(monkeypatch, collector):
+    seen, as_graph = [], cli._as_graph
+    monkeypatch.setattr(cli, "_as_graph",
+                        lambda obj: seen.append(gc.isenabled()) or as_graph(obj))
+    assert _main("graph", path("index_coding.inst"))[0] == 0
+    assert seen == [False] and gc.isenabled()
+
+    def crash(obj):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_as_graph", crash)
+    with pytest.raises(RuntimeError, match="boom"):
+        _main("graph", path("index_coding.inst"))
+    assert gc.isenabled()
+
+
+def test_a_paused_collector_stays_paused(collector):
+    gc.disable()
+    assert _main("graph", path("index_coding.inst"))[0] == 0
+    assert not gc.isenabled()
+
+
+def test_one_classification_per_command(monkeypatch, tmp_path):
+    calls = []
+    body = normalize._classify
+    monkeypatch.setattr(normalize, "_classify",
+                        lambda system: calls.append(system) or body(system))
+    inst = path("index_coding.inst")
+    for argv in [("graph", inst), ("brute", "guess", inst, "-n", "2"),
+                 ("normalize", inst, "--dot", str(tmp_path / "out.dot"))]:
+        calls.clear()
+        code, _, err = _main(*argv)
+        assert code == 0, err
+        assert len(calls) == 1, argv

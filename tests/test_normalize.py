@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termflow import normalize
-from termflow.dsl import KEYWORDS, parse
+from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import PreconditionError
 from termflow.normalize import (Merge, NormalEquation, NormalSystem, UnionFind,
                                 classify, collision_quotient, diversify,
@@ -440,10 +440,7 @@ def _cascade(n):
     return parse(f"instance {{ vars {', '.join(names)}; sig f/1, g/1;{body} }}")
 
 
-def test_collision_quotient_builds_one_system(monkeypatch):
-    """The cascade merges one pair per round for 200 rounds, yet the
-    stage builds a single NormalSystem: the final substitution."""
-    quot = quotient_vars(flatten(_cascade(200)))
+def _counting_systems(monkeypatch):
     built = []
 
     class Counted(NormalSystem):
@@ -452,6 +449,14 @@ def test_collision_quotient_builds_one_system(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(normalize, "NormalSystem", Counted)
+    return built
+
+
+def test_collision_quotient_builds_one_system(monkeypatch):
+    """The cascade merges one pair per round for 200 rounds, yet the
+    stage builds a single NormalSystem: the final substitution."""
+    quot = quotient_vars(flatten(_cascade(200)))
+    built = _counting_systems(monkeypatch)
     merges = []
     out = collision_quotient(quot, merges)
     assert len(built) == 1
@@ -489,3 +494,82 @@ def test_flatten_skips_declared_auxiliary_names(declared, minted):
     assert check_counts_preserved(system, norm, 3).equal
     built = TermSystem((declared, "x"), system.signature, system.equations)
     assert flatten(built) == flatten(system)
+
+
+def test_normal_equation_is_a_named_tuple():
+    eq = NormalEquation("f", ("x",), "y")
+    assert (eq.symbol, eq.args, eq.defined, eq.key) == ("f", ("x",), "y",
+                                                         ("f", ("x",)))
+    same = NormalEquation("f", ("x",), "y")
+    assert eq == same and hash(eq) == hash(same)
+    assert eq != NormalEquation("f", ("x",), "z")
+    assert eq == ("f", ("x",), "y")  # it equals the plain tuple
+    with pytest.raises(AttributeError):
+        eq.defined = "z"
+    system = NormalSystem(("x", "y", "z"), Signature((("f", 1), ("g", 2))),
+                          (eq, NormalEquation("g", ("x", "y"), "z")))
+    assert flatten(parse(render(system))) == system
+
+
+def _chain(n):
+    """The collision-free FNF chain `f(v_i) = v_{i+1}` over v_0..v_n."""
+    names = tuple(f"v{i}" for i in range(n + 1))
+    return NormalSystem(names, Signature((("f", 1),)),
+                        tuple(NormalEquation("f", (u,), v)
+                              for u, v in zip(names, names[1:])))
+
+
+def test_unchanged_collision_quotient_builds_nothing(monkeypatch):
+    system = _chain(200)
+    built = _counting_systems(monkeypatch)
+    merges = []
+    assert collision_quotient(system, merges) is system
+    assert built == [] and merges == []
+
+
+@pytest.mark.parametrize("extra,merged", [((), []), (
+    (NormalEquation("f", ("x",), "z"),),
+    [Merge("y", "z", "collision_quotient")])])
+def test_repeated_equation_is_rebuilt_once(monkeypatch, extra, merged):
+    eq = NormalEquation("f", ("x",), "y")
+    system = NormalSystem(("x", "y", "z"), Signature((("f", 1),)),
+                          (eq, eq) + extra)
+    built = _counting_systems(monkeypatch)
+    merges = []
+    out = collision_quotient(system, merges)
+    assert len(built) == 1 and out is built[0]
+    assert out.equations == (eq,) and merges == merged
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colliding_systems())
+def test_classify_matches_a_count_per_key(system):
+    """One definition per variable, counting repeats, and one defined
+    variable per (symbol, args) key."""
+    defining, keys = {}, {}
+    for eq in system.equations:
+        defining[eq.defined] = defining.get(eq.defined, 0) + 1
+        keys.setdefault(eq.key, set()).add(eq.defined)
+    cls = classify(system)
+    assert cls.defined == tuple(v for v in system.variables if v in defining)
+    assert cls.sources == tuple(v for v in system.variables
+                                if v not in defining)
+    assert cls.is_fnf == all(c == 1 for c in defining.values())
+    assert cls.is_collision_free == all(len(d) == 1 for d in keys.values())
+
+
+def test_classification_is_built_once_per_system(monkeypatch):
+    calls = []
+    body = normalize._classify
+    monkeypatch.setattr(normalize, "_classify",
+                        lambda system: calls.append(system) or body(system))
+    norm, _ = pipeline(load("index_coding.inst"))
+    assert len(calls) == 1
+    assert classify(norm) is classify(norm) and len(calls) == 1
+    system = _chain(3)
+    assert classify(system) == classify(system) and len(calls) == 2
+    flat = flatten(load("flatten_nested.inst"))
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            classify(flat)
+    assert len(calls) == 4
