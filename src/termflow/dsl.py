@@ -16,10 +16,17 @@ Application is prefix (`f(a, b)`), constants render with explicit parens
 (`c()`), and `#` starts a comment running to end of line.  Id-lists may be
 empty so that source-free graphs and symbol-free specs stay expressible.
 
-Tokenizing is one regex pass into plain strings; a token's kind is its first
+Tokenizing pads each punctuation token with spaces and splits on whitespace,
+then checks with one regex search that every distinct word is one whole
+token.  `_TOKEN_RE` stays the definition of a token: only text that fails
+that check, which the parser always rejects, is tokenized by it, so that its
+errors come out as before.  Tokens are plain strings; a token's kind is its first
 character, and a token is named by its index (line:col is found only for an
-error, by tokenizing again up to it).  Each term is hash-consed into the DAG
-as it is read, and every check a constructor would make is made here.
+error, by tokenizing again up to it).  An id list or signature is read as one
+slice up to its ';' and checked with set operations; only a list that fails a
+check is walked item by item, to report its first error.  Each term is
+hash-consed into the DAG as it is read, and every check a constructor would
+make is made here.
 
 User identifiers may not start with "_" or contain "@"; those namespaces are
 reserved for pipeline-minted auxiliary variables and diversified symbols.
@@ -30,17 +37,27 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import itemgetter
+from typing import NoReturn
 
 from .depgraph import DependencyGraph
 from .errors import ParseError
 from .normalize import NormalSystem
 from .terms import (IDENT_RE, KEYWORDS, DispersionSpec, Ident, Signature,
-                    TermSystem, _from_dag, _Nodes, is_reserved_ident)
+                    TermSystem, _from_arities, _from_dag, _Nodes,
+                    is_reserved_ident)
 
 # comment | identifier | arity | arrow | any other visible character
 _TOKEN_RE = re.compile(rf"#[^\n]*|{IDENT_RE.pattern}|[0-9]+|->|\S")
 _ID_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _ONE_CHAR = _ID_START | frozenset("0123456789{}();,=/")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_PADDED = [(p, f" {p} ") for p in ("->", *"(){};,=/")]
+# the first of some newline-joined words that is not one whole token: a
+# search, since a fullmatch repeating over the words keeps one backtracking
+# frame per word
+_NOT_A_TOKEN_RE = re.compile(
+    rf"^(?!(?:{IDENT_RE.pattern}|[0-9]+|->|[(){{}};,=/])$|\Z)", re.MULTILINE)
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -52,9 +69,9 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[str]:
-    """The tokens outside comments as plain strings, then "" for the end.
-    Only a one-character token can be a character that starts no token."""
+def _regex_tokens(text: str) -> list[str]:
+    """`_TOKEN_RE`'s tokens outside comments.  Only a one-character token
+    can be a character that starts no token."""
     tokens = _TOKEN_RE.findall(text)
     if "#" in text:
         tokens = [tok for tok in tokens if tok[0] != "#"]
@@ -63,8 +80,25 @@ def _tokenize(text: str) -> list[str]:
         at = min(map(tokens.index, bad))
         raise ParseError(f"unexpected character {tokens[at]!r}",
                          *_position(text, at))
-    tokens.append("")
     return tokens
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens outside comments as plain strings, then "" for the end.
+
+    Padding never splits or joins a token, a comment ends before its
+    newline, and `str.split` and `\\s` agree on whitespace, so when every
+    word is one whole token the words are `_regex_tokens(text)`.  Two
+    tokens touch with nothing padded between them only in text the parser
+    rejects, and only then does `_regex_tokens` run."""
+    words = _COMMENT_RE.sub("", text) if "#" in text else text
+    for punct, padded in _PADDED:
+        words = words.replace(punct, padded)
+    words = words.split()
+    if _NOT_A_TOKEN_RE.search("\n".join(set(words))):
+        words = _regex_tokens(text)
+    words.append("")
+    return words
 
 
 class _Parser:
@@ -100,28 +134,60 @@ class _Parser:
         self.pos += 1
         return self.pos - 1
 
-    def listed(self, item) -> list:
-        """`item, ..., item` up to the ';' that ends it, possibly empty."""
-        if self.here == ";":
-            return []
-        out = [item()]
-        while self.here == ",":
-            self.pos += 1
-            out.append(item())
-        return out
-
-    def symbol(self) -> tuple[int, int]:
-        """`name/arity` as the name's index and the arity."""
+    def symbol(self) -> int:
+        """`name/arity`, checked, as the name's index."""
         at = self.ident("symbol")
         self.take("/")
         if not self.here.isdigit():
             self.fail(f"expected arity, found {self.here!r}")
         try:
-            arity = int(self.here)
+            int(self.here)
         except ValueError:  # past Python's int-string limit
             self.fail(f"arity too large ({len(self.here)} digits)")
         self.pos += 1
-        return at, arity
+        return at
+
+    def items(self, width: int, item, repeated: str | None) -> list[str]:
+        """The `;`-ended list at `pos` as one slice of tokens, each item
+        `width - 1` tokens with a ',' after all but the last; `pos` moves
+        past the ';'.  Each item's first token must be a name `ident`
+        accepts, and the names must be distinct if `repeated` says what they
+        are; a list that fails is walked with `item` by `list_error`."""
+        toks, start = self.toks, self.pos
+        try:
+            end = toks.index(";", start)
+        except ValueError:
+            self.list_error(start, item, repeated)
+        items = toks[start:end]
+        names = items[::width]
+        firsts = set(map(itemgetter(0), names))
+        shaped = not items or ((len(items) + 1) % width == 0
+                               and set(items[width - 1::width]) <= {","})
+        named = (firsts <= _ID_START and KEYWORDS.isdisjoint(names)
+                 and (self.allow_reserved
+                      or "_" not in firsts and "@" not in "".join(names)))
+        if not (shaped and named) or repeated and len(set(names)) < len(names):
+            self.list_error(start, item, repeated)
+        self.pos = end + 1
+        return items
+
+    def list_error(self, start: int, item, repeated: str | None) -> NoReturn:
+        """Walk the list at `start` item by item and raise the error it
+        meets first: the error path of a list that failed a bulk check."""
+        self.pos = start
+        ats = []
+        if self.here != ";":
+            ats.append(item())
+            while self.here == ",":
+                self.pos += 1
+                ats.append(item())
+        self.take(";")
+        seen = set()
+        for at in ats if repeated else ():
+            if self.toks[at] in seen:
+                self.fail(f"duplicate {repeated} {self.toks[at]!r}", at)
+            seen.add(self.toks[at])
+        raise AssertionError("a list failed its bulk check but has no error")
 
     def term(self, arities: dict[Ident, int], nodes: _Nodes) -> int:
         """One term's DAG node, parsed on an explicit stack of open
@@ -159,7 +225,8 @@ class _Parser:
                 if len(args) != arities[symbol]:
                     self.fail(f"arity mismatch: {symbol!r} declared "
                               f"/{arities[symbol]}, applied to {len(args)}", at)
-                outer.append(nodes[symbol, tuple(args)])
+                outer.append(nodes.setdefault((symbol, tuple(args)),
+                                              len(nodes)))
                 args = outer
                 i += 1
             if not stack:
@@ -169,32 +236,27 @@ class _Parser:
 
     # ---- top-level forms, after their opening `keyword {` ----------------
 
-    def names_block(self, keyword: str) -> tuple[Ident, ...]:
+    def names(self, keyword: str, repeated: str | None = "name") -> list[Ident]:
+        """`keyword name, ..., name;` as its names."""
         self.take(keyword)
-        ats = self.listed(self.ident)
-        self.take(";")
-        seen = set()
-        for at in ats:
-            if self.toks[at] in seen:
-                self.fail(f"duplicate name {self.toks[at]!r}", at)
-            seen.add(self.toks[at])
-        return tuple(self.toks[at] for at in ats)
+        return self.items(2, self.ident, repeated)[::2]
 
     def header(self, keyword: str, what: str):
         """`keyword names; sig symbols;` as the symbols' arities in
         declaration order and a hash-consing table over the names."""
-        names = self.names_block(keyword)
+        names = self.names(keyword)
         self.take("sig")
-        symbols = self.listed(self.symbol)
-        self.take(";")
-        arities = {}
-        for at, arity in symbols:
-            if self.toks[at] in arities:
-                self.fail(f"duplicate symbol {self.toks[at]!r}", at)
-            arities[self.toks[at]] = arity
-        for v in names:
-            if v in arities:
-                self.fail(f"{v!r} is both {what} and a symbol")
+        start = self.pos
+        items = self.items(4, self.symbol, "symbol")
+        try:  # of all tokens, `int` reads only digit runs, up to its limit
+            arities = dict(zip(items[::4], map(int, items[2::4])))
+        except ValueError:
+            self.list_error(start, self.symbol, "symbol")
+        if not set(items[1::4]) <= {"/"}:
+            self.list_error(start, self.symbol, "symbol")
+        if not arities.keys().isdisjoint(names):
+            v = next(v for v in names if v in arities)
+            self.fail(f"{v!r} is both {what} and a symbol")
         return arities, _Nodes(names)
 
     def system(self) -> TermSystem:
@@ -207,7 +269,7 @@ class _Parser:
             sides.append(self.term(arities, nodes))
             self.take(";")
         self.take("}")
-        return _from_dag(TermSystem, Signature(tuple(arities.items())),
+        return _from_dag(TermSystem, _from_arities(arities),
                          nodes.dag(sides))
 
     def dispersion(self) -> DispersionSpec:
@@ -221,19 +283,19 @@ class _Parser:
         self.take("}")
         if not nodes.inputs:
             self.fail("dispersion spec needs at least one input")
-        return _from_dag(DispersionSpec, Signature(tuple(arities.items())),
+        return _from_dag(DispersionSpec, _from_arities(arities),
                          nodes.dag(outputs))
 
     def graph(self) -> DependencyGraph:
         toks = self.toks
-        nodes = self.names_block("nodes")
+        nodes = self.names("nodes")
         declared = frozenset(nodes)
-        self.take("sources")
-        sources = self.listed(self.ident)
-        self.take(";")
-        for at in sources:
-            if toks[at] not in declared:
-                self.fail(f"source {toks[at]!r} is not a declared node", at)
+        start = self.pos + 1  # the first source, after the keyword
+        sources = self.names("sources", None)
+        if not declared.issuperset(sources):
+            at = next(at for at in range(start, self.pos, 2)
+                      if toks[at] not in declared)
+            self.fail(f"source {toks[at]!r} is not a declared node", at)
         edges = set()
         while self.here == "edge":
             self.pos += 1
@@ -246,8 +308,7 @@ class _Parser:
                     self.fail(f"edge endpoint {toks[at]!r} is not a declared node", at)
             edges.add((toks[u], toks[v]))
         self.take("}")
-        return DependencyGraph(nodes, frozenset(edges),
-                               frozenset(toks[at] for at in sources))
+        return DependencyGraph(tuple(nodes), frozenset(edges), frozenset(sources))
 
 
 def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):

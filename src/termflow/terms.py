@@ -173,7 +173,9 @@ class TermDag:
 class _Nodes(dict):
     """The one hash-consing table, shared by `term_dag` and the parser: each
     input's name, then each op's key (symbol, child node ids), maps to its
-    node id, numbered in first-lookup order.  Inputs must be distinct."""
+    node id, numbered in first-lookup order.  Inputs must be distinct.
+    `term_dag` interns through `__missing__`; the parser calls
+    `setdefault(key, len(nodes))`, which numbers the same way."""
 
     def __init__(self, inputs):
         self.inputs = tuple(inputs)
@@ -318,6 +320,16 @@ def _from_dag(cls, signature: Signature, dag: TermDag):
     object.__setattr__(obj, "signature", signature)
     object.__setattr__(obj, "dag", dag)
     return obj
+
+
+def _from_arities(arities: dict[Ident, int]) -> Signature:
+    """The signature of `arities`, whose names and arities the parser has
+    checked as `Signature.__post_init__` would; the dict becomes its
+    `_arity`."""
+    signature = object.__new__(Signature)
+    object.__setattr__(signature, "symbols", tuple(arities.items()))
+    object.__setattr__(signature, "_arity", arities)
+    return signature
 
 
 def table_index(n: int, args: tuple[int, ...]) -> int:

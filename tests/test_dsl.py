@@ -1,16 +1,21 @@
 """Parser and renderer: round-trips, positions, reserved-name policy."""
 
+import random
+import re
 import string
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from termflow.corpus import corpus_names, corpus_path
 from termflow.depgraph import DependencyGraph
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import ParseError
-from termflow import terms
+from termflow import dsl, terms
 from termflow.terms import (App, DispersionSpec, Equation, Signature,
                             TermSystem, Var, instance_size, term_dag,
                             term_size)
@@ -24,6 +29,10 @@ def test_corpus_round_trip(name):
     assert again == obj
     if not isinstance(obj, DependencyGraph):
         _check_trees_on_demand(text)
+        # the parser builds its signature without the constructor's checks
+        public = Signature(obj.signature.symbols)
+        assert obj.signature == public and hash(obj.signature) == hash(public)
+        assert obj.signature._arity == public._arity
 
 
 @pytest.mark.parametrize("name,cls", [
@@ -228,6 +237,30 @@ def test_end_of_input_position_after_trailing_newline():
     assert (exc.value.line, exc.value.col) == (4, 1)
 
 
+_LONG = 2000
+_SPOTS = {"start": 0, "middle": _LONG // 2, "end": _LONG - 1}
+
+
+def _lines(items):
+    """`items` joined by commas, 100 to a line."""
+    return ",\n    ".join(", ".join(items[i:i + 100])
+                          for i in range(0, len(items), 100))
+
+
+def _long_vars(bad, spot):
+    """An instance whose 2,000-name `vars` list holds `bad` at `spot`."""
+    names = [f"v{i}" for i in range(_LONG)]
+    names[_SPOTS[spot]] = bad
+    return f"instance {{\n  vars {_lines(names)};\n  sig f/1;\n  eq f(v0) = v1;\n}}\n"
+
+
+def _long_sig(bad, spot):
+    """An instance whose 2,000-symbol `sig` list holds `bad` at `spot`."""
+    symbols = [f"g{i}/1" for i in range(_LONG)]
+    symbols[_SPOTS[spot]] = bad
+    return f"instance {{\n  vars x;\n  sig {_lines(symbols)};\n  eq g0(x) = x;\n}}\n"
+
+
 # One row per `fail` site and tokenizer error: (id, kind, text, message,
 # line, col).  Every message and position is part of the CLI's output.
 _GOLDEN_ERRORS = [
@@ -378,6 +411,118 @@ _GOLDEN_ERRORS = [
     ("unknown_kind", "tree",
      "graph { nodes a; sources ; }",
      "unknown input kind 'tree'", 0, 0),
+    # the bad item at the start, middle or end of a 2,000-item list
+    ("long_vars_duplicate_start", "auto",
+     _long_vars("v1", "start"),
+     "duplicate name 'v1'", 2, 12),
+    ("long_vars_duplicate_middle", "auto",
+     _long_vars("v1001", "middle"),
+     "duplicate name 'v1001'", 12, 12),
+    ("long_vars_duplicate_end", "auto",
+     _long_vars("v1998", "end"),
+     "duplicate name 'v1998'", 21, 698),
+    ("long_vars_keyword_start", "auto",
+     _long_vars("eq", "start"),
+     "expected identifier, found 'eq'", 2, 8),
+    ("long_vars_keyword_middle", "auto",
+     _long_vars("eq", "middle"),
+     "expected identifier, found 'eq'", 12, 5),
+    ("long_vars_keyword_end", "auto",
+     _long_vars("eq", "end"),
+     "expected identifier, found 'eq'", 21, 698),
+    ("long_vars_reserved_underscore_start", "auto",
+     _long_vars("_z", "start"),
+     "reserved identifier '_z' (leading '_' and '@' belong to the pipeline)", 2, 8),
+    ("long_vars_reserved_underscore_middle", "auto",
+     _long_vars("_z", "middle"),
+     "reserved identifier '_z' (leading '_' and '@' belong to the pipeline)", 12, 5),
+    ("long_vars_reserved_underscore_end", "auto",
+     _long_vars("_z", "end"),
+     "reserved identifier '_z' (leading '_' and '@' belong to the pipeline)", 21, 698),
+    ("long_vars_reserved_at_start", "auto",
+     _long_vars("a@b", "start"),
+     "reserved identifier 'a@b' (leading '_' and '@' belong to the pipeline)", 2, 8),
+    ("long_vars_reserved_at_middle", "auto",
+     _long_vars("a@b", "middle"),
+     "reserved identifier 'a@b' (leading '_' and '@' belong to the pipeline)", 12, 5),
+    ("long_vars_reserved_at_end", "auto",
+     _long_vars("a@b", "end"),
+     "reserved identifier 'a@b' (leading '_' and '@' belong to the pipeline)", 21, 698),
+    ("long_vars_missing_comma_start", "auto",
+     _long_vars("a b", "start"),
+     "expected ';', found 'b'", 2, 10),
+    ("long_vars_missing_comma_middle", "auto",
+     _long_vars("a b", "middle"),
+     "expected ';', found 'b'", 12, 7),
+    ("long_vars_missing_comma_end", "auto",
+     _long_vars("a b", "end"),
+     "expected ';', found 'b'", 21, 700),
+    ("long_vars_wrong_separator_start", "auto",
+     _long_vars("a = b", "start"),
+     "expected ';', found '='", 2, 10),
+    ("long_vars_wrong_separator_middle", "auto",
+     _long_vars("a = b", "middle"),
+     "expected ';', found '='", 12, 7),
+    ("long_vars_wrong_separator_end", "auto",
+     _long_vars("a = b", "end"),
+     "expected ';', found '='", 21, 700),
+    ("long_vars_symbol_start", "auto",
+     _long_vars("f", "start"),
+     "'f' is both a variable and a symbol", 23, 3),
+    ("long_vars_symbol_middle", "auto",
+     _long_vars("f", "middle"),
+     "'f' is both a variable and a symbol", 23, 3),
+    ("long_vars_symbol_end", "auto",
+     _long_vars("f", "end"),
+     "'f' is both a variable and a symbol", 23, 3),
+    ("long_sig_word_arity_start", "auto",
+     _long_sig("f/two", "start"),
+     "expected arity, found 'two'", 3, 9),
+    ("long_sig_word_arity_middle", "auto",
+     _long_sig("f/two", "middle"),
+     "expected arity, found 'two'", 13, 7),
+    ("long_sig_word_arity_end", "auto",
+     _long_sig("f/two", "end"),
+     "expected arity, found 'two'", 22, 898),
+    ("long_sig_missing_arity_start", "auto",
+     _long_sig("f/", "start"),
+     "expected arity, found ','", 3, 9),
+    ("long_sig_missing_arity_middle", "auto",
+     _long_sig("f/", "middle"),
+     "expected arity, found ','", 13, 7),
+    ("long_sig_missing_arity_end", "auto",
+     _long_sig("f/", "end"),
+     "expected arity, found ';'", 22, 898),
+    ("long_sig_wrong_slash_start", "auto",
+     _long_sig("f=1", "start"),
+     "expected '/', found '='", 3, 8),
+    ("long_sig_wrong_slash_middle", "auto",
+     _long_sig("f=1", "middle"),
+     "expected '/', found '='", 13, 6),
+    ("long_sig_wrong_slash_end", "auto",
+     _long_sig("f=1", "end"),
+     "expected '/', found '='", 22, 897),
+    ("long_sig_duplicate_start", "auto",
+     _long_sig("g1/2", "start"),
+     "duplicate symbol 'g1'", 3, 13),
+    ("long_sig_duplicate_middle", "auto",
+     _long_sig("g1001/2", "middle"),
+     "duplicate symbol 'g1001'", 13, 14),
+    ("long_sig_duplicate_end", "auto",
+     _long_sig("g1998/2", "end"),
+     "duplicate symbol 'g1998'", 22, 896),
+    ("long_sig_keyword_start", "auto",
+     _long_sig("eq/0", "start"),
+     "expected symbol, found 'eq'", 3, 7),
+    ("long_sig_keyword_middle", "auto",
+     _long_sig("eq/0", "middle"),
+     "expected symbol, found 'eq'", 13, 5),
+    ("long_sig_keyword_end", "auto",
+     _long_sig("eq/0", "end"),
+     "expected symbol, found 'eq'", 22, 896),
+    ("long_sig_huge_arity_end", "auto",
+     _long_sig("g1999/" + "9" * 5000, "end"),
+     'arity too large (5000 digits)', 22, 902),
 ]
 
 
@@ -459,14 +604,111 @@ def test_stray_character_is_reported_first(text):
 
 @given(_mutated_corpus_text())
 def test_parsed_dag_of_mutated_corpus_text(text):
-    """Whatever the parser accepts, the public constructors accept too."""
+    """Whatever the parser accepts, the public constructors accept too, and
+    the parser read it without a slow path."""
     try:
-        obj = parse(text)
+        with _slow_paths() as counts:
+            obj = parse(text)
     except ParseError:
         return
+    assert counts == {}
     if not isinstance(obj, DependencyGraph):
         _check_parsed_dag(obj)
         _check_trees_on_demand(text)
+
+
+# ---- the split tokenizer and the bulk list reader ---------------------------
+
+_PIECES = ["instance", "dispersion", "graph", "vars", "inputs", "outputs",
+           "sig", "eq", "nodes", "sources", "edge", "x", "y", "f", "g", "v1",
+           "0", "12", *"{}();,=/", "->", " ", "\n"]
+_HAZARDS = ["\xa0", "\x1c", "\x85", "\u2028", "\r", "\t", "# a->b\n",
+            "# costs $5\n", "# é", "a->b", "-->", "=>", "2g", "@x", "é", "²"]
+_hazard_text = st.lists(st.sampled_from(_PIECES + _HAZARDS),
+                        max_size=40).map("".join)
+
+
+def _outcome(text):
+    """What `_tokenize` and `parse` make of `text`: tokens, render and DAG,
+    or the (message, line, col) of the error raised."""
+    try:
+        tokens = dsl._tokenize(text)
+        obj = parse(text)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    return tokens, render(obj), getattr(obj, "dag", None)
+
+
+@given(st.one_of(_mutated_corpus_text(), _hazard_text))
+@example("")
+def test_split_tokens_are_the_regex_tokens(text):
+    """Forcing every text through `_TOKEN_RE`, as if no split word were a
+    whole token, changes no token, result or error."""
+    split = _outcome(text)
+    with mock.patch.object(dsl, "_NOT_A_TOKEN_RE", re.compile("")):
+        assert _outcome(text) == split
+
+
+@contextmanager
+def _slow_paths():
+    """Counts the `_tokenize` fallback ("tokens") and the item-by-item list
+    walk ("walks") while the block runs."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with mock.patch.object(dsl, "_regex_tokens",
+                           counting("tokens", dsl._regex_tokens)), \
+            mock.patch.object(dsl._Parser, "list_error",
+                              counting("walks", dsl._Parser.list_error)):
+        yield counts
+
+
+def _bench_shaped_texts():
+    """A 2,000-equation chain, a 100 x 400 layered spec, a 2,000-symbol
+    spec and a 400-long collision cascade, shaped like the benchmark's
+    generated inputs."""
+    rng = random.Random(0)
+    chain = (f"instance {{\n  vars {', '.join(f'v{i}' for i in range(2001))};"
+             "\n  sig f/1;\n"
+             + "".join(f"  eq f(v{i}) = v{i + 1};\n" for i in range(2000)) + "}\n")
+    layer = [f"x{j}" for j in range(100)]
+    inputs = ", ".join(layer)
+    for _ in range(3):
+        layer = [f"f{rng.randrange(4)}({rng.choice(layer)}, {rng.choice(layer)})"
+                 for _ in range(400)]
+    layered = (f"dispersion {{\n  inputs {inputs};\n  sig f0/2, f1/2, f2/2, f3/2;"
+               f"\n  outputs {', '.join(layer)};\n}}\n")
+    many = (f"dispersion {{\n  inputs {', '.join(f'x{j}' for j in range(50))};\n"
+            f"  sig {', '.join(f'g{i}/1' for i in range(2000))};\n"
+            f"  outputs {', '.join(f'g{i}(x{i % 50})' for i in range(2000))};\n}}\n")
+    names = ["a"] + [f"{c}{i}" for c in "xy" for i in range(400)]
+    eqs = ["f(a) = x0", "f(a) = y0"] + [f"g({c}{i}) = {c}{i + 1}"
+                                        for c in "xy" for i in range(399)]
+    cascade = (f"instance {{\n  vars {', '.join(names)};\n  sig f/1, g/1;\n"
+               + "".join(f"  eq {e};\n" for e in eqs) + "}\n")
+    return [chain, layered, many, cascade]
+
+
+def test_accepted_input_takes_no_slow_path():
+    packed = ["graph{nodes a,b;sources a;edge a->b;}#end",
+              "instance{vars x,y;sig f/1,c/0;eq f(c())=y;}"]
+    texts = _CORPUS_TEXTS + packed + _bench_shaped_texts()
+    with _slow_paths() as counts:
+        for text in texts:
+            parse(text)
+    assert counts == {}
+    chain = texts[-4]
+    with _slow_paths() as counts, pytest.raises(ParseError):
+        parse(chain.replace("f(v1000)", "f($v1000)"))
+    assert counts == {"tokens": 1}
+    with _slow_paths() as counts, pytest.raises(ParseError):
+        parse(_long_vars("v1998", "end"))
+    assert counts == {"walks": 1}
 
 
 # ---- trees on demand ---------------------------------------------------------
