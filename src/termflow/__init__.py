@@ -20,8 +20,8 @@ from .oracle import (DEFAULT_BUDGET, BlockEncoding, CountPreservation,
                      brute_dispersion, brute_guessing, brute_max_solutions,
                      check_counts_preserved, check_embedding,
                      check_perfect_fixed, check_solutions_equal_winning,
-                     count_solutions, count_winning, enumerate_interpretations,
-                     image_of, interpretation_at, interpretation_count,
+                     count_solutions, count_winning, image_of,
+                     interpretation_at, interpretation_count,
                      lift_interpretation, sandwich_check)
 from .terms import (App, DispersionSpec, Equation, Interpretation, Signature,
                     Term, TermDag, TermSystem, Var, assignments, eval_term,

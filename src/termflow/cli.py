@@ -2,10 +2,13 @@
 
 Every command prints one JSON report on stdout, byte-identical across runs
 and written by `_write` as `json.dumps(report, indent=2, sort_keys=True)`
-would, and its wall-clock time on stderr.  `_parse` reads argv with one
-table, `_COMMANDS`; `_USAGE` is the -h/--help text.  Exit codes: 0 success
-(also -h/--help and --version), 2 usage, parse or input error, 3
-precondition violation, 4 budget refusal, 1 internal error.
+would, and its wall-clock time on stderr.  `_write` hands each scalar to a
+C-level encoder, and writes a list of uniform rows (the `graph` edge pairs,
+the certificate's bottleneck dicts) with one %-template (`_rows`).
+`_parse` reads argv with one table, `_COMMANDS`; `_USAGE` is the -h/--help
+text.  Exit codes: 0 success (also -h/--help and --version), 2 usage,
+parse or input error, 3 precondition violation, 4 budget refusal, 1
+internal error.
 TERMFLOW_BUDGET=EVALS[:INTERPS], in ASCII digits, overrides the default
 search budget; --budget beats the environment.
 
@@ -26,7 +29,9 @@ import re
 import sys
 import time
 import types
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -158,7 +163,7 @@ def cmd_graph(args) -> tuple[dict, int]:
     graph = add_source_loops(_as_graph(obj)) if args.loops else _as_graph(obj)
     result = {"vertices": list(graph.vertices),
               "sources": [v for v in graph.vertices if v in graph.sources],
-              "edges": [list(edge) for edge in graph.sorted_edges],
+              "edges": graph.sorted_edges,
               "vertex_count": len(graph.vertices),
               "edge_count": len(graph.edges)}
     if args.dot is not None:
@@ -178,12 +183,48 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             type(None): {None: "null"}.__getitem__}
 
 
+def _rows(rows, indent: str) -> str | None:
+    """The items of `rows` (two or more, the first a list, tuple or dict)
+    joined as `_write` joins them at `indent`, or None unless they are
+    uniform: all lists (or all tuples) of one nonzero length, or all dicts
+    with one nonempty key set, and each column's values of one exact type
+    in `_SCALARS`.  The row's text is built once with `%s` for each value,
+    each column is encoded with one `map`, and one `%` fills every row."""
+    first = rows[0]
+    if len(set(map(type, rows))) > 1 or not first:
+        return None
+    if type(first) is dict:
+        if len(set(map(frozenset, rows))) > 1:
+            return None
+        keys = sorted(first)  # a non-str key raises TypeError, here or below
+        columns = [map(itemgetter(key), rows) for key in keys]
+        heads = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+                 for key in keys]
+        brackets = "{}"
+    else:
+        if len(set(map(len, rows))) > 1:
+            return None
+        columns, heads, brackets = zip(*rows), [""] * len(first), "[]"
+    encoded = []
+    for column in map(tuple, columns):
+        kinds = set(map(type, column))
+        if len(kinds) > 1 or (kind := kinds.pop()) not in _SCALARS:
+            return None
+        encoded.append(map(_SCALARS[kind], column))
+    inner = indent + "  "
+    row = (brackets[0] + inner + ("," + inner).join([h + "%s" for h in heads])
+           + indent + brackets[1])
+    return ("," + indent).join([row] * len(rows)) % tuple(
+        chain.from_iterable(zip(*encoded)))
+
+
 def _write(obj, indent: str = "\n") -> str:
     """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it.
 
-    A float, a subclass or anything else goes through `json.dumps`.  A
-    non-`str` key raises `TypeError`, where json would coerce it and sort
-    it differently."""
+    A list or tuple whose items are uniform rows (see `_rows`) is written
+    with one %-template; anything else item by item.  A float, a subclass
+    or anything else goes through `json.dumps`.  A non-`str` key raises
+    `TypeError`, where json would coerce it and sort it differently."""
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -195,6 +236,9 @@ def _write(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if (len(obj) > 1 and type(obj[0]) in (list, tuple, dict)
+                and (text := _rows(obj, inner)) is not None):
+            return "[" + inner + text + indent + "]"
         return "[" + inner + ("," + inner).join([
             _SCALARS[type(x)](x) if type(x) in _SCALARS else _write(x, inner)
             for x in obj]) + indent + "]"

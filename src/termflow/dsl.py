@@ -23,7 +23,8 @@ that check, which the parser always rejects, is tokenized by it, so that its
 errors come out as before.  Tokens are plain strings; a token's kind is its first
 character, and a token is named by its index (line:col is found only for an
 error, by tokenizing again up to it).  An id list or signature is read as one
-slice up to its ';' and checked with set operations; only a list that fails a
+slice up to its ';', and a graph's `edge` lines as one slice up to its '}',
+and checked with set operations; only a list or edge section that fails a
 check is walked item by item, to report its first error.  Each term is
 hash-consed into the DAG as it is read, and every check a constructor would
 make is made here.
@@ -296,7 +297,24 @@ class _Parser:
             at = next(at for at in range(start, self.pos, 2)
                       if toks[at] not in declared)
             self.fail(f"source {toks[at]!r} is not a declared node", at)
-        edges = set()
+        try:  # the `edge` lines as one slice, each line five tokens
+            end = toks.index("}", self.pos)
+        except ValueError:
+            self.edge_error(declared)
+        lines = toks[self.pos:end]
+        tails, heads = lines[1::5], lines[3::5]
+        if not (len(lines) % 5 == 0 and set(lines[0::5]) <= {"edge"}
+                and set(lines[2::5]) <= {"->"} and set(lines[4::5]) <= {";"}
+                and declared.issuperset(tails) and declared.issuperset(heads)):
+            self.edge_error(declared)
+        self.pos = end + 1
+        return DependencyGraph(tuple(nodes), frozenset(zip(tails, heads)),
+                               frozenset(sources))
+
+    def edge_error(self, declared: frozenset) -> NoReturn:
+        """Walk the `edge` lines at `pos` one by one and raise the error
+        they meet first: the error path of lines that failed a bulk check."""
+        toks = self.toks
         while self.here == "edge":
             self.pos += 1
             u = self.ident("node")
@@ -306,9 +324,8 @@ class _Parser:
             for at in (u, v):
                 if toks[at] not in declared:
                     self.fail(f"edge endpoint {toks[at]!r} is not a declared node", at)
-            edges.add((toks[u], toks[v]))
         self.take("}")
-        return DependencyGraph(tuple(nodes), frozenset(edges), frozenset(sources))
+        raise AssertionError("edges failed their bulk check but have no error")
 
 
 def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
@@ -175,7 +176,14 @@ def flatten(system: TermSystem) -> NormalSystem:
     the two sides' handles.  The ops of `system.dag` that a post-order walk
     (children left to right) from those sides reaches are `_z0`, `_z1`, ...
     less any name declared; each equation defines those its sides reach first.
+
+    When every equation passes through (`_passed_through`), no auxiliary and
+    no equality can arise, and the equations are built in bulk, without the
+    walk.
     """
+    equations = _passed_through(system.dag, system.variables)
+    if equations is not None:
+        return NormalSystem(system.variables, system.signature, equations)
     dag, k = system.dag, len(system.variables)
     names = dict(enumerate(system.variables))  # DAG node -> variable name
     taken = set(system.variables)
@@ -211,6 +219,34 @@ def flatten(system: TermSystem) -> NormalSystem:
     variables = tuple(names.values())
     return NormalSystem(variables, system.signature, tuple(equations),
                         tuple(equalities), variables[k:])
+
+
+def _passed_through(dag: TermDag, variables: tuple[Ident, ...]
+                    ) -> tuple[NormalEquation, ...] | None:
+    """Each equation `f(vars) = v` (either way round) as its
+    NormalEquation when every equation has that shape, else None.
+
+    Every root pair must hold one variable (node < k) and one op, and no
+    op of `dag` may have an op child; all of it is checked, and each
+    equation built, with C-level maps over the roots and the ops."""
+    k, roots = len(variables), dag.outputs
+    if 2 * len(dag.ops) > len(roots):  # more ops than equations: one nests
+        return None
+    ops, defined = roots[0::2], roots[1::2]
+    if max(defined, default=-1) >= k:  # not all written `f(vars) = v`
+        ops, defined = (list(map(max, ops, defined)),
+                        list(map(min, ops, defined)))
+    children = itertools.chain.from_iterable(map(itemgetter(1), dag.ops))
+    if not (max(defined, default=-1) < k <= min(ops, default=k)
+            and max(children, default=-1) < k):
+        return None
+    symbols = list(map(itemgetter(0), dag.ops))
+    args = list(map(tuple, map(map, itertools.repeat(variables.__getitem__),
+                                map(itemgetter(1), dag.ops))))
+    at = list(map(sub, ops, itertools.repeat(k)))  # each root's op index
+    return tuple(map(tuple.__new__, itertools.repeat(NormalEquation), zip(
+        map(symbols.__getitem__, at), map(args.__getitem__, at),
+        map(variables.__getitem__, defined))))
 
 
 def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:

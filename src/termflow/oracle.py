@@ -249,18 +249,6 @@ def interpretation_at(signature: Signature, n: int, index: int) -> Interpretatio
     return kernel._witness(signature, signature.symbols, n, index)
 
 
-def enumerate_interpretations(signature: Signature, n: int,
-                              budget: SearchBudget = DEFAULT_BUDGET):
-    """Lexicographic stream over canonical table encodings.
-
-    The space is checked once, before the first interpretation; listing
-    tables evaluates nothing, so only the interpretation budget applies."""
-    total = _admit(signature, n, 0, budget, per_interp=0)
-    from . import kernel
-    for index in range(total):
-        yield kernel._witness(signature, signature.symbols, n, index)
-
-
 # ---- scalar reference route ------------------------------------------------
 
 

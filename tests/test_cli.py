@@ -106,6 +106,118 @@ def test_writer_refuses_a_non_str_key(key):
     # json would write the key coerced to a string, sorted among the rest
     with pytest.raises(TypeError):
         cli._write({"a": [{key: 0}]})
+    with pytest.raises(TypeError):  # rows the template would write
+        cli._write({"a": [{key: 0}, {key: 1}]})
+
+
+class _Int(int):
+    pass
+
+
+_ROW_KEYS = st.sampled_from(["%", "%s", "%%d", '"', "\\", "\u00e9", "\u043a", ""]) | _TEXT
+_COLUMNS = st.sampled_from([_TEXT, st.integers(-(2 ** 70), 2 ** 70),
+                            st.booleans(), st.none()])
+
+
+@st.composite
+def _uniform_rows(draw):
+    """Two or more rows the template writes: equal-length lists or tuples,
+    or dicts with one key set in any insertion order, each column of one
+    of `str`, `int`, `bool` and `None`."""
+    kind = draw(st.sampled_from([list, tuple, dict]))
+    keys = (draw(st.lists(_ROW_KEYS, min_size=1, max_size=4, unique=True))
+            if kind is dict else range(draw(st.integers(1, 4))))
+    columns = [draw(_COLUMNS) for _ in keys]
+    rows = []
+    for _ in range(draw(st.integers(2, 5))):
+        values = [draw(column) for column in columns]
+        if kind is dict:
+            order = draw(st.permutations(range(len(keys))))
+            rows.append({keys[i]: values[i] for i in order})
+        else:
+            rows.append(kind(values))
+    return rows
+
+
+def _with(row, key, value):
+    """`row` with `value` at `key`."""
+    if isinstance(row, dict):
+        return row | {key: value}
+    return type(row)(value if i == key else x for i, x in enumerate(row))
+
+
+def _near_miss(rows, miss, spot):
+    """`rows` spoilt at row `spot` so that the template must refuse them."""
+    rows, spot = list(rows), spot % len(rows)
+    row = rows[spot]
+    key = next(iter(row)) if isinstance(row, dict) else 0
+    if miss in ("bool_int", "int_float", "subclass"):
+        rows = [_with(r, key, 7) for r in rows]
+    if isinstance(row, dict):
+        new = "k" * (1 + max(map(len, row)))  # a key no row has
+        longer = row | {new: 0}
+        renamed = {new if k == key else k: v for k, v in row.items()}
+    else:  # a list or tuple has no key set: its near miss is its length
+        longer = renamed = row + type(row)((0,))
+    rows[spot] = {
+        "length": lambda: longer,
+        "keys": lambda: renamed,
+        "kind": lambda: (list(row.values()) if isinstance(row, dict) else
+                         list(row) if isinstance(row, tuple) else tuple(row)),
+        "bool_int": lambda: _with(row, key, True),
+        "int_float": lambda: _with(row, key, 7.5),
+        "subclass": lambda: _with(row, key, _Int(7)),
+        "nested": lambda: _with(row, key, [row[key]]),
+        "empty": lambda: type(row)(),
+    }[miss]()
+    return rows
+
+
+def _written(rows):
+    for obj in (rows, tuple(rows), {"a": rows, "b": [rows, 0]}):
+        assert cli._write(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uniform_rows())
+def test_uniform_rows_take_the_template(rows):
+    assert cli._rows(rows, "\n  ") is not None
+    _written(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_uniform_rows(), st.sampled_from(["length", "keys", "kind", "bool_int",
+                                         "int_float", "subclass", "nested",
+                                         "empty"]), st.integers(0, 4))
+def test_near_miss_rows_fall_back(rows, miss, spot):
+    rows = _near_miss(rows, miss, spot)
+    assert cli._rows(rows, "\n  ") is None
+    _written(rows)
+
+
+def test_reports_take_the_row_template(monkeypatch, tmp_path):
+    """The `graph` edge list and the certificate's bottlenecks are each
+    written as one template."""
+    taken, rows_of = [], cli._rows
+
+    def counting(rows, indent):
+        text = rows_of(rows, indent)
+        taken.append((len(rows), text is not None))
+        return text
+
+    monkeypatch.setattr(cli, "_rows", counting)
+    chain = tmp_path / "chain.graph"
+    chain.write_text("graph { nodes a, b, c; sources a; "
+                     "edge a -> b; edge b -> c; edge c -> a; }")
+    code, out, _ = _main("graph", str(chain))
+    assert code == 0 and taken == [(3, True)]
+    assert json.loads(out)["result"]["edges"] == [["a", "b"], ["b", "c"],
+                                                  ["c", "a"]]
+    taken.clear()
+    code, out, _ = _main("exponent", path("diamond.disp"), "--certificate")
+    bottlenecks = json.loads(out)["result"]["certificate"]["bottlenecks"]
+    assert code == 0 and taken == [(len(bottlenecks), True)]
+    assert len(bottlenecks) > 1
 
 
 def _call_name(node):

@@ -261,6 +261,14 @@ def _long_sig(bad, spot):
     return f"instance {{\n  vars x;\n  sig {_lines(symbols)};\n  eq g0(x) = x;\n}}\n"
 
 
+def _long_edges(bad, spot):
+    """A graph whose 2,000 `edge` lines hold the line `bad` at `spot`."""
+    lines = [f"edge v{i} -> v{i + 1};" for i in range(_LONG)]
+    lines[_SPOTS[spot]] = bad
+    nodes = _lines([f"v{i}" for i in range(_LONG + 1)])
+    return f"graph {{\n  nodes {nodes};\n  sources v0;\n  " + "\n  ".join(lines) + "\n}\n"
+
+
 # One row per `fail` site and tokenizer error: (id, kind, text, message,
 # line, col).  Every message and position is part of the CLI's output.
 _GOLDEN_ERRORS = [
@@ -523,6 +531,79 @@ _GOLDEN_ERRORS = [
     ("long_sig_huge_arity_end", "auto",
      _long_sig("g1999/" + "9" * 5000, "end"),
      'arity too large (5000 digits)', 22, 902),
+    # the bad line at the start, middle or end of 2,000 `edge` lines
+    ("long_edges_undeclared_start", "auto",
+     _long_edges("edge v1 -> w;", "start"),
+     "edge endpoint 'w' is not a declared node", 24, 14),
+    ("long_edges_undeclared_middle", "auto",
+     _long_edges("edge v1 -> w;", "middle"),
+     "edge endpoint 'w' is not a declared node", 1024, 14),
+    ("long_edges_undeclared_end", "auto",
+     _long_edges("edge v1 -> w;", "end"),
+     "edge endpoint 'w' is not a declared node", 2023, 14),
+    ("long_edges_undeclared_tail_start", "auto",
+     _long_edges("edge w -> v1;", "start"),
+     "edge endpoint 'w' is not a declared node", 24, 8),
+    ("long_edges_undeclared_tail_middle", "auto",
+     _long_edges("edge w -> v1;", "middle"),
+     "edge endpoint 'w' is not a declared node", 1024, 8),
+    ("long_edges_undeclared_tail_end", "auto",
+     _long_edges("edge w -> v1;", "end"),
+     "edge endpoint 'w' is not a declared node", 2023, 8),
+    ("long_edges_missing_arrow_start", "auto",
+     _long_edges("edge v1 v2;", "start"),
+     "expected '->', found 'v2'", 24, 11),
+    ("long_edges_missing_arrow_middle", "auto",
+     _long_edges("edge v1 v2;", "middle"),
+     "expected '->', found 'v2'", 1024, 11),
+    ("long_edges_missing_arrow_end", "auto",
+     _long_edges("edge v1 v2;", "end"),
+     "expected '->', found 'v2'", 2023, 11),
+    ("long_edges_missing_semicolon_start", "auto",
+     _long_edges("edge v1 -> v2", "start"),
+     "expected ';', found 'edge'", 25, 3),
+    ("long_edges_missing_semicolon_middle", "auto",
+     _long_edges("edge v1 -> v2", "middle"),
+     "expected ';', found 'edge'", 1025, 3),
+    ("long_edges_missing_semicolon_end", "auto",
+     _long_edges("edge v1 -> v2", "end"),
+     "expected ';', found '}'", 2024, 1),
+    ("long_edges_keyword_start", "auto",
+     _long_edges("edge v1 -> eq;", "start"),
+     "expected node, found 'eq'", 24, 14),
+    ("long_edges_keyword_middle", "auto",
+     _long_edges("edge v1 -> eq;", "middle"),
+     "expected node, found 'eq'", 1024, 14),
+    ("long_edges_keyword_end", "auto",
+     _long_edges("edge v1 -> eq;", "end"),
+     "expected node, found 'eq'", 2023, 14),
+    ("long_edges_wrong_arrow_start", "auto",
+     _long_edges("edge v1 = v2;", "start"),
+     "expected '->', found '='", 24, 11),
+    ("long_edges_wrong_arrow_middle", "auto",
+     _long_edges("edge v1 = v2;", "middle"),
+     "expected '->', found '='", 1024, 11),
+    ("long_edges_wrong_arrow_end", "auto",
+     _long_edges("edge v1 = v2;", "end"),
+     "expected '->', found '='", 2023, 11),
+    ("long_edges_wrong_end_start", "auto",
+     _long_edges("edge v1 -> v2,", "start"),
+     "expected ';', found ','", 24, 16),
+    ("long_edges_wrong_end_middle", "auto",
+     _long_edges("edge v1 -> v2,", "middle"),
+     "expected ';', found ','", 1024, 16),
+    ("long_edges_wrong_end_end", "auto",
+     _long_edges("edge v1 -> v2,", "end"),
+     "expected ';', found ','", 2023, 16),
+    ("long_edges_wrong_keyword_start", "auto",
+     _long_edges("edges v1 -> v2;", "start"),
+     "expected '}', found 'edges'", 24, 3),
+    ("long_edges_wrong_keyword_middle", "auto",
+     _long_edges("edges v1 -> v2;", "middle"),
+     "expected '}', found 'edges'", 1024, 3),
+    ("long_edges_wrong_keyword_end", "auto",
+     _long_edges("edges v1 -> v2;", "end"),
+     "expected '}', found 'edges'", 2023, 3),
 ]
 
 
@@ -652,7 +733,7 @@ def test_split_tokens_are_the_regex_tokens(text):
 @contextmanager
 def _slow_paths():
     """Counts the `_tokenize` fallback ("tokens") and the item-by-item list
-    walk ("walks") while the block runs."""
+    and edge walks ("walks") while the block runs."""
     counts = Counter()
 
     def counting(name, fn):
@@ -664,7 +745,9 @@ def _slow_paths():
     with mock.patch.object(dsl, "_regex_tokens",
                            counting("tokens", dsl._regex_tokens)), \
             mock.patch.object(dsl._Parser, "list_error",
-                              counting("walks", dsl._Parser.list_error)):
+                              counting("walks", dsl._Parser.list_error)), \
+            mock.patch.object(dsl._Parser, "edge_error",
+                              counting("walks", dsl._Parser.edge_error)):
         yield counts
 
 
@@ -708,6 +791,13 @@ def test_accepted_input_takes_no_slow_path():
     assert counts == {"tokens": 1}
     with _slow_paths() as counts, pytest.raises(ParseError):
         parse(_long_vars("v1998", "end"))
+    assert counts == {"walks": 1}
+    edges = _long_edges("edge v1999 -> v2000;", "end")  # well formed
+    with _slow_paths() as counts:
+        assert len(parse(edges).edges) == _LONG
+    assert counts == {}
+    with _slow_paths() as counts, pytest.raises(ParseError):
+        parse(_long_edges("edge v1 -> w;", "end"))
     assert counts == {"walks": 1}
 
 

@@ -1,10 +1,13 @@
 """Flatten/quotient pipeline, diversification, embedding, padding."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termflow import normalize
+from termflow.corpus import corpus_names
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import PreconditionError
 from termflow.normalize import (Merge, NormalEquation, NormalSystem, UnionFind,
@@ -372,6 +375,79 @@ def test_flatten_shapes_match_the_tree_rule(system):
     flat = flatten(system)
     assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
         _recursive_flatten(system)
+
+
+@st.composite
+def _passing_systems(draw):
+    """Systems over x, y, z and c/0, f/1, g/2 whose every equation is an
+    application to variables against a variable, either way round."""
+    variables = ("x", "y", "z")
+    symbols = (("c", 0), ("f", 1), ("g", 2))
+
+    def equation():
+        name, arity = draw(st.sampled_from(symbols))
+        app = App(name, tuple(Var(draw(st.sampled_from(variables)))
+                              for _ in range(arity)))
+        var = Var(draw(st.sampled_from(variables)))
+        return Equation(app, var) if draw(st.booleans()) else Equation(var, app)
+
+    eqs = tuple(equation() for _ in range(draw(st.integers(0, 5))))
+    return TermSystem(variables, Signature(symbols), eqs)
+
+
+def _walked(system):
+    """flatten and pipeline with the bulk pass-through check forced off."""
+    with mock.patch.object(normalize, "_passed_through", lambda *_: None):
+        return flatten(system), pipeline(system)
+
+
+def _same_both_ways(system):
+    flat, (norm, report) = _walked(system)
+    bulk = flatten(system)
+    assert (bulk.variables, bulk.equations, bulk.var_equalities,
+            bulk.auxiliaries) == (flat.variables, flat.equations,
+                                  flat.var_equalities, flat.auxiliaries)
+    assert pipeline(system) == (norm, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_term_systems(), _shaped_systems(), _passing_systems()))
+def test_bulk_flatten_is_the_walk(system):
+    _same_both_ways(system)
+
+
+@pytest.mark.parametrize("name", corpus_names(".inst"))
+def test_bulk_flatten_is_the_walk_on_the_corpus(name):
+    _same_both_ways(load(name))
+
+
+def test_which_flatten_path_runs(monkeypatch):
+    """The bulk path runs exactly when every equation passes through."""
+    bulk, passed_through = [], normalize._passed_through
+
+    def counting(dag, variables):
+        equations = passed_through(dag, variables)
+        bulk.append(equations is not None)
+        return equations
+
+    monkeypatch.setattr(normalize, "_passed_through", counting)
+    names = ", ".join(f"v{i}" for i in range(2001))
+    chain = "".join(f" eq f(v{i}) = v{i + 1};" for i in range(2000))
+    texts = [f"instance {{ vars {names}; sig f/1;{chain} }}",
+             "instance { vars x, v; sig f/1; eq v = f(x); }",
+             "instance { vars x, y; sig f/1, g/1; eq f(g(x)) = y; }",
+             "instance { vars x, y; sig f/1; eq x = y; }",
+             "instance { vars x, y; sig f/1, g/1; eq f(x) = g(y); }",
+             # no more ops than equations, yet one nests
+             "instance { vars x, y, z; sig f/1, g/1; "
+             "eq f(g(x)) = y; eq f(g(x)) = z; }"]
+    systems = [parse(text) for text in texts]
+    systems.insert(1, _cascade(400))
+    for system in systems:
+        flatten(system)
+    assert bulk == [True, True, True, False, False, False, False]
+    _same_both_ways(systems[-1])
+    assert len(flatten(systems[0]).equations) == 2000
 
 
 def _fixpoint_collision_quotient(system):

@@ -33,7 +33,7 @@ from termflow.oracle import (BlockEncoding, EmbeddingCheck, OracleResult,
                              check_counts_preserved, check_embedding,
                              check_perfect_fixed,
                              check_solutions_equal_winning, count_solutions,
-                             count_winning, enumerate_interpretations,
+                             count_winning,
                              image_of, interpretation_at,
                              interpretation_count, lift_interpretation,
                              sandwich_check, table_space)
@@ -56,16 +56,17 @@ def test_spaces():
 
 def test_enumeration_is_canonical_big_endian():
     sig = Signature(symbols=(("f", 1), ("g", 1)))
-    interps = list(enumerate_interpretations(sig, 2))
-    assert len(interps) == 16
+    interps = [interpretation_at(sig, 2, idx) for idx in range(16)]
+    # index order is the lexicographic order of the tables, f's then g's
+    tables = [interp.tables["f"] + interp.tables["g"] for interp in interps]
+    assert tables == sorted(set(tables)) and len(tables) == 16
     # last symbol varies fastest; within one table, entry 0 is most significant
     assert interps[0].tables == {"f": (0, 0), "g": (0, 0)}
     assert interps[1].tables == {"f": (0, 0), "g": (0, 1)}
     assert interps[2].tables == {"f": (0, 0), "g": (1, 0)}
     assert interps[4].tables == {"f": (0, 1), "g": (0, 0)}
     assert interps[15].tables == {"f": (1, 1), "g": (1, 1)}
-    for idx in (0, 5, 11, 15):
-        assert interpretation_at(sig, 2, idx) == interps[idx]
+    assert all(interp.n == 2 for interp in interps)
 
 
 def test_interpretation_index_out_of_range():
@@ -76,32 +77,16 @@ def test_interpretation_index_out_of_range():
             interpretation_at(sig, 2, index)
 
 
-def test_enumeration_slicing():
-    # a slice of the stream is `islice`, or `interpretation_at` per index
-    sig = Signature(symbols=(("f", 2),))
-    part = list(itertools.islice(enumerate_interpretations(sig, 2), 3, 7))
-    assert part == [interpretation_at(sig, 2, i) for i in range(3, 7)]
-
-
 def test_budget_refusal_is_exact_and_total():
     diamond = load("diamond.disp")
     with pytest.raises(BudgetError) as exc:
         brute_dispersion(diamond, 4)
     assert exc.value.interpretations == 4294967296
     assert exc.value.evaluations == 1099511627776
-    with pytest.raises(BudgetError):
-        list(enumerate_interpretations(diamond.signature, 4))
     # a tighter budget refuses even the tiny case, with exact numbers
     with pytest.raises(BudgetError) as exc:
         brute_dispersion(diamond, 2, SearchBudget(max_evaluations=100))
     assert exc.value.evaluations == 256
-    # listing tables evaluates nothing: only the interpretation cap applies
-    sig = diamond.signature  # 16 interpretations at n = 2
-    listed = enumerate_interpretations(sig, 2, SearchBudget(1, 16))
-    assert len(list(listed)) == 16
-    with pytest.raises(BudgetError) as exc:
-        list(enumerate_interpretations(sig, 2, SearchBudget(1, 15)))
-    assert exc.value.interpretations == 16
 
 
 def test_index_width_guard():
