@@ -2,15 +2,22 @@
 
 The output terms of a spec are hash-consed into a DAG (one node per input
 variable, one per distinct application subterm) as the spec is built:
-`build_dag` returns `spec.dag`, a `terms.TermDag`.  Every DAG node is split
-into an in/out pair joined by a unit-capacity edge; child wiring, and the
-super-source's edges into the inputs, are effectively uncapacitated
-(capacity r+1 exceeds any possible flow).  Each distinct
-output root gets a unit edge to the super-sink, so duplicated outputs share
-one sink edge.
+`build_dag` returns `spec.dag`, a `terms.TermDag`.  The flow network is
+that DAG with every node split into an in-half and an out-half joined by a
+unit-capacity edge.  The super-source feeds every input's in-half; each
+node's out-half feeds the in-half of every op that takes it as an argument,
+once per occurrence, so f(x, x) wires x twice; and each distinct output
+root's out-half has a unit edge to the super-sink, so duplicated outputs
+share one sink edge.  The source and wiring edges are effectively
+uncapacitated (capacity r+1 exceeds any possible flow).
 
 Unit capacity applies to input nodes too: a spec like (f(x), g(x)) funnels
 both outputs through the single value of x and must get exponent 1, not 2.
+
+`split_flow` runs Dinic's algorithm on the DAG itself, never listing the
+network's arcs: the flow lives on the nodes, and each residual arc is read
+off that state when a search reaches it.  `FlowNetwork.edges` lists the
+network explicitly, built only when read (`network_dot`, edge counts).
 
 The integral max-flow value D is the dispersion exponent: the image of the
 spec's map is Theta(n^D) in the best interpretation, and at most n^D for
@@ -21,7 +28,6 @@ Bottleneck identifiers (term text) are rendered only for reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -36,52 +42,150 @@ def build_dag(spec: DispersionSpec) -> TermDag:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Split-node unit-capacity network between super-source and sink."""
+    """Split-node unit-capacity network between super-source and sink.
+    Node v's in-half is network node 2 + 2v and its out-half 3 + 2v."""
 
     node_count: int  # network nodes, including s and t
     source: int
     sink: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, capacity)
-    bottlenecks: tuple[int, ...]  # unit edges' indices: split, then sink
+    roots: tuple[int, ...]  # distinct output roots, in output order
     inf: int
     dag: TermDag
 
-    def names(self, edges) -> list[str]:
-        """Unit edges' identifiers: node text, `sink:`-prefixed on sink edges."""
-        ends = [self.edges[e][:2] for e in edges]  # u: the node's in or out end
-        texts = self.dag.labels([(u - 2) // 2 for u, _ in ends])
-        return [f"sink:{t}" if v == self.sink else t for t, (_, v) in zip(texts, ends)]
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(u, v, capacity): split edges by node, source edges, wiring by
+        op and argument, then sink edges by root."""
+        dag, k, inf = self.dag, len(self.dag.inputs), self.inf
+        edges = [(2 + 2 * v, 3 + 2 * v, 1) for v in range(dag.node_count)]
+        edges += [(self.source, 2 + 2 * v, inf) for v in range(k)]
+        edges += [(3 + 2 * c, 2 + 2 * v, inf)
+                  for v, (_, children) in enumerate(dag.ops, k) for c in children]
+        edges += [(3 + 2 * r, self.sink, 1) for r in self.roots]
+        return tuple(edges)
 
 
 def build_network(dag: TermDag) -> FlowNetwork:
-    k = len(dag.inputs)
-    distinct_roots = list(dict.fromkeys(dag.outputs))
-    inf = len(distinct_roots) + 1
+    roots = tuple(dict.fromkeys(dag.outputs))
+    return FlowNetwork(2 + 2 * dag.node_count, 0, 1, roots, len(roots) + 1, dag)
 
-    # node v -> (2+2v, 3+2v) as its (in, out) pair
-    def n_in(v: int) -> int:
-        return 2 + 2 * v
 
-    def n_out(v: int) -> int:
-        return 3 + 2 * v
+@dataclass(frozen=True)
+class SplitFlow:
+    """A max flow of a split network, per DAG node v: `used[v]` when its
+    split edge carries flow, `sunk[v]` when its sink edge does, and
+    `feed[v]` the child whose out-half feeds a used op (-1 otherwise).
+    `level` is the last residual BFS distance from the source of each
+    network node, -1 where unreachable: the canonical cut's source side."""
 
-    source, sink = 0, 1
-    edges: list[tuple[int, int, int]] = []
-    bottlenecks: list[int] = []
-    for v in range(dag.node_count):
-        bottlenecks.append(len(edges))
-        edges.append((n_in(v), n_out(v), 1))
-    for v in range(k):
-        edges.append((source, n_in(v), inf))
-    for op_idx, (_, children) in enumerate(dag.ops):
-        v = k + op_idx
+    value: int
+    used: list[bool]
+    sunk: list[bool]
+    feed: list[int]
+    level: list[int]
+
+
+def split_flow(network: FlowNetwork) -> SplitFlow:
+    """Dinic's max flow on the split network of `network.dag`, with no arc
+    lists.
+
+    An in-half has one residual arc, and `back[w]` is its head: w's own
+    out-half while w's split edge is unused, else where w's flow comes
+    from (the source, or the feeding child's out-half).  Pushing flow from
+    u into w leaves `back[w] = u`.  An out-half's arcs go back to its
+    in-half while used, then to each parent occurrence's in-half in op
+    order (f(x, x) has two), then to the sink while it is an unused root;
+    the source's go to the inputs' in-halves.  The searches try arcs in
+    that order, an explicit arc list's, with a current-arc pointer per
+    node, so they find the arc-list algorithm's paths.  A search steps
+    through an in-half straight on to its arc's head.  Every augmenting
+    path carries one unit: it ends on a unit sink edge."""
+    dag = network.dag
+    k, n = len(dag.inputs), dag.node_count
+    starts = list(range(2, 2 + 2 * k, 2))  # the source's arcs: input in-halves
+    ups: list[list[int]] = [[] for _ in range(n)]  # parent occurrences' in-halves
+    for w, (_, children) in zip(range(2 + 2 * k, 2 + 2 * n, 2), dag.ops):
         for c in children:
-            edges.append((n_out(c), n_in(v), inf))
-    for root in distinct_roots:
-        bottlenecks.append(len(edges))
-        edges.append((n_out(root), sink, 1))
-    return FlowNetwork(2 + 2 * dag.node_count, source, sink, tuple(edges),
-                       tuple(bottlenecks), inf, dag)
+            ups[c].append(w)
+    back = list(range(1, 3 + 2 * n))  # in-half w: w + 1 (odd entries unread)
+    is_root, sunk = [False] * n, [False] * n
+    for r in network.roots:
+        is_root[r] = True
+
+    def levels() -> list[int]:
+        """Residual BFS distance from the source; -1 where unreachable.
+        The sink is not expanded: what lies past it is too far to be on a
+        shortest path to it, and the last search does not reach it."""
+        level = [-1] * (2 + 2 * n)
+        level[0] = 0
+        queue = [0]  # the source and out-halves
+        for u in queue:
+            d, v = level[u] + 1, (u >> 1) - 1
+            heads = ups[v] if u else starts
+            if u and back[u - 1] != u:  # back across its used split edge
+                heads = [u - 1, *heads]
+            for w in heads:
+                if level[w] < 0:
+                    level[w] = d
+                    if level[x := back[w]] < 0:
+                        level[x] = d + 1
+                        queue.append(x)
+            if u and is_root[v] and not sunk[v] and level[1] < 0:
+                level[1] = d
+        return level
+
+    def path(level: list[int], it: list[int]) -> list[int]:
+        """The first level-graph path from the source to the sink, found
+        depth first on an explicit stack as (tail, in-half) pairs ending
+        in (last out-half, -1); [] when none is left.  `it[u]` is u's
+        current arc: an out-half's 0 is its own in-half, then come its
+        parent occurrences, then the sink; the source's are its inputs,
+        from 1.  Stepping from u into in-half w is admissible when
+        `back[w]` is two levels past u: w itself is then one past u."""
+        stack, u = [], 0
+        while u != 1:
+            ahead, v, i = level[u] + 2, (u >> 1) - 1, it[u]
+            # an unused split edge fails the test: back[u - 1] is u itself
+            if u and not i and level[x := back[u - 1]] == ahead:
+                w = u - 1
+            else:
+                heads, i = ups[v] if u else starts, i or 1
+                while (i <= len(heads)
+                       and level[x := back[heads[i - 1]]] != ahead):
+                    i += 1
+                if i <= len(heads):
+                    w = heads[i - 1]
+                else:
+                    w = -1
+                    to_sink = (u and is_root[v] and not sunk[v]
+                               and level[1] == ahead - 1)
+                    x = 1 if to_sink else -1
+                it[u] = i
+            if x >= 0:
+                stack += (u, w)
+                u = x
+            elif stack:  # dead end: step back, skip the arc that led here
+                stack.pop()
+                u = stack.pop()
+                it[u] += 1
+            else:
+                return []
+        return stack
+
+    value = 0
+    while (level := levels())[1] >= 0:
+        it, before = [0] * (2 + 2 * n), value
+        while steps := path(level, it):
+            value += 1
+            sunk[(steps[-2] >> 1) - 1] = True
+            for j in range(0, len(steps) - 2, 2):
+                back[steps[j + 1]] = steps[j]
+        if value == before:  # the level graph reaches the sink: it has a path
+            raise AssertionError("a Dinic phase found no augmenting path")
+    used = [back[w] != w + 1 for w in range(2, 2 + 2 * n, 2)]
+    feed = [(back[2 + 2 * v] - 3) >> 1 if used[v] and v >= k else -1
+            for v in range(n)]
+    return SplitFlow(value, used, sunk, feed, level)
 
 
 @dataclass(frozen=True)
@@ -89,110 +193,43 @@ class ExponentResult:
     D: int  # the max-flow value
     min_cut: tuple[str, ...]  # sorted saturated-bottleneck identifiers
     network: FlowNetwork
-    # every unit bottleneck in network order: (edge index, saturated, in_cut)
-    bottlenecks: tuple[tuple[int, bool, bool], ...]
+    flow: SplitFlow
 
     def certificate(self) -> dict:
-        """JSON-ready certificate: every unit bottleneck with its
-        saturation and cut membership."""
-        names = self.network.names([edge for edge, _, _ in self.bottlenecks])
-        return {
-            "flow_value": self.D,
-            "cut": list(self.min_cut),
-            "bottlenecks": [{"id": name, "capacity": self.network.edges[edge][2],
-                             "saturated": sat, "in_cut": cut}
-                            for name, (edge, sat, cut) in zip(names, self.bottlenecks)],
-        }
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def _levels(self, s: int) -> list[int]:
-        """Residual BFS distance from s; -1 where unreachable."""
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _push(self, s: int, t: int, level, it) -> int:
-        """Augment along one level-graph path, found depth-first on an
-        explicit stack so path length is not bounded by recursion."""
-        path: list[int] = []  # edges from s to u
-        u = s
-        while u != t:
-            head = self.head[u]
-            while it[u] < len(head):
-                e = head[it[u]]
-                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
-                    break
-                it[u] += 1
-            else:  # dead end: step back and skip the edge that led here
-                if not path:
-                    return 0
-                u = self.to[path.pop() ^ 1]
-                it[u] += 1
-                continue
-            path.append(e)
-            u = self.to[e]
-        got = min(self.cap[e] for e in path)
-        for e in path:
-            self.cap[e] -= got
-            self.cap[e ^ 1] += got
-        return got
-
-    def run(self, s: int, t: int) -> tuple[int, list[int]]:
-        """The max-flow value, and the final residual levels: the nodes at
-        level >= 0 are the source side of the canonical min cut."""
-        flow = 0
-        while True:
-            level = self._levels(s)
-            if level[t] < 0:
-                return flow, level
-            it = [0] * self.n
-            while got := self._push(s, t, level, it):
-                flow += got
+        """JSON-ready certificate: every unit bottleneck in network order
+        (split edges by node, then sink edges by root) with its saturation
+        and cut membership."""
+        dag, flow = self.network.dag, self.flow
+        level, roots = flow.level, self.network.roots
+        texts = dag.labels(range(dag.node_count))
+        rows = [{"id": text, "capacity": 1, "saturated": sat,
+                 "in_cut": a >= 0 > b}
+                for text, sat, a, b in zip(texts, flow.used, level[2::2],
+                                           level[3::2])]
+        rows += [{"id": f"sink:{texts[r]}", "capacity": 1,
+                  "saturated": flow.sunk[r], "in_cut": level[3 + 2 * r] >= 0}
+                 for r in roots]
+        return {"flow_value": self.D, "cut": list(self.min_cut),
+                "bottlenecks": rows}
 
 
 def max_flow(network: FlowNetwork) -> ExponentResult:
     """Integral max flow plus the canonical min-cut witness; the same run
     records every bottleneck's saturation and cut membership."""
-    dinic = _Dinic(network.node_count)
-    handles = [dinic.add(u, v, c) for u, v, c in network.edges]
-    value, level = dinic.run(network.source, network.sink)
-    rows = []
-    for edge in network.bottlenecks:
-        u, v, _ = network.edges[edge]
-        rows.append((edge, dinic.cap[handles[edge]] == 0,
-                     level[u] >= 0 > level[v]))
-    cut = sorted(network.names([edge for edge, _, in_cut in rows if in_cut]))
+    flow = split_flow(network)
+    level = flow.level
+    # edges leaving the residual source side; the sink is not on it
+    split = [v for v, (a, b) in enumerate(zip(level[2::2], level[3::2]))
+             if a >= 0 > b]
+    sink = [r for r in network.roots if level[3 + 2 * r] >= 0]
     # a crossing edge of the canonical cut is always saturated
-    assert all(sat for _, sat, in_cut in rows if in_cut)
-    if len(cut) != value:
+    assert all(flow.used[v] for v in split) and all(flow.sunk[r] for r in sink)
+    texts = network.dag.labels(split + sink)
+    cut = sorted(texts[:len(split)] + [f"sink:{t}" for t in texts[len(split):]])
+    if len(cut) != flow.value:
         raise AssertionError("min cut does not match flow value")
-    return ExponentResult(D=value, min_cut=tuple(cut),
-                          network=network, bottlenecks=tuple(rows))
+    return ExponentResult(D=flow.value, min_cut=tuple(cut), network=network,
+                          flow=flow)
 
 
 def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:

@@ -68,20 +68,18 @@ class NormalSystem:
     auxiliaries: tuple[Ident, ...] = ()
 
     def __post_init__(self):
+        """Check the whole system with set operations; walk it in order
+        only to report the first error."""
         declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise ValidationError("duplicate variable in normal system")
-        for eq in self.equations:
-            if eq.defined not in declared:
-                raise ValidationError(f"undeclared defined variable {eq.defined!r}")
-            for u in eq.args:
-                if u not in declared:
-                    raise ValidationError(f"undeclared argument {u!r}")
-            if self.signature.arity(eq.symbol) != len(eq.args):
-                raise ValidationError(f"arity mismatch on {eq.symbol!r}")
-        for a, b in self.var_equalities:
-            if a not in declared or b not in declared:
-                raise ValidationError("undeclared variable in equality")
+        symbols, args, defined = tuple(zip(*self.equations)) or ((), (), ())
+        arity = dict(self.signature.symbols).get  # None: an unknown symbol
+        if (len(declared) != len(self.variables)
+                or not declared.issuperset(defined)
+                or not declared.issuperset(itertools.chain.from_iterable(args))
+                or list(map(arity, symbols)) != list(map(len, args))
+                or not declared.issuperset(
+                    itertools.chain.from_iterable(self.var_equalities))):
+            raise _first_error(self, declared)
 
     def _sides(self):
         """Each equation's (lhs, rhs) as terms: `symbol(args) = defined`
@@ -103,6 +101,26 @@ class NormalSystem:
     def to_term_system(self) -> TermSystem:
         return TermSystem(self.variables, self.signature,
                           tuple(Equation(*sides) for sides in self._sides()))
+
+
+def _first_error(system: NormalSystem, declared: set) -> ValidationError:
+    """The first thing wrong with `system`, walking it in order: duplicate
+    variables, then each equation's defined variable, arguments and
+    symbol, then the variable equalities."""
+    if len(declared) != len(system.variables):
+        return ValidationError("duplicate variable in normal system")
+    for eq in system.equations:
+        if eq.defined not in declared:
+            return ValidationError(f"undeclared defined variable {eq.defined!r}")
+        for u in eq.args:
+            if u not in declared:
+                return ValidationError(f"undeclared argument {u!r}")
+        if system.signature.arity(eq.symbol) != len(eq.args):
+            return ValidationError(f"arity mismatch on {eq.symbol!r}")
+    for a, b in system.var_equalities:
+        if a not in declared or b not in declared:
+            return ValidationError("undeclared variable in equality")
+    raise AssertionError("the bulk check refused a valid system")
 
 
 class UnionFind:

@@ -3,20 +3,21 @@
 import contextlib
 import io
 import json
+import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termflow import cli
+from termflow import cli, flownet
 from termflow.corpus import corpus_names, corpus_path
 from termflow.dsl import parse, render
 from termflow.errors import PreconditionError
-from termflow.flownet import (_Dinic, build_dag, build_network,
-                              cut_certificate, decide_perfect_r1,
-                              decide_threshold, dispersion_exponent,
-                              max_flow, network_dot)
+from termflow.flownet import (build_dag, build_network, cut_certificate,
+                              decide_perfect_r1, decide_threshold,
+                              dispersion_exponent, max_flow, network_dot)
 from termflow.normalize import pad_dispersion
 from termflow.terms import (App, DispersionSpec, Signature, Var, render_term,
                             term_vars)
@@ -53,6 +54,113 @@ def _brute_min_cut(spec) -> int:
         if any(disconnected(cut) for cut in combinations(units, size)):
             return size
     raise AssertionError("every network disconnects once all units are cut")
+
+
+def _reference_edges(dag):
+    """The split network as the eager edge list it was once built from:
+    (in, out) = (2 + 2v, 3 + 2v) per node, source 0, sink 1.  Returns the
+    (u, v, capacity) edges and the indices of the unit edges."""
+    k, n = len(dag.inputs), dag.node_count
+    roots = list(dict.fromkeys(dag.outputs))
+    inf = len(roots) + 1
+    edges = [(2 + 2 * v, 3 + 2 * v, 1) for v in range(n)]
+    edges += [(0, 2 + 2 * v, inf) for v in range(k)]
+    for i, (_, children) in enumerate(dag.ops):
+        edges += [(3 + 2 * c, 2 + 2 * (k + i), inf) for c in children]
+    bottlenecks = list(range(n)) + list(range(len(edges), len(edges) + len(roots)))
+    edges += [(3 + 2 * r, 1, 1) for r in roots]
+    return edges, bottlenecks
+
+
+class _ArcDinic:
+    """Dinic's algorithm over explicit arc lists, each edge followed by its
+    reverse arc: the flow that `split_flow` must reproduce exactly."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.head: list[list[int]] = [[] for _ in range(n)]
+
+    def add(self, u: int, v: int, c: int) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def _levels(self, s: int) -> list[int]:
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def _push(self, s: int, t: int, level, it) -> int:
+        path: list[int] = []
+        u = s
+        while u != t:
+            head = self.head[u]
+            while it[u] < len(head):
+                e = head[it[u]]
+                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(e)
+            u = self.to[e]
+        got = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= got
+            self.cap[e ^ 1] += got
+        return got
+
+    def run(self, s: int, t: int) -> tuple[int, list[int]]:
+        flow = 0
+        while True:
+            level = self._levels(s)
+            if level[t] < 0:
+                return flow, level
+            it = [0] * self.n
+            while got := self._push(s, t, level, it):
+                flow += got
+
+
+def _reference_flow(spec):
+    """(D, min_cut, certificate rows) from the arc-list Dinic."""
+    dag = build_dag(spec)
+    edges, bottlenecks = _reference_edges(dag)
+    dinic = _ArcDinic(2 + 2 * dag.node_count)
+    handles = [dinic.add(u, v, c) for u, v, c in edges]
+    value, level = dinic.run(0, 1)
+    rows = []
+    for e in bottlenecks:
+        u, v, c = edges[e]
+        text = dag.label((u - 2) // 2)
+        rows.append({"id": f"sink:{text}" if v == 1 else text, "capacity": c,
+                     "saturated": dinic.cap[handles[e]] == 0,
+                     "in_cut": level[u] >= 0 > level[v]})
+    cut = sorted(row["id"] for row in rows if row["in_cut"])
+    return value, tuple(cut), rows
+
+
+def _flow_triple(spec):
+    res = dispersion_exponent(spec)
+    return res.D, res.min_cut, res.certificate()["bottlenecks"]
 
 
 def test_diamond_exponent_and_cut():
@@ -157,6 +265,63 @@ def test_network_dot_is_deterministic():
     assert text == network_dot(build_network(build_dag(load("fg.disp"))))
 
 
+_GOLDEN_DOT = {
+    "fg.disp": """digraph network {
+  "x.in" -> "x.out" [label="1"];
+  "f(x).in" -> "f(x).out" [label="1"];
+  "g(x).in" -> "g(x).out" [label="1"];
+  "s" -> "x.in" [label="inf"];
+  "x.out" -> "f(x).in" [label="inf"];
+  "x.out" -> "g(x).in" [label="inf"];
+  "f(x).out" -> "t" [label="1"];
+  "g(x).out" -> "t" [label="1"];
+}
+""",
+    "diamond.disp": """digraph network {
+  "x.in" -> "x.out" [label="1"];
+  "y.in" -> "y.out" [label="1"];
+  "z.in" -> "z.out" [label="1"];
+  "w.in" -> "w.out" [label="1"];
+  "f(x, y).in" -> "f(x, y).out" [label="1"];
+  "f(x, z).in" -> "f(x, z).out" [label="1"];
+  "f(y, w).in" -> "f(y, w).out" [label="1"];
+  "f(z, w).in" -> "f(z, w).out" [label="1"];
+  "s" -> "x.in" [label="inf"];
+  "s" -> "y.in" [label="inf"];
+  "s" -> "z.in" [label="inf"];
+  "s" -> "w.in" [label="inf"];
+  "x.out" -> "f(x, y).in" [label="inf"];
+  "y.out" -> "f(x, y).in" [label="inf"];
+  "x.out" -> "f(x, z).in" [label="inf"];
+  "z.out" -> "f(x, z).in" [label="inf"];
+  "y.out" -> "f(y, w).in" [label="inf"];
+  "w.out" -> "f(y, w).in" [label="inf"];
+  "z.out" -> "f(z, w).in" [label="inf"];
+  "w.out" -> "f(z, w).in" [label="inf"];
+  "f(x, y).out" -> "t" [label="1"];
+  "f(x, z).out" -> "t" [label="1"];
+  "f(y, w).out" -> "t" [label="1"];
+  "f(z, w).out" -> "t" [label="1"];
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DOT))
+def test_network_dot_golden(name):
+    net = build_network(build_dag(load(name)))
+    assert network_dot(net) == _GOLDEN_DOT[name]
+
+
+@pytest.mark.parametrize("name", corpus_names(".disp"))
+def test_network_edges_match_the_eager_list(name):
+    """The edge list is built on demand, and it is the list the network
+    was once built from: the benchmark counts its edges."""
+    dag = build_dag(load(name))
+    edges, _ = _reference_edges(dag)
+    assert build_network(dag).edges == tuple(edges)
+
+
 def test_threshold_decisions():
     diamond = load("diamond.disp")
     assert decide_threshold(diamond, 3).answer is True
@@ -199,14 +364,19 @@ def _specs(draw):
     symbols = tuple((name, draw(st.integers(0, 2)))
                     for name in sorted(draw(st.sets(
                         st.sampled_from(("f", "g")), max_size=2))))
+    if draw(st.booleans()):
+        symbols += (("k", 0),)  # a constant
 
     def term(depth):
         if depth == 0 or not symbols or draw(st.booleans()):
             return Var(draw(st.sampled_from(inputs)))
         name, arity = draw(st.sampled_from(symbols))
+        if arity > 1 and draw(st.booleans()):  # f(t, t): one child twice
+            return App(name, (term(depth - 1),) * arity)
         return App(name, tuple(term(depth - 1) for _ in range(arity)))
 
     outputs = tuple(term(2) for _ in range(draw(st.integers(1, 3))))
+    outputs += tuple(draw(st.lists(st.sampled_from(outputs), max_size=2)))
     return DispersionSpec(inputs=inputs, signature=Signature(symbols=symbols),
                           outputs=outputs)
 
@@ -277,9 +447,9 @@ def test_dag_matches_recursive_hash_consing(spec):
 
 def test_certificate_comes_from_the_exponent_run(monkeypatch):
     runs = []
-    run = _Dinic.run
-    monkeypatch.setattr(_Dinic, "run",
-                        lambda self, s, t: runs.append(1) or run(self, s, t))
+    flow = flownet.split_flow
+    monkeypatch.setattr(flownet, "split_flow",
+                        lambda network: runs.append(1) or flow(network))
     spec = load("diamond.disp")
     res = dispersion_exponent(spec)
     assert runs == [1]
@@ -292,3 +462,115 @@ def test_certificate_comes_from_the_exponent_run(monkeypatch):
     assert runs == [1]
     assert json.loads(out.getvalue())["result"]["certificate"] == \
         res.certificate()
+
+
+# ---- the flow itself: pinned to the arc-list Dinic, and checked as a flow --
+
+def _layered_spec(k: int, width: int, rng: random.Random, layers: int = 3):
+    """The benchmark's layered family: random binary f0..f3 layers over k
+    inputs, the top layer's terms the outputs, lower layers shared."""
+    prev = [Var(f"x{j}") for j in range(k)]
+    for _ in range(layers):
+        prev = [App(f"f{rng.randrange(4)}", (rng.choice(prev), rng.choice(prev)))
+                for _ in range(width)]
+    return DispersionSpec(tuple(f"x{j}" for j in range(k)),
+                          Signature(tuple((f"f{i}", 2) for i in range(4))),
+                          tuple(prev))
+
+
+def _many_symbols_spec(n: int, inputs: int, rng: random.Random):
+    """The benchmark's many-symbols family: outputs g_i(x_{i mod inputs})
+    over n unary symbols, shuffled."""
+    outs = [App(f"g{i}", (Var(f"x{i % inputs}"),)) for i in range(n)]
+    rng.shuffle(outs)
+    return DispersionSpec(tuple(f"x{j}" for j in range(inputs)),
+                          Signature(tuple((f"g{i}", 1) for i in range(n))),
+                          tuple(outs))
+
+
+def _generated_specs():
+    rng = random.Random(11)
+    specs = [_layered_spec(k, width, rng)
+             for k, width in ((2, 3), (3, 8), (5, 12), (10, 40), (25, 100))]
+    specs += [_many_symbols_spec(n, inputs, rng)
+              for n, inputs in ((3, 2), (20, 5), (120, 50))]
+    return specs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs())
+def test_flow_matches_the_arc_list_dinic(spec):
+    assert _flow_triple(spec) == _reference_flow(spec)
+
+
+@pytest.mark.parametrize("name", corpus_names(".disp"))
+def test_corpus_flow_matches_the_arc_list_dinic(name):
+    spec = load(name)
+    assert _flow_triple(spec) == _reference_flow(spec)
+
+
+@pytest.mark.parametrize("spec", _generated_specs())
+def test_generated_flow_matches_the_arc_list_dinic(spec):
+    assert _flow_triple(spec) == _reference_flow(spec)
+    _check_flow_paths(spec, dispersion_exponent(spec))
+
+
+def _check_flow_paths(spec, result) -> list[list[int]]:
+    """Read the flow's unit paths back from its per-node state alone: from
+    each saturated sink edge, follow the feeding child down to an input.
+    They must be exactly D vertex-disjoint paths along child -> parent
+    edges of `spec.dag`, ending at distinct output roots and covering
+    every node whose split edge carries flow."""
+    dag, flow = spec.dag, result.flow
+    k = len(dag.inputs)
+    paths = []
+    for root, sunk in enumerate(flow.sunk):
+        if not sunk:
+            continue
+        assert root in dag.outputs
+        path = [root]
+        while path[-1] >= k:  # an op: it is fed by one of its children
+            v = path[-1]
+            assert flow.used[v] and flow.feed[v] in dag.ops[v - k][1]
+            path.append(flow.feed[v])
+        assert flow.used[path[-1]]
+        paths.append(path)
+    assert len(paths) == flow.value == result.D
+    nodes = [v for path in paths for v in path]
+    assert len(nodes) == len(set(nodes))
+    assert set(nodes) == {v for v, used in enumerate(flow.used) if used}
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(_specs())
+def test_flow_decomposes_into_disjoint_paths(spec):
+    _check_flow_paths(spec, dispersion_exponent(spec))
+
+
+@pytest.mark.parametrize("name", corpus_names(".disp"))
+def test_corpus_flow_decomposes_into_disjoint_paths(name):
+    spec = load(name)
+    _check_flow_paths(spec, dispersion_exponent(spec))
+
+
+def test_second_phase_reroutes_through_a_used_node():
+    """The first phase sends x through f(x) into g; the second must move
+    g onto h(y) and x onto h(x), going back across f(x)'s split edge."""
+    spec = parse("dispersion { inputs x, y; sig f/1, g/2, h/1; "
+                 "outputs g(f(x), h(y)), h(h(x)); }")
+    assert _flow_triple(spec) == _reference_flow(spec)
+    result = dispersion_exponent(spec)
+    # nodes: x 0, y 1, f(x) 2, h(y) 3, g(f(x), h(y)) 4, h(x) 5, h(h(x)) 6
+    assert _check_flow_paths(spec, result) == [[4, 3, 1], [6, 5, 0]]
+    assert result.min_cut == ("x", "y")
+
+
+def test_deep_flow_is_one_path():
+    """f(...f(x)...) nested 10^5 deep: one path through every node, found
+    and read back without recursion."""
+    depth = 10 ** 5
+    spec = parse("dispersion { inputs x; sig f/1; outputs "
+                 + "f(" * depth + "x" + ")" * depth + "; }")
+    (path,) = _check_flow_paths(spec, dispersion_exponent(spec))
+    assert path == list(range(depth, -1, -1))

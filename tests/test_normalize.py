@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from termflow import normalize
 from termflow.corpus import corpus_names
 from termflow.dsl import KEYWORDS, parse, render
-from termflow.errors import PreconditionError
+from termflow.errors import PreconditionError, ValidationError
 from termflow.normalize import (Merge, NormalEquation, NormalSystem, UnionFind,
                                 classify, collision_quotient, diversify,
                                 embed_dispersion, flatten, pad_dispersion,
@@ -649,3 +649,64 @@ def test_classification_is_built_once_per_system(monkeypatch):
         with pytest.raises(PreconditionError):
             classify(flat)
     assert len(calls) == 4
+
+
+# (variables, equations, variable equalities, message): each error the
+# constructor reports, then pairs of errors where the first in walk order
+# must win
+_EQ = NormalEquation
+_GOLDEN_SYSTEM_ERRORS = [
+    (("x", "y", "x"), (), (), "duplicate variable in normal system"),
+    (("x", "y"), (_EQ("f", ("x",), "z"),), (),
+     "undeclared defined variable 'z'"),
+    (("x", "y"), (_EQ("g", ("x", "q"), "y"),), (), "undeclared argument 'q'"),
+    (("x", "y"), (_EQ("g", ("x",), "y"),), (), "arity mismatch on 'g'"),
+    (("x", "y"), (_EQ("f", (), "y"),), (), "arity mismatch on 'f'"),
+    (("x", "y"), (_EQ("h", ("x",), "y"),), (), "unknown symbol 'h'"),
+    (("x", "y"), (), (("x", "w"),), "undeclared variable in equality"),
+    (("x", "y"), (), (("w", "x"),), "undeclared variable in equality"),
+    (("x", "x"), (_EQ("h", ("q",), "z"),), (("w", "x"),),
+     "duplicate variable in normal system"),
+    (("x", "y"), (_EQ("f", ("q",), "z"),), (),
+     "undeclared defined variable 'z'"),
+    (("x", "y"), (_EQ("h", ("q",), "y"),), (), "undeclared argument 'q'"),
+    (("x", "y"), (_EQ("g", ("x",), "y"), _EQ("f", ("x",), "z")), (),
+     "arity mismatch on 'g'"),
+    (("x", "y"), (_EQ("f", ("x",), "z"), _EQ("g", ("x",), "y")), (),
+     "undeclared defined variable 'z'"),
+    (("x", "y"), (_EQ("h", ("x",), "y"),), (("x", "w"),),
+     "unknown symbol 'h'"),
+]
+
+
+@pytest.mark.parametrize("prefix", [0, 2000])
+@pytest.mark.parametrize("variables,equations,equalities,message",
+                         _GOLDEN_SYSTEM_ERRORS)
+def test_normal_system_errors(variables, equations, equalities, message,
+                              prefix):
+    """The message the equation-by-equation check gave, alone and after a
+    valid 2,000-equation chain."""
+    names = tuple(f"v{i}" for i in range(prefix + 1)) if prefix else ()
+    chain = tuple(_EQ("f", (u,), v) for u, v in zip(names, names[1:]))
+    with pytest.raises(ValidationError) as caught:
+        NormalSystem(names + variables, Signature((("f", 1), ("g", 2))),
+                     chain + equations, equalities)
+    assert str(caught.value) == message
+
+
+def test_accepted_systems_take_no_walk(monkeypatch):
+    """Accepted systems are checked in bulk only; the walk runs once per
+    refused one."""
+    walks, first_error = [], normalize._first_error
+    monkeypatch.setattr(normalize, "_first_error", lambda system, declared:
+                        walks.append(1) or first_error(system, declared))
+    for name in corpus_names(".inst"):
+        pipeline(load(name))
+        diversify(flatten(load(name)))
+    pipeline(_cascade(400))
+    _chain(2000)
+    NormalSystem(("x", "y"), Signature(()), (), (("x", "y"),))
+    assert walks == []
+    with pytest.raises(ValidationError):
+        NormalSystem(("x",), Signature(()), (), (("x", "y"),))
+    assert walks == [1]
