@@ -7,9 +7,9 @@ from .dsl import parse, render
 from .errors import (BudgetError, EvalError, ParseError, PreconditionError,
                      TermflowError, ValidationError)
 from .flownet import (ExponentResult, FlowNetwork, ThresholdDecision,
-                      build_dag, build_network, cut_certificate,
-                      decide_perfect_r1, decide_threshold,
-                      dispersion_exponent, max_flow, network_dot)
+                      build_dag, build_network, decide_perfect_r1,
+                      decide_threshold, dispersion_exponent, max_flow,
+                      network_dot)
 from .normalize import (Classification, NormalEquation, NormalSystem,
                         PipelineReport, classify, collision_quotient,
                         diversify, embed_dispersion, flatten, pad_dispersion,
@@ -24,8 +24,7 @@ from .oracle import (DEFAULT_BUDGET, BlockEncoding, CountPreservation,
                      interpretation_at, interpretation_count,
                      lift_interpretation, sandwich_check)
 from .terms import (App, DispersionSpec, Equation, Interpretation, Signature,
-                    Term, TermDag, TermSystem, Var, assignments, eval_term,
-                    instance_size, render_term, satisfies, table_index,
-                    term_size, term_vars)
+                    Term, TermDag, TermSystem, Var, assignments, instance_size,
+                    table_index)
 
 __version__ = "0.1.0"

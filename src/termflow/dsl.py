@@ -23,11 +23,10 @@ that check, which the parser always rejects, is tokenized by it, so that its
 errors come out as before.  Tokens are plain strings; a token's kind is its first
 character, and a token is named by its index (line:col is found only for an
 error, by tokenizing again up to it).  An id list or signature is read as one
-slice up to its ';', and a graph's `edge` lines as one slice up to its '}',
-and checked with set operations; only a list or edge section that fails a
-check is walked item by item, to report its first error.  Each term is
-hash-consed into the DAG as it is read, and every check a constructor would
-make is made here.
+slice up to its ';' and checked with set operations; only a list that fails a
+check is walked item by item, to report its first error.  A graph's `edge`
+lines are read one by one.  Each term is hash-consed into the DAG as it is
+read, and every check a constructor would make is made here.
 
 User identifiers may not start with "_" or contain "@"; those namespaces are
 reserved for pipeline-minted auxiliary variables and diversified symbols.
@@ -297,24 +296,7 @@ class _Parser:
             at = next(at for at in range(start, self.pos, 2)
                       if toks[at] not in declared)
             self.fail(f"source {toks[at]!r} is not a declared node", at)
-        try:  # the `edge` lines as one slice, each line five tokens
-            end = toks.index("}", self.pos)
-        except ValueError:
-            self.edge_error(declared)
-        lines = toks[self.pos:end]
-        tails, heads = lines[1::5], lines[3::5]
-        if not (len(lines) % 5 == 0 and set(lines[0::5]) <= {"edge"}
-                and set(lines[2::5]) <= {"->"} and set(lines[4::5]) <= {";"}
-                and declared.issuperset(tails) and declared.issuperset(heads)):
-            self.edge_error(declared)
-        self.pos = end + 1
-        return DependencyGraph(tuple(nodes), frozenset(zip(tails, heads)),
-                               frozenset(sources))
-
-    def edge_error(self, declared: frozenset) -> NoReturn:
-        """Walk the `edge` lines at `pos` one by one and raise the error
-        they meet first: the error path of lines that failed a bulk check."""
-        toks = self.toks
+        edges = set()
         while self.here == "edge":
             self.pos += 1
             u = self.ident("node")
@@ -324,8 +306,9 @@ class _Parser:
             for at in (u, v):
                 if toks[at] not in declared:
                     self.fail(f"edge endpoint {toks[at]!r} is not a declared node", at)
+            edges.add((toks[u], toks[v]))
         self.take("}")
-        raise AssertionError("edges failed their bulk check but have no error")
+        return DependencyGraph(tuple(nodes), frozenset(edges), frozenset(sources))
 
 
 def parse(text: str, kind: str = "auto", *, allow_reserved: bool = False):

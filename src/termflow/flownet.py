@@ -241,12 +241,6 @@ def dispersion_exponent(spec: DispersionSpec) -> ExponentResult:
     return max_flow(build_network(build_dag(spec)))
 
 
-def cut_certificate(spec: DispersionSpec) -> dict:
-    """JSON-ready certificate of `dispersion_exponent(spec)`.  Kept as the
-    public one-call certificate, for callers that need no `ExponentResult`."""
-    return dispersion_exponent(spec).certificate()
-
-
 def network_dot(network: FlowNetwork) -> str:
     """Debug rendering of the split network with capacities."""
     names = {network.source: "s", network.sink: "t"}

@@ -30,7 +30,7 @@ is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan
 evaluates only the indices T that are <= each transposition conjugate
 (`_least_in_orbit`), a superset of those least indices: values, witnesses
 and perfect-hit indices are those of the unpruned scan.  At n = 2 the one
-swap halves a scan but often costs more than it saves.
+swap often costs more than it saves; from n = 5 `_prunes` weighs the swaps.
 """
 
 from __future__ import annotations
@@ -87,8 +87,17 @@ def _low_digits(symbols, n: int, k: int) -> int:
     return low
 
 
+def _prunes(n: int, dags) -> bool:
+    """Whether scans of `dags` at n run the orbit filter.  Its n(n-1)/2
+    swaps per interpretation go uncharged by the budget, so from n = 5 it
+    runs only while they cost less than one scan's n^k evaluations per op."""
+    swaps = n * (n - 1) // 2
+    return n >= _PRUNE_MIN_N and (n <= 4 or any(
+        swaps < n ** len(d.inputs) * max(1, len(d.ops)) for d in dags))
+
+
 def _chunks(kind: str, symbols, dag: TermDag, n: int,
-            low: int | None = None):
+            low: int | None = None, peers=()):
     """The scan kernel: yield (indices, values) for the interpretations of
     `symbols` it evaluates, in increasing index order, one pair per chunk
     of n^low indices (n^w splits into whole chunks), evaluating `dag`.
@@ -100,15 +109,15 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
     every chunk, built once before the first.
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
-    distinct output tuples.  From n = _PRUNE_MIN_N only the indices
-    `_least_in_orbit` keeps are evaluated, and a chunk it empties yields
-    nothing: the max value, its least index and the least index reaching a
-    target stay those of the unpruned scan."""
+    distinct output tuples.  If `_prunes(n, [dag, *peers])` (`peers`: DAGs
+    scanned in step) only the indices `_least_in_orbit` keeps are evaluated,
+    and a chunk it empties yields nothing: the max value, its least index
+    and the least index reaching a target stay those of the unpruned scan."""
     k = len(dag.inputs)
     if low is None:
         low = _low_digits(symbols, n, k)
     digits = _Digits(symbols, n, low)
-    swaps = _transpositions(symbols, digits) if n >= _PRUNE_MIN_N else []
+    swaps = _transpositions(symbols, digits) if _prunes(n, [dag, *peers]) else []
     high = len(digits.rows) - low  # digits constant over a chunk
     size = n ** low
     every = np.arange(size, dtype=np.intp)
@@ -277,11 +286,12 @@ def _scan(kind: str, symbols, dag: TermDag, n: int,
 
 def _first_mismatch(symbols, dag_a: TermDag, dag_b: TermDag, n: int):
     """The least index of `symbols` at which two systems' DAGs differ in
-    solution count, or None.  Both scans share one chunk size, so both keep
-    the same indices, and the least mismatch (S_n-invariant) is kept."""
+    solution count, or None.  Both scans share one chunk size and pruning
+    decision, so keep the same indices, and the least mismatch is kept."""
     low = min(_low_digits(symbols, n, len(d.inputs)) for d in (dag_a, dag_b))
-    for (indices, ca), (_, cb) in zip(_chunks("count", symbols, dag_a, n, low),
-                                      _chunks("count", symbols, dag_b, n, low)):
+    a = _chunks("count", symbols, dag_a, n, low, [dag_b])
+    b = _chunks("count", symbols, dag_b, n, low, [dag_a])
+    for (indices, ca), (_, cb) in zip(a, b):
         if (ca != cb).any():
             return int(indices[(ca != cb).argmax()])
     return None

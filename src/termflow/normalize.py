@@ -44,10 +44,6 @@ class NormalEquation(NamedTuple):
     args: tuple[Ident, ...]
     defined: Ident
 
-    @property
-    def key(self) -> tuple[Ident, tuple[Ident, ...]]:
-        return (self.symbol, self.args)
-
 
 @dataclass(frozen=True)
 class NormalSystem:

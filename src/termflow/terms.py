@@ -106,33 +106,6 @@ class App:
 Term = Union[Var, App]
 
 
-def _preorder(t: Term) -> list[Term]:
-    """Every subterm occurrence in pre-order, left to right, without recursion."""
-    out, stack = [], [t]
-    while stack:
-        t = stack.pop()
-        out.append(t)
-        if isinstance(t, App):
-            stack.extend(reversed(t.args))
-    return out
-
-
-def term_size(t: Term) -> int:
-    """Occurrence count: every variable and symbol occurrence is one node."""
-    return len(_preorder(t))
-
-
-def term_vars(t: Term) -> Iterator[Ident]:
-    """Variable occurrences in left-to-right order (with repeats)."""
-    return (s.name for s in _preorder(t) if isinstance(s, Var))
-
-
-def render_term(t: Term) -> str:
-    """Prefix text for a term; constants keep explicit parens (`c()`)."""
-    dag = term_dag(tuple(dict.fromkeys(term_vars(t))), [t])
-    return dag.label(dag.outputs[0])
-
-
 @dataclass(frozen=True)
 class TermDag:
     """Shared term DAG: inputs first, then ops in first-encounter order."""
@@ -145,13 +118,10 @@ class TermDag:
     def node_count(self) -> int:
         return len(self.inputs) + len(self.ops)
 
-    def label(self, node: int) -> str:
-        """Prefix text of a node's term, as `render_term` prints it."""
-        return self.labels([node])[0]
-
     def labels(self, nodes: Sequence[int]) -> list[str]:
         """Prefix text of each node's term, made on demand: the only renderer.
-        Earlier nodes' text is reused, so id order costs the output's length."""
+        Constants keep explicit parens (`c()`).  Earlier nodes' text is
+        reused, so id order costs the output's length."""
         done = dict(enumerate(self.inputs))  # node id -> text
         for node in nodes:
             parts, stack = [], [node]  # stack: node ids and literal text
@@ -341,11 +311,6 @@ def table_index(n: int, args: tuple[int, ...]) -> int:
     return idx
 
 
-def argument_tuples(n: int, arity: int) -> Iterator[tuple[int, ...]]:
-    """All argument tuples in the table's row-major order."""
-    return itertools.product(range(n), repeat=arity)
-
-
 @dataclass(frozen=True)
 class Interpretation:
     """One total table per symbol over [n].
@@ -377,13 +342,6 @@ class Interpretation:
                     f"table for {name!r} has {len(self.tables[name])} entries, "
                     f"expected {want}")
 
-    def apply(self, symbol: Ident, args: tuple[int, ...]) -> int:
-        try:
-            table = self.tables[symbol]
-        except KeyError:
-            raise EvalError(f"no table for symbol {symbol!r}") from None
-        return table[table_index(self.n, args)]
-
 
 Assignment = Mapping[Ident, int]
 
@@ -391,9 +349,17 @@ Assignment = Mapping[Ident, int]
 def term_steps(t: Term) -> tuple:
     """A term walked once, for repeated evaluation by `run_steps`: its
     post-order steps, each a variable name or a (symbol, argument count)
-    pair.  It shares no code with the DAG."""
-    return tuple(s.name if isinstance(s, Var) else (s.symbol, len(s.args))
-                 for s in reversed(_preorder(t)))
+    pair, first argument last, so `run_steps` pops it first.  It shares no
+    code with the DAG and does not recurse."""
+    steps, stack = [], [t]  # pre-order, left to right; reversed on return
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            steps.append(t.name)
+        else:
+            steps.append((t.symbol, len(t.args)))
+            stack.extend(reversed(t.args))
+    return tuple(reversed(steps))
 
 
 def run_steps(steps: tuple, interp: Interpretation,
@@ -414,19 +380,6 @@ def run_steps(steps: tuple, interp: Interpretation,
                 idx = idx * interp.n + vals.pop()
             vals.append(interp.tables[symbol][idx])
     return vals[0]
-
-
-def eval_term(t: Term, interp: Interpretation, assignment: Assignment) -> int:
-    """A term's value by a walk of the tree, sharing no code with the DAG."""
-    return run_steps(term_steps(t), interp, assignment)
-
-
-def satisfies(system: TermSystem, interp: Interpretation,
-              assignment: Assignment) -> bool:
-    """True when every equation holds under the interpretation/assignment."""
-    return all(eval_term(eq.lhs, interp, assignment)
-               == eval_term(eq.rhs, interp, assignment)
-               for eq in system.equations)
 
 
 def assignments(variables: tuple[Ident, ...], n: int) -> Iterator[dict[Ident, int]]:

@@ -12,8 +12,8 @@ import time
 
 from termflow.corpus import corpus_names, corpus_path
 from termflow.errors import BudgetError
-from termflow.flownet import (cut_certificate, decide_perfect_r1,
-                              decide_threshold, dispersion_exponent)
+from termflow.flownet import (decide_perfect_r1, decide_threshold,
+                              dispersion_exponent)
 from termflow.normalize import diversify, pipeline
 from termflow.oracle import (brute_dispersion, brute_max_solutions,
                              check_counts_preserved, check_embedding,
@@ -33,7 +33,7 @@ def _cli(*args):
 def test_criterion_01_diamond_exponent(acceptance):
     started = time.perf_counter()
     result = dispersion_exponent(load("diamond.disp"))
-    cert = cut_certificate(load("diamond.disp"))
+    cert = result.certificate()
     elapsed = time.perf_counter() - started
     ok = (result.D == 4 and len(result.min_cut) == 4
           and len(cert["cut"]) == 4 and cert["flow_value"] == 4

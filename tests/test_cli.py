@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termflow
-from termflow import cli, normalize
+from termflow import cli, kernel, normalize
 from termflow.corpus import corpus_names, corpus_path
 
 
@@ -330,6 +331,37 @@ def test_only_the_kernel_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(source.name)
     assert importers == {"kernel.py"}
+
+
+_API = {
+    "App", "BlockEncoding", "BudgetError", "Classification",
+    "CountPreservation", "DEFAULT_BUDGET", "DependencyGraph", "DispersionSpec",
+    "EmbeddingCheck", "Equation", "EvalError", "ExponentResult", "FlowNetwork",
+    "GuessingEquality", "Interpretation", "NormalEquation", "NormalSystem",
+    "OracleResult", "ParseError", "PerfectDecision", "PipelineReport",
+    "PreconditionError", "SandwichReport", "SearchBudget", "Signature", "Term",
+    "TermDag", "TermSystem", "TermflowError", "ThresholdDecision",
+    "ValidationError", "Var", "add_source_loops", "assignments",
+    "brute_dispersion", "brute_guessing", "brute_max_solutions", "build_dag",
+    "build_network", "check_counts_preserved", "check_embedding",
+    "check_perfect_fixed", "check_solutions_equal_winning", "classify",
+    "collision_quotient", "count_solutions", "count_winning",
+    "decide_perfect_r1", "decide_threshold", "dependency_graph",
+    "dispersion_exponent", "diversify", "embed_dispersion", "flatten",
+    "graph_system", "image_of", "instance_size", "interpretation_at",
+    "interpretation_count", "lift_interpretation", "max_flow", "network_dot",
+    "pad_dispersion", "parse", "pipeline", "quotient_vars", "render",
+    "sandwich_check", "table_index", "to_dot",
+}
+
+
+def test_package_binds_exactly_the_public_api():
+    # submodules are bound as they are imported, so they are not counted;
+    # adding or dropping an export means editing `_API`
+    public = {name for name, obj in vars(termflow).items()
+              if not name.startswith("_")
+              and not isinstance(obj, types.ModuleType)}
+    assert public == _API
 
 
 def test_only_the_kernel_names_its_chunk_geometry():
@@ -844,8 +876,9 @@ def test_deep_term_through_the_cli(tmp_path):
     assert len(result["auxiliaries"]) == DEEP and result["is_cfnf"]
 
 
-# per input kind: (command words before the file, words after it)
-_BRUTE = ["-n", "2", "--budget", "4096"]
+# per input kind: (command words before the file, words after it); a
+# `brute` command also gets a drawn `-n`
+_BRUTE = ["--budget", "4096"]
 _COMMANDS = {
     "dispersion": [(["exponent"], []), (["exponent"], ["--certificate"]),
                    (["threshold"], ["-d", "1"]), (["brute", "disp"], _BRUTE),
@@ -868,6 +901,9 @@ def _cli_input(draw):
     kind = draw(st.sampled_from(["dispersion", "instance", "graph"]))
     command = draw(st.sampled_from(_COMMANDS[draw(st.sampled_from(
         [kind] * 8 + list(_COMMANDS)))]))
+    if command[0][0] == "brute":
+        n = draw(st.sampled_from([2, 3, 2 ** 63]))
+        command = (command[0], ["-n", str(n), *command[1]])
     names = draw(st.lists(st.sampled_from(["x", "y", "z"]), max_size=3,
                           unique=True))
     sig = draw(st.lists(st.tuples(st.sampled_from(["f", "g", "c"]),
@@ -924,6 +960,27 @@ def test_fuzzed_inputs_exit_only_0_2_3_or_4(tmp_path_factory, case):
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
     assert code != 0 or out
+
+
+@pytest.mark.parametrize("text,argv,value", [
+    ("dispersion { inputs x; sig ; outputs x; }", ["disp", "-n", "1000"], 1000),
+    ("dispersion { inputs x; sig ; outputs x; }", ["disp", "-n", "2000"], 2000),
+    ("instance { vars ; sig ; }", ["solve", "-n", "1000"], 1),
+    ("instance { vars ; sig ; }", ["solve", "-n", str(2 ** 63)], 1),
+    ("graph { nodes ; sources ; }", ["guess", "-n", str(10 ** 30)], 1),
+])
+def test_large_n_scans_of_one_interpretation_build_no_orbit_filter(
+        tmp_path, monkeypatch, text, argv, value):
+    """The filter's n(n-1)/2 swaps are work no budget charges: a scan of
+    one interpretation at a large n never builds them."""
+    def refuse(*args):
+        raise AssertionError("the orbit filter was built")
+    monkeypatch.setattr(kernel, "_transpositions", refuse)
+    file = tmp_path / "input"
+    file.write_text(text)
+    code, out, err = _main("brute", argv[0], str(file), *argv[1:])
+    assert code == 0 and "Traceback" not in err, err
+    assert json.loads(out)["result"]["value"] == value
 
 
 def test_parser_reuse_keeps_no_state_between_calls():

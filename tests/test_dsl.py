@@ -17,8 +17,7 @@ from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import ParseError
 from termflow import dsl, terms
 from termflow.terms import (App, DispersionSpec, Equation, Signature,
-                            TermSystem, Var, instance_size, term_dag,
-                            term_size)
+                            TermSystem, Var, instance_size, term_dag)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -733,7 +732,7 @@ def test_split_tokens_are_the_regex_tokens(text):
 @contextmanager
 def _slow_paths():
     """Counts the `_tokenize` fallback ("tokens") and the item-by-item list
-    and edge walks ("walks") while the block runs."""
+    walks ("walks") while the block runs."""
     counts = Counter()
 
     def counting(name, fn):
@@ -745,9 +744,7 @@ def _slow_paths():
     with mock.patch.object(dsl, "_regex_tokens",
                            counting("tokens", dsl._regex_tokens)), \
             mock.patch.object(dsl._Parser, "list_error",
-                              counting("walks", dsl._Parser.list_error)), \
-            mock.patch.object(dsl._Parser, "edge_error",
-                              counting("walks", dsl._Parser.edge_error)):
+                              counting("walks", dsl._Parser.list_error)):
         yield counts
 
 
@@ -796,20 +793,22 @@ def test_accepted_input_takes_no_slow_path():
     with _slow_paths() as counts:
         assert len(parse(edges).edges) == _LONG
     assert counts == {}
-    with _slow_paths() as counts, pytest.raises(ParseError):
-        parse(_long_edges("edge v1 -> w;", "end"))
-    assert counts == {"walks": 1}
 
 
 # ---- trees on demand ---------------------------------------------------------
 
 
+def _tree_size(t):
+    """Occurrences in a tree, by recursion: every variable and symbol."""
+    return 1 + sum(map(_tree_size, t.args)) if isinstance(t, App) else 1
+
+
 def _tree_instance_size(obj):
-    """`instance_size` by walking the trees, as it was before it read the DAG."""
+    """`instance_size` by recursing over the trees, not reading the DAG."""
     if isinstance(obj, TermSystem):
-        occ = sum(term_size(eq.lhs) + term_size(eq.rhs) for eq in obj.equations)
+        occ = sum(_tree_size(eq.lhs) + _tree_size(eq.rhs) for eq in obj.equations)
         return occ + len(obj.equations)
-    return sum(term_size(t) for t in obj.outputs) + len(obj.outputs)
+    return sum(map(_tree_size, obj.outputs)) + len(obj.outputs)
 
 
 def _check_trees_on_demand(text, trees=None):

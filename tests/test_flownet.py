@@ -15,12 +15,11 @@ from termflow import cli, flownet
 from termflow.corpus import corpus_names, corpus_path
 from termflow.dsl import parse, render
 from termflow.errors import PreconditionError
-from termflow.flownet import (build_dag, build_network, cut_certificate,
-                              decide_perfect_r1, decide_threshold,
-                              dispersion_exponent, max_flow, network_dot)
+from termflow.flownet import (build_dag, build_network, decide_perfect_r1,
+                              decide_threshold, dispersion_exponent, max_flow,
+                              network_dot)
 from termflow.normalize import pad_dispersion
-from termflow.terms import (App, DispersionSpec, Signature, Var, render_term,
-                            term_vars)
+from termflow.terms import App, DispersionSpec, Signature, Var
 from corpus_loader import load
 
 
@@ -147,10 +146,10 @@ def _reference_flow(spec):
     dinic = _ArcDinic(2 + 2 * dag.node_count)
     handles = [dinic.add(u, v, c) for u, v, c in edges]
     value, level = dinic.run(0, 1)
-    rows = []
+    texts, rows = dag.labels(range(dag.node_count)), []
     for e in bottlenecks:
         u, v, c = edges[e]
-        text = dag.label((u - 2) // 2)
+        text = texts[(u - 2) // 2]
         rows.append({"id": f"sink:{text}" if v == 1 else text, "capacity": c,
                      "saturated": dinic.cap[handles[e]] == 0,
                      "in_cut": level[u] >= 0 > level[v]})
@@ -208,7 +207,7 @@ def test_exponent_matches_brute_vertex_cut(name):
 
 def test_shared_subterm_appears_once_in_dag():
     dag = build_dag(load("shared_subterm.disp"))
-    labels = [dag.label(v) for v in range(dag.node_count)]
+    labels = dag.labels(range(dag.node_count))
     assert labels.count("g(x)") == 1
     assert dag.node_count == 3  # x, g(x), f(g(x))
 
@@ -247,8 +246,8 @@ def test_padding_never_lowers_exponent(name):
 
 
 def test_cut_certificate_is_consistent():
-    cert = cut_certificate(load("diamond.disp"))
     res = dispersion_exponent(load("diamond.disp"))
+    cert = res.certificate()
     assert cert["flow_value"] == res.D
     assert tuple(cert["cut"]) == res.min_cut
     in_cut = [row for row in cert["bottlenecks"] if row["in_cut"]]
@@ -351,8 +350,9 @@ def test_perfect_r1_syntactic_decision():
 
 
 def _has_variable(term) -> bool:
-    """The tree rule `decide_perfect_r1` used: any variable occurrence."""
-    return next(term_vars(term), None) is not None
+    """The tree rule `decide_perfect_r1` used, by recursion: any variable
+    occurrence."""
+    return isinstance(term, Var) or any(map(_has_variable, term.args))
 
 
 _inputs = st.sampled_from(("a", "b", "c"))
@@ -402,26 +402,35 @@ def test_exponent_matches_brute_cut_on_random_specs(spec):
 @given(_specs())
 def test_min_cut_certificate_disconnects(spec):
     """Removing exactly the certified bottlenecks kills every flow path."""
-    cert = cut_certificate(spec)
+    cert = dispersion_exponent(spec).certificate()
     dag = build_dag(spec)
+    labels = dag.labels(range(dag.node_count))
     k = len(dag.inputs)
     cut = set(cert["cut"])
     roots = list(dict.fromkeys(dag.outputs))
     reach = [False] * dag.node_count
     for v in range(k):
-        reach[v] = dag.label(v) not in cut
+        reach[v] = labels[v] not in cut
     for i, (_, children) in enumerate(dag.ops):
         v = k + i
-        if dag.label(v) not in cut:
+        if labels[v] not in cut:
             reach[v] = any(reach[c] for c in children)
     alive = [r for r in roots
-             if reach[r] and f"sink:{dag.label(r)}" not in cut]
+             if reach[r] and f"sink:{labels[r]}" not in cut]
     assert not alive
 
 
+def _render(t) -> str:
+    """Prefix text of a tree, by recursion: the renderer's reference."""
+    if isinstance(t, Var):
+        return t.name
+    return f"{t.symbol}({', '.join(map(_render, t.args))})"
+
+
 def _recursive_dag(spec):
-    """Hash-consing keyed on whole subterms, walked recursively: the
-    builder's reference, for terms shallow enough to recurse on."""
+    """Hash-consing keyed on whole subterms, walked recursively, with each
+    node labelled by `_render`: the builder's and the renderer's reference,
+    for terms shallow enough to recurse on."""
     ids = {Var(name): i for i, name in enumerate(spec.inputs)}
     labels, ops = list(spec.inputs), []
 
@@ -429,7 +438,7 @@ def _recursive_dag(spec):
         if t not in ids:
             children = tuple(cons(a) for a in t.args)
             ids[t] = len(labels)
-            labels.append(render_term(t))
+            labels.append(_render(t))
             ops.append((t.symbol, children))
         return ids[t]
 
@@ -441,7 +450,7 @@ def _recursive_dag(spec):
 @given(_specs())
 def test_dag_matches_recursive_hash_consing(spec):
     dag = build_dag(spec)
-    labels = tuple(dag.label(v) for v in range(dag.node_count))
+    labels = tuple(dag.labels(range(dag.node_count)))
     assert (dag.inputs, dag.ops, dag.outputs, labels) == _recursive_dag(spec)
 
 
@@ -453,7 +462,6 @@ def test_certificate_comes_from_the_exponent_run(monkeypatch):
     spec = load("diamond.disp")
     res = dispersion_exponent(spec)
     assert runs == [1]
-    assert cut_certificate(spec) == res.certificate()
     assert res.certificate()["cut"] == list(res.min_cut)
     runs.clear()
     with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -463,9 +463,9 @@ def _fixpoint_collision_quotient(system):
         uf = UnionFind(system.variables, system.auxiliaries)
         first, changed = {}, False
         for eq in system.equations:
-            prev = first.get(eq.key)
+            prev = first.get(eq[:2])
             if prev is None:
-                first[eq.key] = eq.defined
+                first[eq[:2]] = eq.defined
             elif uf.find(prev) != uf.find(eq.defined):
                 uf.union(prev, eq.defined)
                 changed = True
@@ -574,7 +574,7 @@ def test_flatten_skips_declared_auxiliary_names(declared, minted):
 
 def test_normal_equation_is_a_named_tuple():
     eq = NormalEquation("f", ("x",), "y")
-    assert (eq.symbol, eq.args, eq.defined, eq.key) == ("f", ("x",), "y",
+    assert (eq.symbol, eq.args, eq.defined, eq[:2]) == ("f", ("x",), "y",
                                                          ("f", ("x",)))
     same = NormalEquation("f", ("x",), "y")
     assert eq == same and hash(eq) == hash(same)
@@ -625,7 +625,7 @@ def test_classify_matches_a_count_per_key(system):
     defining, keys = {}, {}
     for eq in system.equations:
         defining[eq.defined] = defining.get(eq.defined, 0) + 1
-        keys.setdefault(eq.key, set()).add(eq.defined)
+        keys.setdefault(eq[:2], set()).add(eq.defined)
     cls = classify(system)
     assert cls.defined == tuple(v for v in system.variables if v in defining)
     assert cls.sources == tuple(v for v in system.variables

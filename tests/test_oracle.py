@@ -1447,3 +1447,46 @@ def test_count_preservation_first_mismatch_pruned():
                 assert check_counts_preserved(before, after, 3) == chk
         assert not chk.equal and chk.first_mismatch == first
         assert chk.interpretations == 81
+
+
+_NESTED300 = ("dispersion { inputs x; sig f/1; outputs "
+              + "f(" * 300 + "x" + ")" * 300 + "; }")
+
+
+@pytest.mark.parametrize("spec,n", [
+    (_DISP4, 3), ("diamond.disp", 3), (_NESTED300, 5)],
+    ids=["disp4-n3", "diamond-n3", "nested300-n5"])
+def test_pruned_benchmark_scans_still_filter(monkeypatch, spec, n):
+    calls, every = [], kernel._least_in_orbit
+    monkeypatch.setattr(kernel, "_least_in_orbit",
+                        lambda *args: calls.append(1) or every(*args))
+    brute_dispersion(load(spec) if spec.endswith(".disp") else parse(spec), n)
+    assert calls
+
+
+def test_filter_runs_from_n5_only_where_its_swaps_cost_less():
+    # n(n-1)/2 swaps against n^k evaluations of each op (at least one)
+    bare = parse("dispersion { inputs x; sig ; outputs x; }").dag
+    deep = parse("dispersion { inputs x; sig f/1; outputs f(f(f(x))); }").dag
+    assert kernel._prunes(3, [bare]) and kernel._prunes(4, [bare])
+    assert not kernel._prunes(2, [deep]) and not kernel._prunes(5, [bare])
+    assert kernel._prunes(6, [deep]) and not kernel._prunes(7, [deep])
+    assert kernel._prunes(5, [bare, deep])
+    assert not kernel._prunes(2 ** 63, [bare])
+
+
+def test_first_mismatch_shares_one_pruning_decision():
+    # at n = 5 the filter pays for `after` only; both scans must still keep
+    # the same indices, or the first mismatch (f's second fixed point, at
+    # index 4) would be read off misaligned chunks
+    before = parse("instance { vars x; sig c/0, f/1; eq f(c()) = x; }")
+    after = parse("instance { vars x, y; sig c/0, f/1; "
+                  "eq f(c()) = x; eq f(y) = y; }")
+    assert not kernel._prunes(5, [before.dag])
+    assert kernel._prunes(5, [after.dag])
+    for cells in (1, 25, 1 << 18):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
+            chk = check_counts_preserved(before, after, 5)
+            with patch.object(kernel, "_transpositions", _no_swaps):
+                assert check_counts_preserved(before, after, 5) == chk
+        assert chk.first_mismatch == 4 and chk.interpretations == 5 ** 6

@@ -8,12 +8,12 @@ from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import EvalError, ValidationError
 from termflow.flownet import build_dag, dispersion_exponent
 from termflow.normalize import NormalEquation, flatten
-from termflow.oracle import brute_dispersion, brute_max_solutions
+from termflow.oracle import (brute_dispersion, brute_max_solutions,
+                             count_solutions)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
-                            Signature, TermSystem, Var, argument_tuples,
-                            assignments, check_ident, eval_term,
-                            instance_size, is_reserved_ident, render_term,
-                            satisfies, table_index, term_size, term_vars)
+                            Signature, TermSystem, Var, assignments,
+                            check_ident, instance_size, is_reserved_ident,
+                            run_steps, table_index, term_dag, term_steps)
 
 
 def test_ident_rules():
@@ -81,13 +81,12 @@ def test_signature_rejects_duplicates_and_negative_arity():
         Signature(symbols=(("f", -1),))
 
 
-def test_term_helpers():
+def test_labels_and_term_steps():
     t = App("f", (Var("x"), App("g", (Var("y"),))))
-    assert term_size(t) == 4
-    assert list(term_vars(t)) == ["x", "y"]
-    assert render_term(t) == "f(x, g(y))"
-    assert render_term(App("c", ())) == "c()"
-    assert render_term(Var("x")) == "x"
+    dag = term_dag(("x", "y"), [t, App("c", ()), Var("x")])
+    assert dag.labels(dag.outputs) == ["f(x, g(y))", "c()", "x"]
+    # post-order, first argument last: `run_steps` pops it first
+    assert term_steps(t) == ("y", ("g", 1), "x", ("f", 2))
 
 
 def _diamond():
@@ -130,7 +129,6 @@ def test_table_index_big_endian():
     assert table_index(2, (1,)) == 1
     assert table_index(2, (1, 0)) == 2
     assert table_index(3, (2, 1)) == 7
-    assert list(argument_tuples(2, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), max_size=4))
@@ -142,31 +140,31 @@ def test_table_index_matches_mixed_radix(n, digits):
     assert table_index(n, tuple(digits)) == expected
 
 
-def test_interpretation_apply_and_validation():
+def test_interpretation_validation_and_run_steps():
     sig = Signature(symbols=(("f", 2),))
-    interp = Interpretation(n=2, tables={"f": (0, 0, 0, 1)})
+    interp = Interpretation(n=2, tables={"f": (0, 0, 1, 0)})
     interp.validate_against(sig)
-    assert interp.apply("f", (1, 1)) == 1
-    assert interp.apply("f", (1, 0)) == 0
+    steps = term_steps(App("f", (Var("x"), Var("y"))))
+    assert run_steps(steps, interp, {"x": 1, "y": 0}) == 1  # x most significant
+    assert run_steps(steps, interp, {"x": 0, "y": 1}) == 0
     with pytest.raises(ValidationError):
         Interpretation(n=2, tables={"f": (0, 2, 0, 1)})  # entry out of range
     with pytest.raises(ValidationError):
         Interpretation(n=2, tables={"f": (0, 1)}).validate_against(sig)
     with pytest.raises(EvalError):
-        interp.apply("g", (0, 0))
+        run_steps(term_steps(App("g", (Var("x"), Var("x")))), interp, {"x": 0})
+    with pytest.raises(EvalError):
+        run_steps(steps, interp, {"x": 0})
 
 
-def test_eval_term_and_satisfies():
+def test_count_solutions_of_one_interpretation():
     sig = Signature(symbols=(("f", 1),))
     system = TermSystem(variables=("x", "y"), signature=sig,
                         equations=(Equation(App("f", (Var("x"),)), Var("y")),))
     ident = Interpretation(n=2, tables={"f": (0, 1)})
-    assert eval_term(App("f", (Var("x"),)), ident, {"x": 1}) == 1
-    assert satisfies(system, ident, {"x": 1, "y": 1})
-    assert not satisfies(system, ident, {"x": 1, "y": 0})
+    assert run_steps(term_steps(App("f", (Var("x"),))), ident, {"x": 1}) == 1
     # exactly n assignments satisfy y = f(x): one per x
-    wins = [a for a in assignments(("x", "y"), 2) if satisfies(system, ident, a)]
-    assert len(wins) == 2
+    assert count_solutions(system, ident) == 2
 
 
 def test_assignments_order_is_lexicographic():
@@ -195,7 +193,7 @@ def test_600_deep_term_needs_no_recursion():
     dag = build_dag(spec)
     assert dag.node_count == 601
     assert dag.ops[-1] == ("f", (599,))
-    assert dag.label(600) == "f(" * 600 + "x" + ")" * 600
+    assert dag.labels([600]) == ["f(" * 600 + "x" + ")" * 600]
     assert dispersion_exponent(spec).D == 1
     system = TermSystem(variables=("x", "y"), signature=sig,
                         equations=(Equation(term, Var("y")),))
