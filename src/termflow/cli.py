@@ -35,7 +35,8 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .depgraph import DependencyGraph, add_source_loops, dependency_graph, to_dot
+from .depgraph import (DependencyGraph, add_source_loops, dependency_graph,
+                       passthrough_graph, to_dot)
 from .dsl import parse, render
 from .errors import (BudgetError, ParseError, PreconditionError, TermflowError,
                      ValidationError)
@@ -99,11 +100,14 @@ def _json(record):
 
 
 def _as_graph(obj) -> DependencyGraph:
-    """Graphs pass through; term systems go through the pipeline first."""
+    """Graphs pass through.  A term system's graph is read off its DAG when
+    the pipeline would leave it unchanged (`passthrough_graph`); any other
+    system goes through the pipeline first, which also raises its errors."""
     if isinstance(obj, DependencyGraph):
         return obj
     if isinstance(obj, TermSystem):
-        return dependency_graph(pipeline(obj)[0])
+        graph = passthrough_graph(obj)
+        return dependency_graph(pipeline(obj)[0]) if graph is None else graph
     raise PreconditionError(
         "this command needs a graph or instance input, not a dispersion spec")
 

@@ -9,16 +9,22 @@ are the players.  A game is a system: `graph_system` writes
 in-neighborhood, and its solutions are the configurations it wins;
 `dependency_graph` maps the system back.  The oracle's brute_guessing
 maximizes the number of winning configurations.
+
+`passthrough_graph` reads the graph of a system the pipeline would leave
+unchanged straight off its term DAG; the CLI runs the pipeline only for
+other systems.  Both routes build through `_from_codes`: each edge an int
+over vertex positions, sorted once, and no edge checked again by name.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import PreconditionError, ValidationError
-from .normalize import NormalEquation, NormalSystem, classify
-from .terms import Ident, Signature
+from .normalize import NormalEquation, NormalSystem, _passed_through, classify
+from .terms import Ident, Signature, TermSystem
 
 
 @dataclass(frozen=True)
@@ -26,7 +32,6 @@ class DependencyGraph:
     vertices: tuple[Ident, ...]
     edges: frozenset[tuple[Ident, Ident]]
     sources: frozenset[Ident]
-    _in: dict[Ident, tuple[Ident, ...]] = field(init=False, repr=False, compare=False)
     # (tail, head) in vertex order: the order every output lists edges in
     sorted_edges: tuple[tuple[Ident, Ident], ...] = field(
         init=False, repr=False, compare=False)
@@ -40,19 +45,49 @@ class DependencyGraph:
                 raise ValidationError(f"edge ({u!r}, {v!r}) off the vertex set")
         if not self.sources <= declared:
             raise ValidationError("sources must be vertices")
-        order = {v: i for i, v in enumerate(self.vertices)}
-        n = len(order)  # sorts like (tail, head), but an int key is faster
-        edges = tuple(sorted(self.edges,
-                             key=lambda e: order[e[0]] * n + order[e[1]]))
+        at = {v: i for i, v in enumerate(self.vertices)}
+        k = len(at)
+        object.__setattr__(self, "sorted_edges", _decoded(
+            self.vertices, {at[u] * k + at[v] for u, v in self.edges}))
+
+    @cached_property
+    def _in(self) -> dict[Ident, tuple[Ident, ...]]:
+        """Each vertex's in-neighbours in vertex order, built on first use."""
         nbrs: dict[Ident, list[Ident]] = {v: [] for v in self.vertices}
-        for u, v in edges:
+        for u, v in self.sorted_edges:
             nbrs[v].append(u)
-        object.__setattr__(self, "_in", {v: tuple(us) for v, us in nbrs.items()})
-        object.__setattr__(self, "sorted_edges", edges)
+        return {v: tuple(us) for v, us in nbrs.items()}
 
     def in_neighbors(self, v: Ident) -> tuple[Ident, ...]:
         """In-neighborhood as a set, ordered by vertex order."""
         return self._in.get(v, ())
+
+
+def _decoded(vertices: tuple[Ident, ...], codes: set[int]
+             ) -> tuple[tuple[Ident, Ident], ...]:
+    """The edges that `codes` holds as `tail * k + head` over vertex
+    positions, as (tail, head) name pairs in vertex order: one C-level
+    sort of ints, where a key per edge pair would cost a Python call."""
+    k, name = len(vertices), vertices.__getitem__
+    codes = sorted(codes)
+    return tuple(zip(map(name, map(k.__rfloordiv__, codes)),
+                     map(name, map(k.__rmod__, codes))))
+
+
+def _from_codes(vertices: tuple[Ident, ...], codes: set[int],
+                sources: frozenset[Ident]) -> DependencyGraph:
+    """The graph of the edges coded in `codes` (see `_decoded`), built
+    without the constructor's checks, as `terms._from_dag` builds a
+    parsed system.  The caller vouches for the vertex set: the distinct
+    variables of a checked system, every code's ends below their count
+    and the sources among them."""
+    graph = object.__new__(DependencyGraph)
+    edges = _decoded(vertices, codes)
+    object.__setattr__(graph, "vertices", vertices)
+    object.__setattr__(graph, "edges", frozenset(edges))
+    object.__setattr__(graph, "sources", sources)
+    object.__setattr__(graph, "sorted_edges", edges)
+    return graph
 
 
 def dependency_graph(system) -> DependencyGraph:
@@ -64,9 +99,34 @@ def dependency_graph(system) -> DependencyGraph:
         raise PreconditionError(
             "dependency graph needs functional normal form; "
             f"multiply-defined: {', '.join(over) if over else '(none)'}")
-    edges = {(u, eq.defined) for eq in system.equations for u in eq.args}
-    return DependencyGraph(system.variables, frozenset(edges),
-                           frozenset(cls.sources))
+    at = {v: i for i, v in enumerate(system.variables)}
+    k = len(at)
+    codes = {at[u] * k + at[v] for _, args, v in system.equations for u in args}
+    return _from_codes(system.variables, codes, frozenset(cls.sources))
+
+
+def passthrough_graph(system: TermSystem) -> DependencyGraph | None:
+    """`dependency_graph(pipeline(system)[0])`, read off `system.dag`, when
+    the pipeline would leave `system` unchanged; else None.
+
+    That is when every equation passes through `flatten` (`f(vars) = v`,
+    either way round), no two equations share an op node (the DAG is
+    hash-consed: no key collides and no equation repeats) and no variable
+    is defined twice.  The i-th op is then the i-th equation's, and its
+    edges run from its children to its defined variable: node ids that
+    `_passed_through` has checked to be below `k`, so vertex positions."""
+    dag, variables, k = system.dag, system.variables, len(system.variables)
+    passing = _passed_through(dag, k)
+    if passing is None:
+        return None
+    ops, defined = passing
+    if len(ops) != len(dag.ops) or len(set(defined)) != len(defined):
+        return None
+    codes = {c * k + v for v, (_, children) in zip(defined, dag.ops)
+             for c in children}
+    sources = frozenset(map(variables.__getitem__,
+                            set(range(k)).difference(defined)))
+    return _from_codes(variables, codes, sources)
 
 
 def graph_system(graph: DependencyGraph) -> NormalSystem:

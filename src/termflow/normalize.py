@@ -195,10 +195,17 @@ def flatten(system: TermSystem) -> NormalSystem:
     no equality can arise, and the equations are built in bulk, without the
     walk.
     """
-    equations = _passed_through(system.dag, system.variables)
-    if equations is not None:
-        return NormalSystem(system.variables, system.signature, equations)
-    dag, k = system.dag, len(system.variables)
+    dag, k, variables = system.dag, len(system.variables), system.variables
+    passing = _passed_through(dag, k)
+    if passing is not None:
+        at, defined = passing
+        symbols = list(map(itemgetter(0), dag.ops))
+        args = list(map(tuple, map(map, itertools.repeat(variables.__getitem__),
+                                    map(itemgetter(1), dag.ops))))
+        return NormalSystem(variables, system.signature, tuple(map(
+            tuple.__new__, itertools.repeat(NormalEquation), zip(
+                map(symbols.__getitem__, at), map(args.__getitem__, at),
+                map(variables.__getitem__, defined)))))
     names = dict(enumerate(system.variables))  # DAG node -> variable name
     taken = set(system.variables)
     fresh = (z for i in itertools.count() if (z := f"_z{i}") not in taken)
@@ -235,15 +242,17 @@ def flatten(system: TermSystem) -> NormalSystem:
                         tuple(equalities), variables[k:])
 
 
-def _passed_through(dag: TermDag, variables: tuple[Ident, ...]
-                    ) -> tuple[NormalEquation, ...] | None:
-    """Each equation `f(vars) = v` (either way round) as its
-    NormalEquation when every equation has that shape, else None.
+def _passed_through(dag: TermDag, k: int
+                    ) -> tuple[list[int], list[int]] | None:
+    """When every equation of a system over `k` variables is `f(vars) = v`
+    (either way round), each equation's op as an index into `dag.ops` and
+    its defined variable's node id; else None.  `flatten` builds its
+    NormalEquations from these, and `depgraph.passthrough_graph` its edges.
 
     Every root pair must hold one variable (node < k) and one op, and no
-    op of `dag` may have an op child; all of it is checked, and each
-    equation built, with C-level maps over the roots and the ops."""
-    k, roots = len(variables), dag.outputs
+    op of `dag` may have an op child; all of it is checked with C-level
+    maps over the roots and the ops."""
+    roots = dag.outputs
     if 2 * len(dag.ops) > len(roots):  # more ops than equations: one nests
         return None
     ops, defined = roots[0::2], roots[1::2]
@@ -254,13 +263,7 @@ def _passed_through(dag: TermDag, variables: tuple[Ident, ...]
     if not (max(defined, default=-1) < k <= min(ops, default=k)
             and max(children, default=-1) < k):
         return None
-    symbols = list(map(itemgetter(0), dag.ops))
-    args = list(map(tuple, map(map, itertools.repeat(variables.__getitem__),
-                                map(itemgetter(1), dag.ops))))
-    at = list(map(sub, ops, itertools.repeat(k)))  # each root's op index
-    return tuple(map(tuple.__new__, itertools.repeat(NormalEquation), zip(
-        map(symbols.__getitem__, at), map(args.__getitem__, at),
-        map(variables.__getitem__, defined))))
+    return list(map(sub, ops, itertools.repeat(k))), list(defined)
 
 
 def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:

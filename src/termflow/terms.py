@@ -120,8 +120,17 @@ class TermDag:
 
     def labels(self, nodes: Sequence[int]) -> list[str]:
         """Prefix text of each node's term, made on demand: the only renderer.
-        Constants keep explicit parens (`c()`).  Earlier nodes' text is
-        reused, so id order costs the output's length."""
+        Constants keep explicit parens (`c()`).  Every node, asked for as
+        `range(node_count)`, is rendered in one pass in id order, each op
+        from its children's text (a child's id is below its parent's).
+        Other nodes are rendered with a stack that reuses only the text of
+        nodes asked for earlier, so a deep term's root alone costs its
+        length."""
+        if nodes == range(self.node_count):
+            texts = list(self.inputs)
+            for symbol, args in self.ops:
+                texts.append(f"{symbol}({', '.join([texts[c] for c in args])})")
+            return texts
         done = dict(enumerate(self.inputs))  # node id -> text
         for node in nodes:
             parts, stack = [], [node]  # stack: node ids and literal text

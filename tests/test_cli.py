@@ -1157,14 +1157,45 @@ def test_a_paused_collector_stays_paused(collector):
 
 
 def test_one_classification_per_command(monkeypatch, tmp_path):
+    """At most one classification per command, and none where `graph` and
+    `brute guess` read the graph off the DAG (index_coding passes
+    through; collision goes through the pipeline)."""
     calls = []
     body = normalize._classify
     monkeypatch.setattr(normalize, "_classify",
                         lambda system: calls.append(system) or body(system))
-    inst = path("index_coding.inst")
-    for argv in [("graph", inst), ("brute", "guess", inst, "-n", "2"),
-                 ("normalize", inst, "--dot", str(tmp_path / "out.dot"))]:
+    inst, merged = path("index_coding.inst"), path("collision.inst")
+    for argv, count in [
+            (("graph", inst), 0), (("brute", "guess", inst, "-n", "2"), 0),
+            (("graph", merged), 1), (("brute", "guess", merged, "-n", "2"), 1),
+            (("normalize", inst, "--dot", str(tmp_path / "out.dot")), 1)]:
         calls.clear()
         code, _, err = _main(*argv)
         assert code == 0, err
-        assert len(calls) == 1, argv
+        assert len(calls) == count, argv
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("index_coding.inst", False), ("fx.inst", False), ("cycle3.inst", False),
+    ("diamond_embedding.inst", False), ("two_cycle.inst", False),
+    ("collision.inst", True), ("cascade.inst", True),
+    ("flatten_nested.inst", True), ("two_sided.inst", True)])
+def test_graph_commands_run_the_pipeline_only_off_the_dag_route(
+        monkeypatch, name, runs):
+    """`graph` and `brute guess` on a system the pipeline would leave
+    unchanged never call it (it raises here); on any other system they
+    call it once."""
+    calls, body = [], cli.pipeline
+
+    def pipeline(system):
+        if not runs:
+            raise AssertionError("pipeline called on a pass-through system")
+        calls.append(system)
+        return body(system)
+
+    monkeypatch.setattr(cli, "pipeline", pipeline)
+    for argv in [("graph", path(name)), ("graph", path(name), "--loops"),
+                 ("brute", "guess", path(name), "-n", "2")]:
+        calls.clear()
+        _main(*argv)
+        assert len(calls) == runs, argv

@@ -1,12 +1,17 @@
 """Dependency graphs: extraction, source loops, DOT export."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from termflow import cli
+from termflow.corpus import corpus_names, corpus_path
 from termflow.depgraph import (DependencyGraph, add_source_loops,
-                               dependency_graph, to_dot)
+                               dependency_graph, passthrough_graph, to_dot)
 from termflow.dsl import render
-from termflow.errors import PreconditionError, ValidationError
+from termflow.errors import PreconditionError, TermflowError, ValidationError
 from termflow.normalize import pipeline
+from termflow.terms import App, Equation, Signature, TermSystem, Var
 from corpus_loader import load
 
 
@@ -35,7 +40,6 @@ def test_index_coding_graph():
 
 
 def test_repeated_argument_yields_single_edge():
-    from termflow.terms import App, Equation, Signature, TermSystem, Var
     system = TermSystem(variables=("x", "y"),
                         signature=Signature(symbols=(("f", 2),)),
                         equations=(Equation(App("f", (Var("x"), Var("x"))),
@@ -109,3 +113,100 @@ def test_sorted_edges_is_the_order_every_output_lists():
     assert dot[4:-1] == [f'  "{u}" -> "{v}";' for u, v in want]
     assert render(g).splitlines()[3:-1] == [f"  edge {u} -> {v};"
                                             for u, v in want]
+
+
+def _shown(g):
+    """Everything a graph shows."""
+    return (g.vertices, g.edges, g.sources, g.sorted_edges,
+            [g.in_neighbors(v) for v in g.vertices])
+
+
+def _outcome(route, system):
+    """What the graph route makes of `system`, or the error it raises."""
+    try:
+        return _shown(route(system))
+    except TermflowError as exc:
+        return type(exc), str(exc)
+
+
+def _pipeline_route(system):
+    return dependency_graph(pipeline(system)[0])
+
+
+def _both_routes_agree(system) -> bool:
+    """The CLI's route (`passthrough_graph`, else the pipeline) shows what
+    the pipeline route shows; True when the DAG route answered."""
+    assert _outcome(cli._as_graph, system) == _outcome(_pipeline_route, system)
+    return passthrough_graph(system) is not None
+
+
+@pytest.mark.parametrize("name", corpus_names(".inst"))
+def test_dag_route_is_the_pipeline_route_on_the_corpus(name):
+    on_dag = {"cycle3.inst", "diamond_embedding.inst", "fx.inst",
+              "index_coding.inst", "two_cycle.inst"}
+    assert _both_routes_agree(load(name)) == (name in on_dag)
+
+
+@st.composite
+def _systems(draw):
+    """Systems over w, x, y, z and c/0, f/1, g/2, mostly `f(vars) = v`
+    either way round (so `g(x, x)`, `x = f(x)` and constants) with the
+    i-th equation defining the i-th of a shuffle of the variables; drawn
+    from few names, so that ops are shared and equations repeat.  Some
+    equations define another variable, are `x = y` or nest."""
+    variables = ("w", "x", "y", "z")
+    symbols = (("c", 0), ("f", 1), ("g", 2))
+    var = st.sampled_from(variables).map(Var)
+    defined = draw(st.permutations(variables))
+
+    def app(depth):
+        name, arity = draw(st.sampled_from(symbols))
+        return App(name, tuple(app(depth - 1) if depth and draw(st.booleans())
+                               else draw(var) for _ in range(arity)))
+
+    def equation(i):
+        shape = draw(st.integers(0, 9))
+        sides = ((draw(var), draw(var)) if shape == 8 else
+                 (app(2), app(1)) if shape == 9 else
+                 (app(0), draw(var)) if shape == 7 else
+                 (app(0), Var(defined[i])))
+        return Equation(*sides[::draw(st.sampled_from((1, -1)))])
+
+    eqs = [equation(i) for i in range(draw(st.integers(0, 4)))]
+    if eqs and draw(st.booleans()):
+        eqs.append(draw(st.sampled_from(eqs)))
+    return TermSystem(variables, Signature(symbols), tuple(eqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_dag_route_is_the_pipeline_route(system):
+    _both_routes_agree(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_dependency_graph_is_the_checked_constructor(system):
+    """The trusted builder behind `dependency_graph` gives the graph the
+    public constructor, with all its checks, gives."""
+    norm = pipeline(system)[0]
+    if not norm.classification.is_fnf:
+        return
+    want = DependencyGraph(
+        norm.variables,
+        frozenset((u, eq.defined) for eq in norm.equations for u in eq.args),
+        frozenset(norm.classification.sources))
+    assert _shown(dependency_graph(norm)) == _shown(want)
+
+
+def test_in_neighborhoods_are_built_on_first_use(monkeypatch):
+    """`graph` never builds them; `in_neighbors` does, once."""
+    graphs, as_graph = [], cli._as_graph
+    monkeypatch.setattr(cli, "_as_graph",
+                        lambda obj: graphs.append(as_graph(obj)) or graphs[-1])
+    for name in ("index_coding.inst", "cascade.inst", "cycle3.graph"):
+        assert cli.main(["graph", str(corpus_path(name))]) == 0
+    for g in graphs:
+        assert "_in" not in vars(g)
+        assert g.in_neighbors(g.vertices[0]) is g.in_neighbors(g.vertices[0])
+        assert "_in" in vars(g)

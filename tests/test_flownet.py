@@ -450,8 +450,11 @@ def _recursive_dag(spec):
 @given(_specs())
 def test_dag_matches_recursive_hash_consing(spec):
     dag = build_dag(spec)
-    labels = tuple(dag.labels(range(dag.node_count)))
+    labels = tuple(dag.labels(range(dag.node_count)))  # one pass in id order
     assert (dag.inputs, dag.ops, dag.outputs, labels) == _recursive_dag(spec)
+    # the stack route, node by node and in reverse
+    assert [dag.labels([v])[0] for v in range(dag.node_count)] == list(labels)
+    assert dag.labels(range(dag.node_count)[::-1]) == list(labels[::-1])
 
 
 def test_certificate_comes_from_the_exponent_run(monkeypatch):

@@ -425,10 +425,10 @@ def test_which_flatten_path_runs(monkeypatch):
     """The bulk path runs exactly when every equation passes through."""
     bulk, passed_through = [], normalize._passed_through
 
-    def counting(dag, variables):
-        equations = passed_through(dag, variables)
-        bulk.append(equations is not None)
-        return equations
+    def counting(dag, k):
+        passing = passed_through(dag, k)
+        bulk.append(passing is not None)
+        return passing
 
     monkeypatch.setattr(normalize, "_passed_through", counting)
     names = ", ".join(f"v{i}" for i in range(2001))
