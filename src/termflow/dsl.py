@@ -25,8 +25,13 @@ character, and a token is named by its index (line:col is found only for an
 error, by tokenizing again up to it).  An id list or signature is read as one
 slice up to its ';' and checked with set operations; only a list that fails a
 check is walked item by item, to report its first error.  A graph's `edge`
-lines are read one by one.  Each term is hash-consed into the DAG as it is
-read, and every check a constructor would make is made here.
+lines are read one by one.  A term section (all `outputs`, or every `eq`
+line) is read in one loop with no call per term: each application is
+hash-consed into the DAG as it closes, each separator is compared inline,
+and every check a constructor would make is made here.  A token that names
+a variable is taken as one with no look at the next token: the header makes
+names and symbols disjoint, so only an applied variable `x(` is misread,
+and it is caught where a term must end, as a '(' after a name.
 
 User identifiers may not start with "_" or contain "@"; those namespaces are
 reserved for pipeline-minted auxiliary variables and diversified symbols.
@@ -189,19 +194,28 @@ class _Parser:
             seen.add(self.toks[at])
         raise AssertionError("a list failed its bulk check but has no error")
 
-    def term(self, arities: dict[Ident, int], nodes: _Nodes) -> int:
-        """One term's DAG node, parsed on an explicit stack of open
-        applications; each is interned in `nodes` when it closes."""
-        toks, i = self.toks, self.pos
-        stack: list[tuple[int, list[int]]] = []  # (symbol's index, outer args)
-        args: list[int] = []  # the innermost open application's argument nodes
+    def terms(self, arities: dict[Ident, int], nodes: _Nodes,
+              seps: tuple[str, ...]) -> list[int]:
+        """A whole term section as its roots' DAG nodes, in one loop over
+        the tokens with an explicit stack of open applications; each is
+        interned in `nodes` when it closes.  `seps` are the separators after
+        each root in turn, cycled; all their tokens are required but the
+        last one's last, whose absence ends the section before it."""
+        toks, i, k = self.toks, self.pos, 0  # k: the next root's separator
+        get, intern, arity_of = nodes.get, nodes.setdefault, arities.get
+        cycle = [sep.split() for sep in seps]
+        # (symbol's index, its arity, outer args) per open application
+        stack: list[tuple[int, int, list[int]]] = []
+        push, pop = stack.append, stack.pop
+        roots = args = []  # the innermost open application's args, or roots
         while True:
             tok = toks[i]
-            if tok in nodes and toks[i + 1] != "(":
-                args.append(nodes[tok])
+            node = get(tok)
+            if node is not None:  # a variable: the token is no symbol
+                args.append(node)
                 i += 1
-            elif tok in arities and toks[i + 1] == "(":
-                stack.append((i, args))
+            elif (arity := arity_of(tok)) is not None and toks[i + 1] == "(":
+                push((i, arity, args))
                 args = []
                 i += 2
                 if toks[i] != ")":
@@ -216,23 +230,43 @@ class _Parser:
                               "(constants are written c())", i)
                 self.fail(f"undeclared variable {tok!r}", i)
             # close applications until one takes a further argument
-            while stack and toks[i] != ",":
-                if toks[i] != ")":
-                    self.pos = i
-                    self.take(")")
-                at, outer = stack.pop()
-                symbol = toks[at]
-                if len(args) != arities[symbol]:
-                    self.fail(f"arity mismatch: {symbol!r} declared "
-                              f"/{arities[symbol]}, applied to {len(args)}", at)
-                outer.append(nodes.setdefault((symbol, tuple(args)),
-                                              len(nodes)))
-                args = outer
-                i += 1
-            if not stack:
-                self.pos = i
-                return args[0]
-            i += 1  # the ',' before the next argument
+            while stack:
+                tok = toks[i]
+                if tok == ")":
+                    at, arity, outer = pop()
+                    symbol = toks[at]
+                    if len(args) != arity:
+                        self.fail(f"arity mismatch: {symbol!r} declared "
+                                  f"/{arity}, applied to {len(args)}", at)
+                    outer.append(intern((symbol, tuple(args)), len(nodes)))
+                    args = outer
+                    i += 1
+                elif tok == ",":
+                    i += 1  # on to the next argument
+                    break
+                else:
+                    self.after_term(i, [")"], False)
+            else:  # a root has closed: its separator
+                sep = cycle[k]
+                j = i + len(sep)
+                k = (k + 1) % len(cycle)
+                if toks[i:j] != sep:
+                    self.pos = self.after_term(i, sep, k == 0)
+                    return roots
+                i = j
+
+    def after_term(self, i: int, sep: list[str], ends: bool) -> int:
+        """Raise at token `i`, after a term, where `sep` does not follow;
+        or, if `ends` and only `sep`'s last token is missing, return the
+        index where the section ends.  A variable applied is caught here,
+        at its '(': only a name, never a ')', is followed by one there."""
+        toks = self.toks
+        if toks[i] == "(" and toks[i - 1] != ")":
+            self.fail(f"unknown symbol {toks[i - 1]!r}", i - 1)
+        self.pos = i
+        for tok in sep[:-1] if ends else sep:
+            self.take(tok)
+        return self.pos
 
     # ---- top-level forms, after their opening `keyword {` ----------------
 
@@ -262,12 +296,9 @@ class _Parser:
     def system(self) -> TermSystem:
         arities, nodes = self.header("vars", "a variable")
         sides = []
-        while self.here == "eq":
+        if self.here == "eq":
             self.pos += 1
-            sides.append(self.term(arities, nodes))
-            self.take("=")
-            sides.append(self.term(arities, nodes))
-            self.take(";")
+            sides = self.terms(arities, nodes, ("=", "; eq"))
         self.take("}")
         return _from_dag(TermSystem, _from_arities(arities),
                          nodes.dag(sides))
@@ -275,10 +306,7 @@ class _Parser:
     def dispersion(self) -> DispersionSpec:
         arities, nodes = self.header("inputs", "an input")
         self.take("outputs")
-        outputs = [self.term(arities, nodes)]
-        while self.here == ",":
-            self.pos += 1
-            outputs.append(self.term(arities, nodes))
+        outputs = self.terms(arities, nodes, (",",))
         self.take(";")
         self.take("}")
         if not nodes.inputs:

@@ -1,10 +1,11 @@
 """Parser and renderer: round-trips, positions, reserved-name policy."""
 
+import inspect
 import random
 import re
 import string
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import pytest
@@ -266,6 +267,24 @@ def _long_edges(bad, spot):
     lines[_SPOTS[spot]] = bad
     nodes = _lines([f"v{i}" for i in range(_LONG + 1)])
     return f"graph {{\n  nodes {nodes};\n  sources v0;\n  " + "\n  ".join(lines) + "\n}\n"
+
+
+def _long_eqs(bad, spot):
+    """An instance whose 2,000 `eq` lines hold the line `bad` at `spot`."""
+    lines = [f"eq f(v{i}) = v{i + 1};" for i in range(_LONG)]
+    lines[_SPOTS[spot]] = bad
+    names = _lines([f"v{i}" for i in range(_LONG + 1)])
+    return (f"instance {{\n  vars {names};\n  sig f/1;\n  "
+            + "\n  ".join(lines) + "\n}\n")
+
+
+def _long_outputs(bad, spot):
+    """A spec whose 2,000 `outputs` hold the text `bad` at `spot`."""
+    outputs = [f"f(v{i})" for i in range(_LONG)]
+    outputs[_SPOTS[spot]] = bad
+    inputs = _lines([f"v{i}" for i in range(_LONG)])
+    return (f"dispersion {{\n  inputs {inputs};\n  sig f/1;\n"
+            f"  outputs {_lines(outputs)};\n}}\n")
 
 
 # One row per `fail` site and tokenizer error: (id, kind, text, message,
@@ -603,6 +622,132 @@ _GOLDEN_ERRORS = [
     ("long_edges_wrong_keyword_end", "auto",
      _long_edges("edges v1 -> v2;", "end"),
      "expected '}', found 'edges'", 2023, 3),
+    ("long_eqs_applied_variable_start", "auto",
+     _long_eqs("eq v5(v6) = v1;", "start"),
+     "unknown symbol 'v5'", 24, 6),
+    ("long_eqs_applied_variable_middle", "auto",
+     _long_eqs("eq v5(v6) = v1;", "middle"),
+     "unknown symbol 'v5'", 1024, 6),
+    ("long_eqs_applied_variable_end", "auto",
+     _long_eqs("eq v5(v6) = v1;", "end"),
+     "unknown symbol 'v5'", 2023, 6),
+    ("long_eqs_missing_paren_start", "auto",
+     _long_eqs("eq f(v1 = v2;", "start"),
+     "expected ')', found '='", 24, 11),
+    ("long_eqs_missing_paren_middle", "auto",
+     _long_eqs("eq f(v1 = v2;", "middle"),
+     "expected ')', found '='", 1024, 11),
+    ("long_eqs_missing_paren_end", "auto",
+     _long_eqs("eq f(v1 = v2;", "end"),
+     "expected ')', found '='", 2023, 11),
+    ("long_eqs_arity_start", "auto",
+     _long_eqs("eq f(v1, v2) = v3;", "start"),
+     "arity mismatch: 'f' declared /1, applied to 2", 24, 6),
+    ("long_eqs_arity_middle", "auto",
+     _long_eqs("eq f(v1, v2) = v3;", "middle"),
+     "arity mismatch: 'f' declared /1, applied to 2", 1024, 6),
+    ("long_eqs_arity_end", "auto",
+     _long_eqs("eq f(v1, v2) = v3;", "end"),
+     "arity mismatch: 'f' declared /1, applied to 2", 2023, 6),
+    ("long_eqs_missing_equals_start", "auto",
+     _long_eqs("eq f(v1) v2;", "start"),
+     "expected '=', found 'v2'", 24, 12),
+    ("long_eqs_missing_equals_middle", "auto",
+     _long_eqs("eq f(v1) v2;", "middle"),
+     "expected '=', found 'v2'", 1024, 12),
+    ("long_eqs_missing_equals_end", "auto",
+     _long_eqs("eq f(v1) v2;", "end"),
+     "expected '=', found 'v2'", 2023, 12),
+    ("long_eqs_comma_for_semicolon_start", "auto",
+     _long_eqs("eq f(v1) = v2,", "start"),
+     "expected ';', found ','", 24, 16),
+    ("long_eqs_comma_for_semicolon_middle", "auto",
+     _long_eqs("eq f(v1) = v2,", "middle"),
+     "expected ';', found ','", 1024, 16),
+    ("long_eqs_comma_for_semicolon_end", "auto",
+     _long_eqs("eq f(v1) = v2,", "end"),
+     "expected ';', found ','", 2023, 16),
+    ("long_eqs_empty_argument_start", "auto",
+     _long_eqs("eq f(, v1) = v2;", "start"),
+     "expected term, found ','", 24, 8),
+    ("long_eqs_empty_argument_middle", "auto",
+     _long_eqs("eq f(, v1) = v2;", "middle"),
+     "expected term, found ','", 1024, 8),
+    ("long_eqs_empty_argument_end", "auto",
+     _long_eqs("eq f(, v1) = v2;", "end"),
+     "expected term, found ','", 2023, 8),
+    ("long_eqs_applied_application_start", "auto",
+     _long_eqs("eq f(v1)(v2) = v3;", "start"),
+     "expected '=', found '('", 24, 11),
+    ("long_eqs_applied_application_middle", "auto",
+     _long_eqs("eq f(v1)(v2) = v3;", "middle"),
+     "expected '=', found '('", 1024, 11),
+    ("long_eqs_applied_application_end", "auto",
+     _long_eqs("eq f(v1)(v2) = v3;", "end"),
+     "expected '=', found '('", 2023, 11),
+    ("long_outputs_applied_variable_start", "auto",
+     _long_outputs("v5(v6)", "start"),
+     "unknown symbol 'v5'", 23, 11),
+    ("long_outputs_applied_variable_middle", "auto",
+     _long_outputs("v5(v6)", "middle"),
+     "unknown symbol 'v5'", 33, 5),
+    ("long_outputs_applied_variable_end", "auto",
+     _long_outputs("v5(v6)", "end"),
+     "unknown symbol 'v5'", 42, 995),
+    ("long_outputs_missing_paren_start", "auto",
+     _long_outputs("f(v1", "start"),
+     "expected ')', found ';'", 42, 1003),
+    ("long_outputs_missing_paren_middle", "auto",
+     _long_outputs("f(v1", "middle"),
+     "expected ')', found ';'", 42, 1003),
+    ("long_outputs_missing_paren_end", "auto",
+     _long_outputs("f(v1", "end"),
+     "expected ')', found ';'", 42, 999),
+    ("long_outputs_arity_start", "auto",
+     _long_outputs("f(v1, v2)", "start"),
+     "arity mismatch: 'f' declared /1, applied to 2", 23, 11),
+    ("long_outputs_arity_middle", "auto",
+     _long_outputs("f(v1, v2)", "middle"),
+     "arity mismatch: 'f' declared /1, applied to 2", 33, 5),
+    ("long_outputs_arity_end", "auto",
+     _long_outputs("f(v1, v2)", "end"),
+     "arity mismatch: 'f' declared /1, applied to 2", 42, 995),
+    ("long_outputs_missing_comma_start", "auto",
+     _long_outputs("f(v1) f(v2)", "start"),
+     "expected ';', found 'f'", 23, 17),
+    ("long_outputs_missing_comma_middle", "auto",
+     _long_outputs("f(v1) f(v2)", "middle"),
+     "expected ';', found 'f'", 33, 11),
+    ("long_outputs_missing_comma_end", "auto",
+     _long_outputs("f(v1) f(v2)", "end"),
+     "expected ';', found 'f'", 42, 1001),
+    ("long_outputs_semicolon_for_comma_start", "auto",
+     _long_outputs("f(v1); f(v2)", "start"),
+     "expected '}', found 'f'", 23, 18),
+    ("long_outputs_semicolon_for_comma_middle", "auto",
+     _long_outputs("f(v1); f(v2)", "middle"),
+     "expected '}', found 'f'", 33, 12),
+    ("long_outputs_semicolon_for_comma_end", "auto",
+     _long_outputs("f(v1); f(v2)", "end"),
+     "expected '}', found 'f'", 42, 1002),
+    ("long_outputs_empty_argument_start", "auto",
+     _long_outputs("f(, v1)", "start"),
+     "expected term, found ','", 23, 13),
+    ("long_outputs_empty_argument_middle", "auto",
+     _long_outputs("f(, v1)", "middle"),
+     "expected term, found ','", 33, 7),
+    ("long_outputs_empty_argument_end", "auto",
+     _long_outputs("f(, v1)", "end"),
+     "expected term, found ','", 42, 997),
+    ("long_outputs_applied_application_start", "auto",
+     _long_outputs("f(v1)(v2)", "start"),
+     "expected ';', found '('", 23, 16),
+    ("long_outputs_applied_application_middle", "auto",
+     _long_outputs("f(v1)(v2)", "middle"),
+     "expected ';', found '('", 33, 10),
+    ("long_outputs_applied_application_end", "auto",
+     _long_outputs("f(v1)(v2)", "end"),
+     "expected ';', found '('", 42, 1000),
 ]
 
 
@@ -730,9 +875,9 @@ def test_split_tokens_are_the_regex_tokens(text):
 
 
 @contextmanager
-def _slow_paths():
-    """Counts the `_tokenize` fallback ("tokens") and the item-by-item list
-    walks ("walks") while the block runs."""
+def _call_counts(**targets):
+    """Counts, by keyword, the calls to each (owner, attribute) target while
+    the block runs; a property target counts its reads."""
     counts = Counter()
 
     def counting(name, fn):
@@ -741,11 +886,38 @@ def _slow_paths():
             return fn(*args)
         return wrapper
 
-    with mock.patch.object(dsl, "_regex_tokens",
-                           counting("tokens", dsl._regex_tokens)), \
-            mock.patch.object(dsl._Parser, "list_error",
-                              counting("walks", dsl._Parser.list_error)):
+    with ExitStack() as stack:
+        for name, (owner, attr) in targets.items():
+            fn = inspect.getattr_static(owner, attr)
+            wrapped = (property(counting(name, fn.fget))
+                       if isinstance(fn, property) else counting(name, fn))
+            stack.enter_context(mock.patch.object(owner, attr, wrapped))
         yield counts
+
+
+def _slow_paths():
+    """Counts the `_tokenize` fallback ("tokens") and the item-by-item list
+    walks ("walks") while the block runs."""
+    return _call_counts(tokens=(dsl, "_regex_tokens"),
+                        walks=(dsl._Parser, "list_error"))
+
+
+def _chain_text(n):
+    """An instance of `n` equations f(v_i) = v_{i+1}."""
+    return (f"instance {{\n  vars {', '.join(f'v{i}' for i in range(n + 1))};"
+            "\n  sig f/1;\n"
+            + "".join(f"  eq f(v{i}) = v{i + 1};\n" for i in range(n)) + "}\n")
+
+
+def _outputs_text(n):
+    """A spec of `n` outputs f(x_i) over `n` inputs."""
+    return (f"dispersion {{\n  inputs {', '.join(f'x{i}' for i in range(n))};"
+            "\n  sig f/1;\n  outputs "
+            + ", ".join(f"f(x{i})" for i in range(n)) + ";\n}\n")
+
+
+_DEEP = ("dispersion { inputs x; sig f/1; outputs "
+         + "f(" * 10 ** 5 + "x" + ")" * 10 ** 5 + "; }")
 
 
 def _bench_shaped_texts():
@@ -753,9 +925,7 @@ def _bench_shaped_texts():
     spec and a 400-long collision cascade, shaped like the benchmark's
     generated inputs."""
     rng = random.Random(0)
-    chain = (f"instance {{\n  vars {', '.join(f'v{i}' for i in range(2001))};"
-             "\n  sig f/1;\n"
-             + "".join(f"  eq f(v{i}) = v{i + 1};\n" for i in range(2000)) + "}\n")
+    chain = _chain_text(2000)
     layer = [f"x{j}" for j in range(100)]
     inputs = ", ".join(layer)
     for _ in range(3):
@@ -779,7 +949,7 @@ def test_accepted_input_takes_no_slow_path():
               "instance{vars x,y;sig f/1,c/0;eq f(c())=y;}"]
     texts = _CORPUS_TEXTS + packed + _bench_shaped_texts()
     with _slow_paths() as counts:
-        for text in texts:
+        for text in texts + [_DEEP]:
             parse(text)
     assert counts == {}
     chain = texts[-4]
@@ -841,3 +1011,149 @@ def _spec_of(system):
 @given(_systems().map(_spec_of))
 def test_spec_trees_on_demand(spec):
     _check_trees_on_demand(render(spec), spec.outputs)
+
+
+# ---- the section loop and its per-term reference ---------------------------
+
+
+def _parser_calls(text):
+    """`_Parser.take`, `ident` and `here` calls made while parsing `text`."""
+    with _call_counts(take=(dsl._Parser, "take"),
+                      ident=(dsl._Parser, "ident"),
+                      here=(dsl._Parser, "here")) as counts:
+        parse(text)
+    return counts
+
+
+@pytest.mark.parametrize("make", [_chain_text, _outputs_text])
+def test_term_sections_make_no_call_per_term(make):
+    """A term section is read in one loop: the parser's helper calls are
+    the same at 1,000 and 2,000 terms, a work count in place of a timer."""
+    assert _parser_calls(make(1000)) == _parser_calls(make(2000))
+
+
+class _PerTermParser(dsl._Parser):
+    """The reference reader: one `term` call per term, the separators
+    read with `take`.  It shares the tokenizer, lists and headers with the
+    section loop, so the two differ only in how a term section is read."""
+
+    def terms(self, arities, nodes, seps):
+        roots = []
+        while True:
+            for n, sep in enumerate(seps, 1):
+                roots.append(self.term(arities, nodes))
+                *required, more = sep.split()
+                for tok in required:
+                    self.take(tok)
+                if n < len(seps):
+                    self.take(more)
+                elif self.here == more:
+                    self.pos += 1
+                else:
+                    return roots
+
+    def term(self, arities, nodes):
+        """One term's DAG node, parsed on an explicit stack of open
+        applications; each is interned in `nodes` when it closes."""
+        toks, i = self.toks, self.pos
+        stack = []  # (symbol's index, outer args)
+        args = []  # the innermost open application's argument nodes
+        while True:
+            tok = toks[i]
+            if tok in nodes and toks[i + 1] != "(":
+                args.append(nodes[tok])
+                i += 1
+            elif tok in arities and toks[i + 1] == "(":
+                stack.append((i, args))
+                args = []
+                i += 2
+                if toks[i] != ")":
+                    continue  # on to the first argument
+            else:
+                self.pos = i
+                self.ident("term")
+                if toks[i + 1] == "(":
+                    self.fail(f"unknown symbol {tok!r}", i)
+                if tok in arities:
+                    self.fail(f"symbol {tok!r} used without arguments "
+                              "(constants are written c())", i)
+                self.fail(f"undeclared variable {tok!r}", i)
+            # close applications until one takes a further argument
+            while stack and toks[i] != ",":
+                if toks[i] != ")":
+                    self.pos = i
+                    self.take(")")
+                at, outer = stack.pop()
+                symbol = toks[at]
+                if len(args) != arities[symbol]:
+                    self.fail(f"arity mismatch: {symbol!r} declared "
+                              f"/{arities[symbol]}, applied to {len(args)}", at)
+                outer.append(nodes.setdefault((symbol, tuple(args)),
+                                              len(nodes)))
+                args = outer
+                i += 1
+            if not stack:
+                self.pos = i
+                return args[0]
+            i += 1  # the ',' before the next argument
+
+
+_SECTION_PIECES = ["(", ")", ",", "=", ";", "eq"]
+
+
+@st.composite
+def _mutated_section_text(draw):
+    """A corpus text's tokens after a few insertions and deletions of the
+    term sections' punctuation and `eq`, and of `(name)` after a name,
+    which applies a variable where the name is one."""
+    words = dsl._tokenize(draw(st.sampled_from(_CORPUS_TEXTS)))[:-1]
+    names = sorted({w for w in words if w[0].isalpha() and w not in KEYWORDS})
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "apply"]))
+        if op == "insert":
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(_SECTION_PIECES)))
+        elif op == "delete":
+            spots = [i for i, w in enumerate(words) if w in _SECTION_PIECES]
+            if spots:
+                del words[draw(st.sampled_from(spots))]
+        else:
+            spots = [i for i, w in enumerate(words) if w in names]
+            if spots:
+                i = draw(st.sampled_from(spots)) + 1
+                words[i:i] = ["(", draw(st.sampled_from(names)), ")"]
+    return draw(st.sampled_from([" ", "\n"])).join(words)
+
+
+def _read(text, allow_reserved):
+    """The render and DAG `parse` makes of `text`, or its error."""
+    try:
+        obj = parse(text, allow_reserved=allow_reserved)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    return render(obj), getattr(obj, "dag", None)
+
+
+def _check_readers_agree(text, allow_reserved=False):
+    section = _read(text, allow_reserved)
+    with mock.patch.object(dsl, "_Parser", _PerTermParser):
+        assert _read(text, allow_reserved) == section
+
+
+@given(st.one_of(_mutated_corpus_text(), _hazard_text,
+                 _mutated_section_text()), st.booleans())
+def test_section_reader_matches_the_per_term_reader(text, allow_reserved):
+    """Both readers give the same render and DAG, or the same error."""
+    _check_readers_agree(text, allow_reserved)
+
+
+@pytest.mark.parametrize("text", [
+    _chain_text(2000), _outputs_text(2000), _DEEP,
+    *(make(bad, "middle") for make, bad in (
+        (_long_eqs, "eq f(v5(v6)) = v1;"), (_long_eqs, "eq f(v1) = v2 eq"),
+        (_long_outputs, "f(v5(v6))"), (_long_outputs, "f(v1)(v2)"))),
+], ids=["chain", "outputs", "deep", "eqs_nested_applied_variable",
+        "eqs_missing_semicolon", "outputs_nested_applied_variable",
+        "outputs_applied_application"])
+def test_section_reader_matches_the_per_term_reader_at_size(text):
+    _check_readers_agree(text)

@@ -401,23 +401,9 @@ def test_exponent_matches_brute_cut_on_random_specs(spec):
 @settings(max_examples=40, deadline=None)
 @given(_specs())
 def test_min_cut_certificate_disconnects(spec):
-    """Removing exactly the certified bottlenecks kills every flow path."""
-    cert = dispersion_exponent(spec).certificate()
-    dag = build_dag(spec)
-    labels = dag.labels(range(dag.node_count))
-    k = len(dag.inputs)
-    cut = set(cert["cut"])
-    roots = list(dict.fromkeys(dag.outputs))
-    reach = [False] * dag.node_count
-    for v in range(k):
-        reach[v] = labels[v] not in cut
-    for i, (_, children) in enumerate(dag.ops):
-        v = k + i
-        if labels[v] not in cut:
-            reach[v] = any(reach[c] for c in children)
-    alive = [r for r in roots
-             if reach[r] and f"sink:{labels[r]}" not in cut]
-    assert not alive
+    """Removing exactly the certified bottlenecks kills every flow path,
+    and D disjoint paths show that no smaller cut does."""
+    _check_exponent_certificate(spec)
 
 
 def _render(t) -> str:
@@ -538,19 +524,105 @@ def _check_flow_paths(spec, result) -> list[list[int]]:
     for root, sunk in enumerate(flow.sunk):
         if not sunk:
             continue
-        assert root in dag.outputs
         path = [root]
         while path[-1] >= k:  # an op: it is fed by one of its children
             v = path[-1]
-            assert flow.used[v] and flow.feed[v] in dag.ops[v - k][1]
+            assert flow.used[v]
             path.append(flow.feed[v])
         assert flow.used[path[-1]]
         paths.append(path)
     assert len(paths) == flow.value == result.D
-    nodes = [v for path in paths for v in path]
-    assert len(nodes) == len(set(nodes))
-    assert set(nodes) == {v for v, used in enumerate(flow.used) if used}
+    _check_disjoint_paths(dag, paths)
+    nodes = {v for path in paths for v in path}
+    assert nodes == {v for v, used in enumerate(flow.used) if used}
     return paths
+
+
+def _check_disjoint_paths(dag, paths) -> None:
+    """Menger's lower bound: each path, root first, runs from an output
+    root down child edges to an input, and no two paths share a node."""
+    k, roots = len(dag.inputs), set(dag.outputs)
+    for path in paths:
+        assert path[0] in roots, "a path must start at an output root"
+        assert path[-1] < k, "a path must end at an input"
+        for parent, child in zip(path, path[1:]):
+            assert parent >= k and child in dag.ops[parent - k][1], \
+                "a path must follow child -> parent edges"
+    nodes = [v for path in paths for v in path]
+    assert len(nodes) == len(set(nodes)), "two paths share a node"
+
+
+def _check_cut(dag, cut) -> None:
+    """Menger's upper bound: with the cut's split nodes and sink slots
+    deleted from the DAG, no input reaches a live output root."""
+    labels = dag.labels(range(dag.node_count))
+    cut = set(cut)
+    k = len(dag.inputs)
+    reach = [labels[v] not in cut for v in range(k)]
+    for i, (_, children) in enumerate(dag.ops):
+        reach.append(labels[k + i] not in cut
+                     and any(reach[c] for c in children))
+    alive = [labels[r] for r in dag.outputs
+             if reach[r] and f"sink:{labels[r]}" not in cut]
+    assert not alive, f"a path survives the cut into {alive[0]}"
+
+
+def _check_certificate(dag, paths, cut) -> None:
+    """`paths` and `cut` together prove D = len(cut): disjoint paths show
+    D >= len(paths), a disconnecting cut shows D <= len(cut)."""
+    _check_disjoint_paths(dag, paths)
+    _check_cut(dag, cut)
+    assert len(paths) == len(cut), "as many paths as cut units"
+
+
+def _check_exponent_certificate(spec) -> tuple[list[list[int]], list[str]]:
+    """The exponent's paths, read off its flow, and its reported cut,
+    checked as one certificate."""
+    result = dispersion_exponent(spec)
+    paths, cut = _check_flow_paths(spec, result), result.certificate()["cut"]
+    _check_certificate(spec.dag, paths, cut)
+    return paths, cut
+
+
+def _mutants(paths, cut):
+    """The certificate with one defect each, as (the rejection expected,
+    paths, cut): a path dropped, two paths sharing a node, and a cut with
+    one unit removed."""
+    if cut:
+        yield "as many paths as cut units", paths[1:], cut
+        yield "a path survives the cut", paths, cut[1:]
+    if len(paths) > 1:
+        yield "two paths share a node", [paths[0], *paths[:-1]], cut
+
+
+def _check_mutants_rejected(dag, paths, cut) -> int:
+    """Every mutant of a valid certificate fails, each at its own check;
+    returns how many there were."""
+    mutants = list(_mutants(paths, cut))
+    for reason, bad_paths, bad_cut in mutants:
+        with pytest.raises(AssertionError, match=reason):
+            _check_certificate(dag, bad_paths, bad_cut)
+    return len(mutants)
+
+
+@pytest.mark.parametrize("name", corpus_names(".disp"))
+def test_corpus_certificate_holds_and_its_mutants_fail(name):
+    spec = load(name)
+    _check_mutants_rejected(spec.dag, *_check_exponent_certificate(spec))
+
+
+def test_a_path_through_a_used_node_is_rejected():
+    """Rerouting g's path through f(x) down to x gives a valid path, but
+    one that meets the other path at x."""
+    spec = parse("dispersion { inputs x, y; sig f/1, g/2, h/1; "
+                 "outputs g(f(x), h(y)), h(h(x)); }")
+    # nodes: x 0, y 1, f(x) 2, h(y) 3, g(f(x), h(y)) 4, h(x) 5, h(h(x)) 6
+    paths, cut = _check_exponent_certificate(spec)
+    assert (paths, cut) == ([[4, 3, 1], [6, 5, 0]], ["x", "y"])
+    assert _check_mutants_rejected(spec.dag, paths, cut) == 3
+    _check_disjoint_paths(spec.dag, [[4, 2, 0]])
+    with pytest.raises(AssertionError, match="two paths share a node"):
+        _check_certificate(spec.dag, [[4, 2, 0], [6, 5, 0]], cut)
 
 
 @settings(max_examples=150, deadline=None)
