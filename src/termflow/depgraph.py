@@ -10,20 +10,23 @@ in-neighborhood, and its solutions are the configurations it wins;
 `dependency_graph` maps the system back.  The oracle's brute_guessing
 maximizes the number of winning configurations.
 
-`passthrough_graph` reads the graph of a system the pipeline would leave
-unchanged straight off its term DAG; the CLI runs the pipeline only for
-other systems.  Both routes build through `_from_codes`: each edge an int
-over vertex positions, sorted once, and no edge checked again by name.
+`passthrough_graph` tells from a system's term DAG alone whether the
+pipeline would leave it unchanged and, if so, reads its graph straight
+off that DAG; the CLI runs the pipeline only for other systems.  Both
+routes build through `_from_codes`: each edge an int over vertex
+positions, sorted once, and no edge checked again by name.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import PreconditionError, ValidationError
-from .normalize import NormalEquation, NormalSystem, _passed_through, classify
+from .normalize import NormalEquation, NormalSystem, classify
 from .terms import Ident, Signature, TermSystem
 
 
@@ -112,15 +115,24 @@ def passthrough_graph(system: TermSystem) -> DependencyGraph | None:
     That is when every equation passes through `flatten` (`f(vars) = v`,
     either way round), no two equations share an op node (the DAG is
     hash-consed: no key collides and no equation repeats) and no variable
-    is defined twice.  The i-th op is then the i-th equation's, and its
-    edges run from its children to its defined variable: node ids that
-    `_passed_through` has checked to be below `k`, so vertex positions."""
+    is defined twice: one op per equation, each root pair one variable
+    (node < k) and one op, no op with an op child, and distinct defined
+    variables, all checked with C-level maps over the roots and the ops.
+    The i-th op is then the i-th equation's, and its edges run from its
+    children to its defined variable: node ids below `k`, so vertex
+    positions."""
     dag, variables, k = system.dag, system.variables, len(system.variables)
-    passing = _passed_through(dag, k)
-    if passing is None:
+    roots = dag.outputs
+    if 2 * len(dag.ops) != len(roots):  # one op per equation
         return None
-    ops, defined = passing
-    if len(ops) != len(dag.ops) or len(set(defined)) != len(defined):
+    ops, defined = roots[0::2], roots[1::2]
+    if max(defined, default=-1) >= k:  # not all written `f(vars) = v`
+        ops, defined = (list(map(max, ops, defined)),
+                        list(map(min, ops, defined)))
+    op_children = itertools.chain.from_iterable(map(itemgetter(1), dag.ops))
+    if not (max(defined, default=-1) < k <= min(ops, default=k)
+            and max(op_children, default=-1) < k
+            and len(set(defined)) == len(defined)):
         return None
     codes = {c * k + v for v, (_, children) in zip(defined, dag.ops)
              for c in children}

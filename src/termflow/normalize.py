@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
@@ -64,18 +63,25 @@ class NormalSystem:
     auxiliaries: tuple[Ident, ...] = ()
 
     def __post_init__(self):
-        """Check the whole system with set operations; walk it in order
-        only to report the first error."""
+        """Check, in order, that the variables are distinct, then each
+        equation's defined variable, arguments and symbol, then the
+        variable equalities; raise the first error met."""
         declared = set(self.variables)
-        symbols, args, defined = tuple(zip(*self.equations)) or ((), (), ())
-        arity = dict(self.signature.symbols).get  # None: an unknown symbol
-        if (len(declared) != len(self.variables)
-                or not declared.issuperset(defined)
-                or not declared.issuperset(itertools.chain.from_iterable(args))
-                or list(map(arity, symbols)) != list(map(len, args))
-                or not declared.issuperset(
-                    itertools.chain.from_iterable(self.var_equalities))):
-            raise _first_error(self, declared)
+        if len(declared) != len(self.variables):
+            raise ValidationError("duplicate variable in normal system")
+        arity = self.signature.arity  # raises on an unknown symbol
+        for symbol, args, defined in self.equations:
+            if defined not in declared:
+                raise ValidationError(
+                    f"undeclared defined variable {defined!r}")
+            for u in args:
+                if u not in declared:
+                    raise ValidationError(f"undeclared argument {u!r}")
+            if arity(symbol) != len(args):
+                raise ValidationError(f"arity mismatch on {symbol!r}")
+        for a, b in self.var_equalities:
+            if a not in declared or b not in declared:
+                raise ValidationError("undeclared variable in equality")
 
     def _sides(self):
         """Each equation's (lhs, rhs) as terms: `symbol(args) = defined`
@@ -97,26 +103,6 @@ class NormalSystem:
     def to_term_system(self) -> TermSystem:
         return TermSystem(self.variables, self.signature,
                           tuple(Equation(*sides) for sides in self._sides()))
-
-
-def _first_error(system: NormalSystem, declared: set) -> ValidationError:
-    """The first thing wrong with `system`, walking it in order: duplicate
-    variables, then each equation's defined variable, arguments and
-    symbol, then the variable equalities."""
-    if len(declared) != len(system.variables):
-        return ValidationError("duplicate variable in normal system")
-    for eq in system.equations:
-        if eq.defined not in declared:
-            return ValidationError(f"undeclared defined variable {eq.defined!r}")
-        for u in eq.args:
-            if u not in declared:
-                return ValidationError(f"undeclared argument {u!r}")
-        if system.signature.arity(eq.symbol) != len(eq.args):
-            return ValidationError(f"arity mismatch on {eq.symbol!r}")
-    for a, b in system.var_equalities:
-        if a not in declared or b not in declared:
-            return ValidationError("undeclared variable in equality")
-    raise AssertionError("the bulk check refused a valid system")
 
 
 class UnionFind:
@@ -190,22 +176,8 @@ def flatten(system: TermSystem) -> NormalSystem:
     the two sides' handles.  The ops of `system.dag` that a post-order walk
     (children left to right) from those sides reaches are `_z0`, `_z1`, ...
     less any name declared; each equation defines those its sides reach first.
-
-    When every equation passes through (`_passed_through`), no auxiliary and
-    no equality can arise, and the equations are built in bulk, without the
-    walk.
     """
-    dag, k, variables = system.dag, len(system.variables), system.variables
-    passing = _passed_through(dag, k)
-    if passing is not None:
-        at, defined = passing
-        symbols = list(map(itemgetter(0), dag.ops))
-        args = list(map(tuple, map(map, itertools.repeat(variables.__getitem__),
-                                    map(itemgetter(1), dag.ops))))
-        return NormalSystem(variables, system.signature, tuple(map(
-            tuple.__new__, itertools.repeat(NormalEquation), zip(
-                map(symbols.__getitem__, at), map(args.__getitem__, at),
-                map(variables.__getitem__, defined)))))
+    dag, k = system.dag, len(system.variables)
     names = dict(enumerate(system.variables))  # DAG node -> variable name
     taken = set(system.variables)
     fresh = (z for i in itertools.count() if (z := f"_z{i}") not in taken)
@@ -240,30 +212,6 @@ def flatten(system: TermSystem) -> NormalSystem:
     variables = tuple(names.values())
     return NormalSystem(variables, system.signature, tuple(equations),
                         tuple(equalities), variables[k:])
-
-
-def _passed_through(dag: TermDag, k: int
-                    ) -> tuple[list[int], list[int]] | None:
-    """When every equation of a system over `k` variables is `f(vars) = v`
-    (either way round), each equation's op as an index into `dag.ops` and
-    its defined variable's node id; else None.  `flatten` builds its
-    NormalEquations from these, and `depgraph.passthrough_graph` its edges.
-
-    Every root pair must hold one variable (node < k) and one op, and no
-    op of `dag` may have an op child; all of it is checked with C-level
-    maps over the roots and the ops."""
-    roots = dag.outputs
-    if 2 * len(dag.ops) > len(roots):  # more ops than equations: one nests
-        return None
-    ops, defined = roots[0::2], roots[1::2]
-    if max(defined, default=-1) >= k:  # not all written `f(vars) = v`
-        ops, defined = (list(map(max, ops, defined)),
-                        list(map(min, ops, defined)))
-    children = itertools.chain.from_iterable(map(itemgetter(1), dag.ops))
-    if not (max(defined, default=-1) < k <= min(ops, default=k)
-            and max(children, default=-1) < k):
-        return None
-    return list(map(sub, ops, itertools.repeat(k))), list(defined)
 
 
 def _substitute(system: NormalSystem, uf: UnionFind) -> NormalSystem:

@@ -380,6 +380,33 @@ def test_only_the_kernel_names_its_chunk_geometry():
     assert readers == {"kernel.py"}
 
 
+def test_modules_read_few_private_names_of_each_other():
+    # (reader, owner, name) for each `_`-prefixed name one termflow module
+    # imports from another or reads off one it imported as a module
+    package = Path(termflow.__file__).parent
+    reads = set()
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        modules = {}  # local name -> termflow module, from `from . import m`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        reads.add((source.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.add((source.stem, modules[node.value.id], node.attr))
+    assert reads == {
+        ("dsl", "terms", "_from_dag"), ("dsl", "terms", "_from_arities"),
+        ("dsl", "terms", "_Nodes"), ("oracle", "kernel", "_scan"),
+        ("oracle", "kernel", "_first_mismatch"),
+        ("oracle", "kernel", "_witness")}
+
+
 def test_timing_goes_to_stderr_only():
     proc = run_cli("exponent", path("diamond.disp"))
     assert b"elapsed_ms=" in proc.stderr

@@ -8,11 +8,12 @@ from termflow import cli
 from termflow.corpus import corpus_names, corpus_path
 from termflow.depgraph import (DependencyGraph, add_source_loops,
                                dependency_graph, passthrough_graph, to_dot)
-from termflow.dsl import render
+from termflow.dsl import parse, render
 from termflow.errors import PreconditionError, TermflowError, ValidationError
 from termflow.normalize import pipeline
 from termflow.terms import App, Equation, Signature, TermSystem, Var
 from corpus_loader import load
+from test_normalize import _passing_systems, _shaped_systems
 
 
 def _graph_of(name):
@@ -147,6 +148,18 @@ def test_dag_route_is_the_pipeline_route_on_the_corpus(name):
     assert _both_routes_agree(load(name)) == (name in on_dag)
 
 
+@pytest.mark.parametrize("text,on_dag", [
+    ("instance { vars x, v; sig f/1; eq v = f(x); }", True),
+    ("instance { vars x, y; sig f/1, g/1; eq f(g(x)) = y; }", False),
+    ("instance { vars x, y; sig f/1; eq x = y; }", False),
+    ("instance { vars x, y; sig f/1, g/1; eq f(x) = g(y); }", False),
+    # one op per equation, yet one nests
+    ("instance { vars x, y, z; sig f/1, g/1; "
+     "eq f(g(x)) = y; eq f(g(x)) = z; }", False)])
+def test_dag_route_on_each_shape(text, on_dag):
+    assert _both_routes_agree(parse(text)) == on_dag
+
+
 @st.composite
 def _systems(draw):
     """Systems over w, x, y, z and c/0, f/1, g/2, mostly `f(vars) = v`
@@ -179,7 +192,7 @@ def _systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_systems())
+@given(st.one_of(_systems(), _passing_systems(), _shaped_systems()))
 def test_dag_route_is_the_pipeline_route(system):
     _both_routes_agree(system)
 

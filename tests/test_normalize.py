@@ -1,7 +1,5 @@
 """Flatten/quotient pipeline, diversification, embedding, padding."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -395,42 +393,10 @@ def _passing_systems(draw):
     return TermSystem(variables, Signature(symbols), eqs)
 
 
-def _walked(system):
-    """flatten and pipeline with the bulk pass-through check forced off."""
-    with mock.patch.object(normalize, "_passed_through", lambda *_: None):
-        return flatten(system), pipeline(system)
-
-
-def _same_both_ways(system):
-    flat, (norm, report) = _walked(system)
-    bulk = flatten(system)
-    assert (bulk.variables, bulk.equations, bulk.var_equalities,
-            bulk.auxiliaries) == (flat.variables, flat.equations,
-                                  flat.var_equalities, flat.auxiliaries)
-    assert pipeline(system) == (norm, report)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(_term_systems(), _shaped_systems(), _passing_systems()))
-def test_bulk_flatten_is_the_walk(system):
-    _same_both_ways(system)
-
-
-@pytest.mark.parametrize("name", corpus_names(".inst"))
-def test_bulk_flatten_is_the_walk_on_the_corpus(name):
-    _same_both_ways(load(name))
-
-
-def test_which_flatten_path_runs(monkeypatch):
-    """The bulk path runs exactly when every equation passes through."""
-    bulk, passed_through = [], normalize._passed_through
-
-    def counting(dag, k):
-        passing = passed_through(dag, k)
-        bulk.append(passing is not None)
-        return passing
-
-    monkeypatch.setattr(normalize, "_passed_through", counting)
+def test_flatten_on_each_shape():
+    """Pass-through systems (the 2,000-chain, the 400 cascade, `v = f(x)`)
+    mint no auxiliary and no equality; the others do.  All flatten as the
+    recursive reference does."""
     names = ", ".join(f"v{i}" for i in range(2001))
     chain = "".join(f" eq f(v{i}) = v{i + 1};" for i in range(2000))
     texts = [f"instance {{ vars {names}; sig f/1;{chain} }}",
@@ -443,11 +409,13 @@ def test_which_flatten_path_runs(monkeypatch):
              "eq f(g(x)) = y; eq f(g(x)) = z; }"]
     systems = [parse(text) for text in texts]
     systems.insert(1, _cascade(400))
-    for system in systems:
-        flatten(system)
-    assert bulk == [True, True, True, False, False, False, False]
-    _same_both_ways(systems[-1])
-    assert len(flatten(systems[0]).equations) == 2000
+    flats = [flatten(system) for system in systems]
+    assert [not (flat.auxiliaries or flat.var_equalities)
+            for flat in flats] == [True, True, True, False, False, False, False]
+    for system, flat in zip(systems, flats):
+        assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
+            _recursive_flatten(system)
+    assert len(flats[0].equations) == 2000
 
 
 def _fixpoint_collision_quotient(system):
@@ -694,19 +662,63 @@ def test_normal_system_errors(variables, equations, equalities, message,
     assert str(caught.value) == message
 
 
-def test_accepted_systems_take_no_walk(monkeypatch):
-    """Accepted systems are checked in bulk only; the walk runs once per
-    refused one."""
-    walks, first_error = [], normalize._first_error
-    monkeypatch.setattr(normalize, "_first_error", lambda system, declared:
-                        walks.append(1) or first_error(system, declared))
-    for name in corpus_names(".inst"):
-        pipeline(load(name))
-        diversify(flatten(load(name)))
-    pipeline(_cascade(400))
-    _chain(2000)
-    NormalSystem(("x", "y"), Signature(()), (), (("x", "y"),))
-    assert walks == []
-    with pytest.raises(ValidationError):
-        NormalSystem(("x",), Signature(()), (), (("x", "y"),))
-    assert walks == [1]
+def _first_error(variables, signature, equations, equalities):
+    """The reference check: the message of the first thing wrong with the
+    system, walking it in order (duplicate variables, then each equation's
+    defined variable, arguments and symbol, then the variable equalities),
+    or None when nothing is."""
+    declared = set(variables)
+    if len(declared) != len(variables):
+        return "duplicate variable in normal system"
+    for eq in equations:
+        if eq.defined not in declared:
+            return f"undeclared defined variable {eq.defined!r}"
+        for u in eq.args:
+            if u not in declared:
+                return f"undeclared argument {u!r}"
+        if eq.symbol not in signature:
+            return f"unknown symbol {eq.symbol!r}"
+        if signature.arity(eq.symbol) != len(eq.args):
+            return f"arity mismatch on {eq.symbol!r}"
+    for a, b in equalities:
+        if a not in declared or b not in declared:
+            return "undeclared variable in equality"
+    return None
+
+
+@st.composite
+def _malformed_systems(draw):
+    """Systems over x, y, z and f/1, g/2 that may repeat a variable, name
+    the undeclared q and w as a defined variable, an argument or in an
+    equality, use the unknown symbol h or give f and g the wrong number of
+    arguments, often several of these at once."""
+    variables = tuple(draw(st.permutations(("x", "y", "z"))))
+    if draw(st.integers(0, 9)) == 0:
+        variables += variables[:1]
+    name = st.sampled_from(variables + variables + ("q", "w"))
+    symbol = st.sampled_from(("f", "f", "g", "g", "h"))
+
+    def equation():
+        args = tuple(draw(st.lists(name, max_size=3)))
+        return NormalEquation(draw(symbol), args, draw(name))
+
+    equations = tuple(equation() for _ in range(draw(st.integers(0, 3))))
+    equalities = tuple((draw(name), draw(name))
+                       for _ in range(draw(st.integers(0, 2))))
+    return variables, equations, equalities
+
+
+@settings(max_examples=500, deadline=None)
+@given(_malformed_systems())
+def test_normal_system_check_is_the_reference_walk(drawn):
+    """The constructor refuses exactly what the reference walk refuses,
+    with the reference's message for the first error in walk order."""
+    variables, equations, equalities = drawn
+    signature = Signature((("f", 1), ("g", 2)))
+    want = _first_error(variables, signature, equations, equalities)
+    try:
+        NormalSystem(variables, signature, equations, equalities)
+    except ValidationError as e:
+        assert str(e) == want
+    else:
+        assert want is None
