@@ -365,6 +365,14 @@ def test_flatten_matches_recursive_reference(system):
         _recursive_flatten(system)
 
 
+@pytest.mark.parametrize("name", corpus_names(".inst"))
+def test_flatten_matches_recursive_reference_on_the_corpus(name):
+    system = load(name)
+    flat = flatten(system)
+    assert (_eqs(flat), flat.var_equalities, flat.auxiliaries) == \
+        _recursive_flatten(system)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_shaped_systems())
 def test_flatten_shapes_match_the_tree_rule(system):
