@@ -4,8 +4,10 @@ Everything here is ground truth by enumeration: interpretations are counted
 through the canonical table encoding (first symbol's table most significant,
 within a table the all-zero argument row most significant), so the stream is
 lexicographic and deterministic.  Budgets are enforced up front from the
-closed-form space size prod_f n^(n^arity(f)) * n^|V|; a search either
-fits or is refused whole.
+closed-form space size prod_f n^(n^arity(f)) * n^|V|, over the symbols f
+that the scan reads (those its DAG applies); a search either fits or is
+refused whole.  The index-range check covers every declared symbol, since
+the witness holds a table for each.
 
 Two evaluation routes coexist on purpose, in two modules.  The scalar
 route, here (`count_solutions`, `image_of`, `count_winning`, and the
@@ -33,10 +35,14 @@ solution per image point, so the embedded count equals the image size
 under every interpretation and needs no scan of its own.
 
 Every max search stops at its ceiling, the most its value can be by the
-object's shape alone: n^min(k, r) image points, n^|V| solutions.  The
-value is then the maximum and the witness the least index attaining it,
-so a ceiling stop is not a truncation, and `evaluations` and
-`interpretations` stay the closed forms of the whole space.  The ceiling
+object's shape alone: n^min(k, r) image points, and n^(|V| - |A|)
+solutions for a set A of variables that the equations force (`_forced`):
+each member of A equals a term that reads only later members and
+variables outside A, so a solution's values outside A fix its values on
+A, in reverse join order.  The value is then the maximum and the witness
+the least index attaining it, so a ceiling stop is not a truncation, and
+`evaluations` and `interpretations` stay the closed forms of the whole
+space.  The ceiling
 never comes from `flownet`'s exponent, so the two routes stay independent
 checks on each other.  Only a perfect hit reports the work up to it
 (witness index + 1).
@@ -202,13 +208,14 @@ def _space_log2(symbols, n: int) -> float:
     return bits
 
 
-def _index_space(signature: Signature, n: int, assign_vars: int = 0) -> int:
-    """The exact interpretation count, refused unless every interpretation
-    index, and every (interpretation, assignment) pair over `assign_vars`
-    variables, fits the engine's index range."""
+def _check_range(symbols, n: int, assign_vars: int = 0) -> None:
+    """Refuse unless every interpretation index of `symbols`, and every
+    (interpretation, assignment) pair over `assign_vars` variables, fits
+    the engine's index range.  Only logarithms are read, so a refusal
+    computes no n^(n^arity)."""
     if n < 1:
         raise PreconditionError(f"alphabet size must be >= 1, got {n}")
-    bits = _space_log2(signature.symbols, n)
+    bits = _space_log2(symbols, n)
     abits = assign_vars * (math.log2(n) if n > 1 else 0.0)
     if bits > _INDEX_BITS or bits + abits > 2 * _INDEX_BITS:
         size = (f"~2^{bits:.0f}" if bits < math.inf
@@ -216,16 +223,23 @@ def _index_space(signature: Signature, n: int, assign_vars: int = 0) -> int:
         raise BudgetError(
             f"interpretation space {size} exceeds the engine's index "
             "range; refusing")
-    return interpretation_count(signature, n)
 
 
-def _admit(signature: Signature, n: int, assign_vars: int,
-           budget: SearchBudget, *, per_interp: int | None = None) -> int:
-    """Closed-form budget check; returns the exact interpretation count.
+def _admit(symbols, n: int, assign_vars: int, budget: SearchBudget,
+           *dags: TermDag, per_interp: int | None = None):
+    """Closed-form budget check on the tables a scan of `dags` reads:
+    returns the symbols some DAG applies (every symbol when no DAG is
+    given), in order, and their exact interpretation count.
 
-    per_interp overrides the assignments-per-interpretation factor (the
-    default is n^assign_vars)."""
-    total = _index_space(signature, n, assign_vars)
+    The index-range check covers every symbol: the witness holds a table
+    for each, all-zero off the scan, so this also bounds its size.  Only
+    the scanned tables are charged.  per_interp overrides the
+    assignments-per-interpretation factor (the default is n^assign_vars)."""
+    _check_range(symbols, n, assign_vars)
+    if dags:
+        applied = {symbol for dag in dags for symbol, _ in dag.ops}
+        symbols = tuple((s, a) for s, a in symbols if s in applied)
+    total = math.prod(table_space(n, arity) for _, arity in symbols)
     factor = per_interp if per_interp is not None else n ** assign_vars
     evals = total * factor
     if total > budget.max_interpretations:
@@ -238,12 +252,13 @@ def _admit(signature: Signature, n: int, assign_vars: int,
             f"{evals} evaluations exceed the budget of "
             f"{budget.max_evaluations}; refusing before enumeration",
             interpretations=total, evaluations=evals)
-    return total
+    return symbols, total
 
 
 def interpretation_at(signature: Signature, n: int, index: int) -> Interpretation:
     """The index-th interpretation in canonical order."""
-    if not 0 <= index < _index_space(signature, n):
+    _check_range(signature.symbols, n)
+    if not 0 <= index < interpretation_count(signature, n):
         raise ValidationError("interpretation index out of range")
     from . import kernel
     return kernel._witness(signature, signature.symbols, n, index)
@@ -303,29 +318,56 @@ def count_winning(graph: DependencyGraph, strategy: Interpretation) -> int:
 # ---- search operations -------------------------------------------------------
 
 
-def _scan_space(signature: Signature, n: int, *dags: TermDag):
-    """A scan's space: the symbols some DAG applies, in signature order,
-    and their interpretation count."""
-    used = {symbol for dag in dags for symbol, _ in dag.ops}
-    symbols = tuple((s, a) for s, a in signature.symbols if s in used)
-    return symbols, math.prod(table_space(n, arity) for _, arity in symbols)
+def _forced(dag: TermDag, n: int) -> int:
+    """A set A of the system's variables that its equations force, as a
+    bitmask over input positions: no interpretation has more than
+    n^(k - |A|) solutions.
+
+    A is built greedily in variable order: v joins when some equation
+    `v = t`, either way round, has v outside t and t reads no variable
+    already in A.  So a member's term reads only later members and
+    variables outside A: fixing the variables outside A fixes A's values
+    in reverse join order, and each solution is determined by its values
+    outside A.  One pass over `dag.ops` gives each node the bitmask of
+    the inputs it reads.  At n = 1 every bound is 1, and nothing is read."""
+    if n == 1:
+        return 0
+    k = len(dag.inputs)
+    reads = [1 << v for v in range(k)]
+    for _, children in dag.ops:
+        mask = 0
+        for c in children:
+            mask |= reads[c]
+        reads.append(mask)
+    terms: list[list[int]] = [[] for _ in range(k)]  # each v = t's reads
+    sides = dag.outputs
+    for a, b in zip(sides[::2], sides[1::2]):
+        for v, t in ((a, b), (b, a)):
+            if v < k and not reads[t] >> v & 1:
+                terms[v].append(reads[t])
+    chosen = 0
+    for v in range(k):
+        if any(not t & chosen for t in terms[v]):
+            chosen |= 1 << v
+    return chosen
 
 
 def _search(kind: str, obj, k: int, n: int, budget: SearchBudget):
     """The one kernel scan behind every search, over `obj`'s DAG with k
     inputs: (best value, least witness attaining it, the closed-form
     interpretation count, the index where the scan reached its ceiling or
-    None).  No value can exceed the ceiling read off the shape alone: a
-    system has at most n^k solutions, an image at most n^min(k, r)
-    points.  So a scan reaching it stops there (branch and bound's
-    stop-at-bound rule), and its value and witness are the full scan's:
-    a ceiling stop is not a truncation.  The budget is checked on the
-    whole signature before the DAG is read."""
-    _admit(obj.signature, n, k, budget)
-    symbols, total = _scan_space(obj.signature, n, obj.dag)
+    None).  The budget is checked on the tables the scan reads before
+    anything else.  No value can exceed the ceiling read off the shape
+    alone: an image has at most n^min(k, r) points, and a system at most
+    n^(k - |A|) solutions for the variables A that `_forced` finds
+    forced by the others.  So a scan reaching it stops there (branch and
+    bound's stop-at-bound rule), and its value and witness are the full
+    scan's: a ceiling stop is not a truncation."""
+    symbols, total = _admit(obj.signature.symbols, n, k, budget, obj.dag)
     if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
-    ceiling = n ** (min(k, obj.r) if kind == "image" else k)
+    ceiling = n ** (min(k, obj.r) if kind == "image"
+                    else k - _forced(obj.dag, n).bit_count())
     from . import kernel
     value, index, hit = kernel._scan(kind, symbols, obj.dag, n, ceiling)
     witness = kernel._witness(obj.signature, symbols, n, index)
@@ -375,7 +417,12 @@ def brute_guessing(graph: DependencyGraph, n: int,
     include itself if a loop is present).  The game is the system
     `graph_system(graph)`: a strategy is an interpretation of its player
     symbols, keyed by player, and the configurations it wins are its
-    solutions."""
+    solutions.  The budget is checked on the players' arities before the
+    game is built, so a refusal builds nothing, even for a graph whose
+    vertex names `graph_system` would reject."""
+    players = tuple((v, len(graph.in_neighbors(v))) for v in graph.vertices
+                    if v not in graph.sources)
+    _admit(players, n, len(graph.vertices), budget)
     return brute_max_solutions(graph_system(graph), n, budget)
 
 
@@ -406,8 +453,8 @@ def check_counts_preserved(before, after, n: int,
     if before.signature != after.signature:
         raise PreconditionError("count comparison needs a shared signature")
     per = n ** len(before.variables) + n ** len(after.variables)
-    _admit(before.signature, n, 0, budget, per_interp=per)
-    used, total = _scan_space(before.signature, n, before.dag, after.dag)
+    used, total = _admit(before.signature.symbols, n, 0, budget, before.dag,
+                         after.dag, per_interp=per)
     from . import kernel
     first = kernel._first_mismatch(used, before.dag, after.dag, n)
     return CountPreservation(first is None, total, first)
@@ -502,7 +549,7 @@ def check_embedding(spec: DispersionSpec, n: int,
     its solutions re-counted by the reference route.  `evaluations` stays
     the closed form of decoding and re-counting every interpretation."""
     per = n ** spec.k + n ** (spec.k + spec.r)
-    _admit(spec.signature, n, 0, budget, per_interp=per)
+    _admit(spec.signature.symbols, n, 0, budget, spec.dag, per_interp=per)
     dispersion = brute_dispersion(spec, n, budget)
 
     interp = dispersion.witness

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termflow
-from termflow import cli, kernel, normalize
+from termflow import cli, kernel, normalize, oracle
 from termflow.corpus import corpus_names, corpus_path
 
 
@@ -1226,3 +1226,39 @@ def test_graph_commands_run_the_pipeline_only_off_the_dag_route(
         calls.clear()
         _main(*argv)
         assert len(calls) == runs, argv
+
+
+def test_refused_guess_never_builds_the_game(tmp_path, monkeypatch):
+    """`brute guess` checks the budget on the players' arities: a refused
+    game never reaches `graph_system` (it raises here)."""
+    def refuse(graph):
+        raise AssertionError("a refused game was built")
+
+    monkeypatch.setattr(oracle, "graph_system", refuse)
+    chain = tmp_path / "chain.inst"
+    chain.write_text("instance { vars x0, x1, x2, x3, x4, x5, x6, x7, x8, x9; "
+                     "sig f/1; " + " ".join(f"eq f(x{i}) = x{i + 1};"
+                                            for i in range(9)) + " }")
+    code, out, err = _main("brute", "guess", str(chain), "-n", "2")
+    assert code == 4 and out == "", err
+    assert "268435456 evaluations" in err
+
+
+@pytest.mark.parametrize("mode,n,value", [
+    ("disp", 3, 3), ("perfect", 3, 3), ("embed", 3, 3), ("disp", 4, None)])
+def test_unused_symbols_are_not_charged(tmp_path, mode, n, value):
+    """A declared symbol that no term applies is neither scanned nor
+    charged: at n = 3 these commands exited 4 while the budget charged
+    g/3's 3^27 tables.  The index range still covers every symbol, since
+    the witness carries g's all-zero table: at n = 4 it needs 136 bits."""
+    spec = tmp_path / "unused.disp"
+    spec.write_text("dispersion { inputs x; sig f/1, g/3; outputs f(x); }")
+    code, out, err = _main("brute", mode, str(spec), "-n", str(n))
+    if value is None:
+        assert code == 4 and "index range" in err
+        return
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    key = {"disp": "value", "perfect": "max_image"}.get(mode)
+    got = result[key] if key else result["dispersion"]["value"]
+    assert got == value

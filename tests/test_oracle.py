@@ -89,6 +89,30 @@ def test_budget_refusal_is_exact_and_total():
     assert exc.value.evaluations == 256
 
 
+def test_budget_charges_only_the_scanned_symbols():
+    # g/3 is declared and never applied: its 3^27 tables are not scanned,
+    # so they are not charged either (the whole signature was 2,048
+    # evaluations at n = 2 and 205,891,132,094,649 interpretations at 3)
+    spec = parse("dispersion { inputs x; sig f/1, g/3; outputs f(x); }")
+    assert brute_dispersion(spec, 2, SearchBudget(8, 4)).evaluations == 8
+    with pytest.raises(BudgetError) as exc:
+        brute_dispersion(spec, 2, SearchBudget(7))
+    assert (exc.value.interpretations, exc.value.evaluations) == (4, 8)
+    res = brute_dispersion(spec, 3)
+    assert (res.value, res.evaluations) == (3, 27 * 3)
+    assert res.witness.tables["g"] == (0,) * 27
+    chk = check_embedding(spec, 3)
+    assert chk.equal and chk.embedded.evaluations == 27 * (3 + 9)
+    system = parse("instance { vars x, y; sig f/1, g/3; eq f(x) = y; }")
+    assert brute_max_solutions(system, 3).evaluations == 27 * 9
+    assert check_counts_preserved(system, system, 3).interpretations == 27
+    # the index range still covers every symbol, so no witness is built
+    # with an all-zero table of 2^70 entries
+    wide = parse("dispersion { inputs x; sig f/1, g/70; outputs f(x); }")
+    with pytest.raises(BudgetError, match="index range"):
+        brute_dispersion(wide, 2)
+
+
 def test_index_width_guard():
     sig = Signature(symbols=(("f", 32),))
     system = TermSystem(variables=("x",), signature=sig,
@@ -297,6 +321,14 @@ def test_strategy_witness_validates():
     assert set(res.witness.tables) == {"a", "b", "c"}
 
 
+def _space(signature, n, *dags):
+    """The symbols a scan of `dags` reads, in signature order, and their
+    interpretation count."""
+    applied = {symbol for dag in dags for symbol, _ in dag.ops}
+    used = tuple((s, a) for s, a in signature.symbols if s in applied)
+    return used, math.prod(table_space(n, arity) for _, arity in used)
+
+
 def _pseudo_symbol_guessing(graph, n, budget):
     """Reference game scan: one pseudo-symbol per player and a DAG of
     `v(in-neighbours) = v` built here, fed straight to the scan kernel."""
@@ -306,8 +338,7 @@ def _pseudo_symbol_guessing(graph, n, budget):
     dag = term_dag(graph.vertices, [
         t for v, us in nbrs.items()
         for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
-    oracle._admit(pseudo, n, len(dag.inputs), budget)
-    used, total = oracle._scan_space(pseudo, n, dag)
+    used, total = oracle._admit(pseudo.symbols, n, len(dag.inputs), budget)
     value, index, _ = kernel._scan("count", used, dag, n)
     return OracleResult(value, kernel._witness(pseudo, used, n, index),
                         total * n ** len(dag.inputs))
@@ -405,6 +436,40 @@ def test_refused_game_builds_no_dag(monkeypatch):
     assert calls == []
     brute_guessing(load("cycle3.graph"), 2)  # an admitted game builds one
     assert len(calls) == 1
+
+
+def _chain(k, last=None):
+    """The path v0 -> v1 -> ... -> v(k-1), with v0 free; the last player
+    may be renamed."""
+    vertices = tuple(f"v{i}" for i in range(k - 1)) + (last or f"v{k - 1}",)
+    return DependencyGraph(vertices, frozenset(zip(vertices, vertices[1:])),
+                           frozenset({"v0"}))
+
+
+def test_refused_game_is_never_built(monkeypatch):
+    # the budget reads the players' arities: 9 players of arity 1 at n = 2
+    # are 4^9 strategies x 2^10 configurations
+    def refuse(graph):
+        raise AssertionError("a refused game was built")
+
+    monkeypatch.setattr(oracle, "graph_system", refuse)
+    with pytest.raises(BudgetError) as exc:
+        brute_guessing(_chain(10), 2)
+    assert (exc.value.interpretations, exc.value.evaluations) == (
+        4 ** 9, 4 ** 9 * 2 ** 10)
+    with pytest.raises(BudgetError, match="index range"):
+        brute_guessing(_chain(100), 2)
+
+
+def test_budget_refusal_wins_over_a_bad_vertex_name():
+    # an API-built graph may carry a name that no symbol can have; the
+    # budget is checked first, so an over-budget game is refused (exit 4)
+    # and only an admitted one reaches the name check (exit 2)
+    with pytest.raises(BudgetError):
+        brute_guessing(_chain(10, "not a name"), 2)
+    with pytest.raises(ValidationError):
+        brute_guessing(_chain(2, "not a name"), 2)
+    brute_guessing(_chain(2), 2)
 
 
 # ---- solutions vs winning -----------------------------------------------------
@@ -618,11 +683,11 @@ def _embedding_by_recount(spec, n, budget):
     the first maximum wins."""
     embedded = embed_dispersion(spec)
     per = n ** spec.k + n ** (spec.k + spec.r)
-    oracle._admit(spec.signature, n, 0, budget, per_interp=per)
+    used, total = oracle._admit(spec.signature.symbols, n, 0, budget,
+                                spec.dag, per_interp=per)
     dispersion = brute_dispersion(spec, n, budget)
     decoders = embedded.signature.names[len(spec.signature.names):]
     outputs = [term_steps(t) for t in spec.outputs]
-    used, total = oracle._scan_space(spec.signature, n, spec.dag)
     best_value, best_witness = -1, None
     for index in range(total):
         interp = kernel._witness(spec.signature, used, n, index)
@@ -648,7 +713,7 @@ def _embedding_by_recount(spec, n, budget):
 @st.composite
 def _embedding_specs(draw):
     """1-2 inputs, 1-2 outputs and up to two symbols of arity 0-2, some
-    possibly unused (the budget still charges them)."""
+    possibly unused (the budget charges only the used ones)."""
     inputs = _vars[:draw(st.integers(1, 2))]
     arities = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))
     symbols = tuple((f"s{i}", a) for i, a in enumerate(arities))
@@ -787,7 +852,7 @@ def _reference_scan(values, target):
 
 
 def _kernel_scan(kind, obj, n, target=None):
-    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    used, _ = _space(obj.signature, n, obj.dag)
     return kernel._scan(kind, used, obj.dag, n, target)
 
 
@@ -800,7 +865,7 @@ def _kernel_values(kind, obj, n, pruned=False):
     """`_chunks` values per index of the kernel's space (the symbols the
     DAG uses), unpruned unless `pruned`; -1 marks an index the kernel did
     not evaluate, which only the pruned scan skips."""
-    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    used, total = _space(obj.signature, n, obj.dag)
     swaps = kernel._transpositions if pruned else _no_swaps
     out, last = [-1] * total, -1
     with patch.object(kernel, "_transpositions", swaps):
@@ -876,7 +941,7 @@ def test_chunk_cells_patch_reaches_the_kernel():
     # the tests that patch `kernel._CHUNK_CELLS` rely on the kernel reading
     # it per scan: at one cell a chunk is one interpretation
     spec = load("diamond.disp")
-    used, total = oracle._scan_space(spec.signature, 2, spec.dag)
+    used, total = _space(spec.signature, 2, spec.dag)
     with patch.object(kernel, "_CHUNK_CELLS", 1):
         chunks = list(kernel._chunks("image", used, spec.dag, 2))
     assert len(chunks) == total > 1
@@ -904,7 +969,7 @@ def test_grid_kernel_edge_cases(kind, text, n):
     values = _scalar_values(kind, obj, n)
     # the kernel enumerates only the symbols the DAG uses; the others keep
     # their all-zero tables (`sig f/1` unused: one interpretation)
-    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    used, total = _space(obj.signature, n, obj.dag)
     space = [kernel._witness(obj.signature, used, n, i) for i in range(total)]
     want = [count_solutions(obj, it) if kind == "count"
             else len(image_of(obj, it)) for it in space]
@@ -960,18 +1025,21 @@ def test_count_preservation_first_mismatch(before, after, cells):
 # ---- ceiling stops ----------------------------------------------------------
 #
 # A max search stops at the first chunk reaching its ceiling, the most its
-# value can be by the object's shape: n^min(k, r) image points, n^|V|
-# solutions.  Its value and least witness are those of the uncapped scan.
+# value can be by the object's shape: n^min(k, r) image points, and
+# n^(k - |A|) solutions for the variables A that `oracle._forced` finds
+# forced by the others.  Its value and least witness are those of the
+# uncapped scan.
 
 def _check_ceiling_search(kind, obj, n):
     """Pin the oracle's ceiling search to the uncapped scan; return whether
     it stopped at the ceiling."""
     k = obj.k if kind == "image" else len(obj.variables)
-    ceiling = n ** (min(k, obj.r) if kind == "image" else k)
+    ceiling = n ** (min(k, obj.r) if kind == "image"
+                    else k - oracle._forced(obj.dag, n).bit_count())
     search = brute_dispersion if kind == "image" else brute_max_solutions
     res = search(obj, n)  # first, so that a refusal scans nothing
     *_, stop = oracle._search(kind, obj, k, n, oracle.DEFAULT_BUDGET)
-    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    used, total = _space(obj.signature, n, obj.dag)
     value, index, _ = kernel._scan(kind, used, obj.dag, n, target=None)
     witness = kernel._witness(obj.signature, used, n, index)
     # the closed-form evaluations, stop or not
@@ -1030,6 +1098,72 @@ def test_ceiling_search_matches_uncapped_scan(case, cells):
         _check_ceiling_search(kind, obj, n)
 
 
+def _term_vars(t):
+    return {s.name for s in _subterms(t) if isinstance(s, Var)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ceiling_cases())
+def test_forced_set_is_acyclic_in_join_order(case):
+    # read off the equations' trees, not the DAG: each member v of A has
+    # an equation v = t, either way round, whose t reads neither v nor any
+    # member that joined before v, so fixing the variables outside A fixes
+    # A's members from the last joined to the first
+    kind, obj, n = case
+    assume(kind == "count")
+    mask = oracle._forced(obj.dag, n)
+    forced = [v for i, v in enumerate(obj.variables) if mask >> i & 1]
+    assert mask < 1 << len(obj.variables)
+    assert n > 1 or not forced
+    for j, v in enumerate(forced):
+        earlier = set(forced[:j + 1])
+        assert any(lhs == Var(v) and not _term_vars(rhs) & earlier
+                   for eq in obj.equations
+                   for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)))
+
+
+@pytest.mark.parametrize("text,forced,value", [
+    # a cycle of definitions: x is forced by y, but y only by x
+    ("instance { vars x, y; sig f/1, g/1; eq x = f(y); eq y = g(x); }",
+     "x", 3),
+    ("instance { vars x, y; sig f/1, g/1; eq f(y) = x; eq g(x) = y; }",
+     "x", 3),
+    # x = f(x) reads x itself: nothing is forced
+    ("instance { vars x; sig f/1; eq x = f(x); }", "", 3),
+    # a chain: each member reads only later members and z
+    ("instance { vars x, y, z; sig f/1, g/2; eq x = g(y, z); eq y = f(z); }",
+     "xy", 3),
+    # y joins through its second equation, the first reading x in A
+    ("instance { vars x, y, z; sig f/1, g/1; "
+     "eq x = f(z); eq y = g(x); eq y = z; }", "xy", 3),
+    # a variable equality forces its left side only
+    ("instance { vars x, y; sig ; eq x = y; }", "x", 3),
+], ids=["cycle", "cycle-flipped", "self-read", "chain", "second-equation",
+        "equality"])
+def test_forced_variables_and_their_ceiling(text, forced, value):
+    system = parse(text)
+    mask = oracle._forced(system.dag, 3)
+    assert "".join(v for i, v in enumerate(system.variables)
+                   if mask >> i & 1) == forced
+    assert oracle._forced(system.dag, 1) == 0
+    assert brute_max_solutions(system, 3).value == value
+    assert _check_ceiling_search("count", system, 3)
+
+
+@pytest.mark.parametrize("name", ["cycle2.graph", "cycle3.graph",
+                                  "clique2.graph"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_game_ceiling_is_the_game_value(name, n):
+    # n^(|V| - |A|) is tight on these games: each scan ends at a hit
+    graph = load(name)
+    game = graph_system(graph)
+    k = len(game.variables)
+    ceiling = n ** (k - oracle._forced(game.dag, n).bit_count())
+    assert brute_guessing(graph, n).value == ceiling
+    assert oracle._search("count", game, k, n, oracle.DEFAULT_BUDGET)[3] \
+        is not None
+
+
 def _corpus_searches(name):
     """Every max search the CLI runs on a corpus file: (kind, object)."""
     obj = load(name)
@@ -1057,23 +1191,28 @@ def test_corpus_ceiling_searches_match_uncapped_scans():
                 except BudgetError:
                     continue
                 ran += 1
-    assert ran >= 80 and 0 < stopped < ran
+    assert (ran, stopped) == (132, 120)
 
 
 _DISP4 = ("dispersion { inputs x, y, z; sig f/2, g/1; outputs f(x, g(y)), "
           "g(f(x, z)), f(g(f(x, y)), g(z)), f(y, g(z)); }")
 
 
-@pytest.mark.parametrize("text,n,drawn,chunks", [
-    (_DISP4, 3, 4, 45),  # reaches 27 = 3^3 at index 23,754 of 531,441
-    ("diamond.disp", 3, 6, 6),  # never reaches 81: the max is 53
-    ("index_coding.inst", 2, 64, 64),  # never reaches 16: the max is 4
-], ids=["disp4", "diamond", "index_coding"])
-def test_ceiling_stop_draws_fewer_chunks(monkeypatch, text, n, drawn, chunks):
+@pytest.mark.parametrize("text,guess,n,drawn,chunks", [
+    (_DISP4, False, 3, 4, 45),  # reaches 27 = 3^3 at index 23,754 of 531,441
+    ("diamond.disp", False, 3, 6, 6),  # never reaches 81: the max is 53
+    # reaches 4 = 2^(4 - 2): x1 and x2 are forced, x3 and y are not
+    ("index_coding.inst", False, 2, 7, 64),
+    ("index_coding.inst", True, 2, 14, 64),  # its game, at 2^(4 - 2)
+], ids=["disp4", "diamond", "index_coding", "index_coding.guess"])
+def test_ceiling_stop_draws_fewer_chunks(monkeypatch, text, guess, n, drawn,
+                                         chunks):
     # work, never wall time: the (indices, values) pairs `_scan` draws
     obj = parse(text) if "{" in text else load(text)
+    if guess:
+        obj = graph_system(dependency_graph(pipeline(obj)[0]))
     kind = "image" if isinstance(obj, DispersionSpec) else "count"
-    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    used, _ = _space(obj.signature, n, obj.dag)
     assert len(list(kernel._chunks(kind, used, obj.dag, n))) == chunks
     every, pairs = kernel._chunks, []
 
@@ -1086,7 +1225,7 @@ def test_ceiling_stop_draws_fewer_chunks(monkeypatch, text, n, drawn, chunks):
     search = brute_dispersion if kind == "image" else brute_max_solutions
     res = search(obj, n)
     assert len(pairs) == drawn
-    if drawn < chunks:
+    if kind == "image" and drawn < chunks:
         assert res.value == n ** 3
         assert res.witness == interpretation_at(obj.signature, n, 23754)
 
@@ -1224,7 +1363,7 @@ def test_index_coding_gathers_are_built_once_per_scan(monkeypatch):
     obj = load("index_coding.inst")
     k = len(obj.dag.inputs)
     assert all(max(children) < k for _, children in obj.dag.ops)
-    used, _ = oracle._scan_space(obj.signature, 2, obj.dag)
+    used, _ = _space(obj.signature, 2, obj.dag)
     calls = _count_table_rows(monkeypatch)
     assert len(list(kernel._chunks("count", used, obj.dag, 2))) == 64
     assert len(calls) == len(obj.dag.ops) == 4
@@ -1247,7 +1386,7 @@ def test_nested_gathers_run_once_per_evaluated_chunk(monkeypatch, text, n,
     fixed = sum(1 for _, ch in obj.dag.ops if ch and max(ch) < k)
     nested = sum(1 for _, ch in obj.dag.ops if ch and max(ch) >= k)
     assert fixed and nested
-    used, _ = oracle._scan_space(obj.signature, n, obj.dag)
+    used, _ = _space(obj.signature, n, obj.dag)
     calls = _count_table_rows(monkeypatch)
     with patch.object(kernel, "_CHUNK_CELLS", cells):
         chunks = len(list(kernel._chunks("image", used, obj.dag, n)))
@@ -1390,7 +1529,7 @@ def test_keep_mask_contains_every_orbit_minimum():
 @given(_symmetric_cases())
 def test_kept_indices_are_the_swap_minimal_set(case):
     kind, obj, n = case
-    used, total = oracle._scan_space(obj.signature, n, obj.dag)
+    used, total = _space(obj.signature, n, obj.dag)
     arities = dict(obj.signature.symbols)
 
     def index(it):  # the digits of the used tables, most significant first
