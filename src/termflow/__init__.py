@@ -14,11 +14,10 @@ from .normalize import (Classification, NormalEquation, NormalSystem,
                         PipelineReport, classify, collision_quotient,
                         diversify, embed_dispersion, flatten, pad_dispersion,
                         pipeline, quotient_vars)
-from .oracle import (DEFAULT_BUDGET, BlockEncoding, CountPreservation,
-                     EmbeddingCheck, GuessingEquality, OracleResult,
-                     PerfectDecision, SandwichReport, SearchBudget,
-                     brute_dispersion, brute_guessing, brute_max_solutions,
-                     check_counts_preserved, check_embedding,
+from .oracle import (DEFAULT_BUDGET, BlockEncoding, EmbeddingCheck,
+                     GuessingEquality, OracleResult, PerfectDecision,
+                     SandwichReport, SearchBudget, brute_dispersion,
+                     brute_guessing, brute_max_solutions, check_embedding,
                      check_perfect_fixed, check_solutions_equal_winning,
                      count_solutions, count_winning, image_of,
                      interpretation_at, interpretation_count,

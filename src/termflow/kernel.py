@@ -3,7 +3,7 @@
 This is the only termflow module that imports numpy, and `oracle` loads it
 only once a search has passed its budget check, so commands that never
 scan never load numpy.  `oracle` keeps budgets, result types, the scalar
-route and constructions; it calls only `_scan`, `_first_mismatch`, `_witness`.
+route and constructions; it calls only `_scan` and `_witness`.
 
 `_chunks` scans the whole grid of interpretations x assignments.  It
 decodes a chunk of consecutive interpretation indices as base-n digit rows
@@ -24,13 +24,13 @@ chunking.
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
 [n], (s.T)_f[a] = s(T_f[s^-1(a)]), changes no scan value: solution counts,
-image sizes, perfect hits and count mismatches are all S_n-invariant.  So
-the least index attaining a value is the least member of its orbit, and
-is <= its conjugate by each of the n(n-1)/2 transpositions.  A scan
-evaluates only the indices T that are <= each transposition conjugate
-(`_least_in_orbit`), a superset of those least indices: values, witnesses
-and perfect-hit indices are those of the unpruned scan.  At n = 2 the one
-swap often costs more than it saves; from n = 5 `_prunes` weighs the swaps.
+image sizes and perfect hits are all S_n-invariant.  So the least index
+attaining a value is the least member of its orbit, and is <= its
+conjugate by each of the n(n-1)/2 transpositions.  A scan evaluates only
+the indices T that are <= each transposition conjugate (`_least_in_orbit`),
+a superset of those least indices: values, witnesses and perfect-hit
+indices are those of the unpruned scan.  At n = 2 the one swap often costs
+more than it saves; from n = 5 `_prunes` weighs the swaps.
 """
 
 from __future__ import annotations
@@ -87,17 +87,16 @@ def _low_digits(symbols, n: int, k: int) -> int:
     return low
 
 
-def _prunes(n: int, dags) -> bool:
-    """Whether scans of `dags` at n run the orbit filter.  Its n(n-1)/2
+def _prunes(n: int, dag: TermDag) -> bool:
+    """Whether a scan of `dag` at n runs the orbit filter.  Its n(n-1)/2
     swaps per interpretation go uncharged by the budget, so from n = 5 it
-    runs only while they cost less than one scan's n^k evaluations per op."""
+    runs only while they cost less than the scan's n^k evaluations per op."""
     swaps = n * (n - 1) // 2
-    return n >= _PRUNE_MIN_N and (n <= 4 or any(
-        swaps < n ** len(d.inputs) * max(1, len(d.ops)) for d in dags))
+    return n >= _PRUNE_MIN_N and (
+        n <= 4 or swaps < n ** len(dag.inputs) * max(1, len(dag.ops)))
 
 
-def _chunks(kind: str, symbols, dag: TermDag, n: int,
-            low: int | None = None, peers=()):
+def _chunks(kind: str, symbols, dag: TermDag, n: int):
     """The scan kernel: yield (indices, values) for the interpretations of
     `symbols` it evaluates, in increasing index order, one pair per chunk
     of n^low indices (n^w splits into whole chunks), evaluating `dag`.
@@ -109,15 +108,14 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int,
     every chunk, built once before the first.
     `kind` "count" counts the assignments satisfying every equation whose
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
-    distinct output tuples.  If `_prunes(n, [dag, *peers])` (`peers`: DAGs
-    scanned in step) only the indices `_least_in_orbit` keeps are evaluated,
-    and a chunk it empties yields nothing: the max value, its least index
-    and the least index reaching a target stay those of the unpruned scan."""
+    distinct output tuples.  If `_prunes(n, dag)` only the indices
+    `_least_in_orbit` keeps are evaluated, and a chunk it empties yields
+    nothing: the max value, its least index and the least index reaching a
+    target stay those of the unpruned scan."""
     k = len(dag.inputs)
-    if low is None:
-        low = _low_digits(symbols, n, k)
+    low = _low_digits(symbols, n, k)
     digits = _Digits(symbols, n, low)
-    swaps = _transpositions(symbols, digits) if _prunes(n, [dag, *peers]) else []
+    swaps = _transpositions(symbols, digits) if _prunes(n, dag) else []
     high = len(digits.rows) - low  # digits constant over a chunk
     size = n ** low
     every = np.arange(size, dtype=np.intp)
@@ -194,10 +192,10 @@ def _least_in_orbit(high_digits: list[int], base: int,
     `high_digits`) whose index T is <= each swap conjugate.
 
     Index order is the lexicographic order of digit strings.  Every scan
-    value (solution count, image size, perfect hit, count mismatch) is the
-    same for T and each conjugate, so the least index attaining a value is
-    kept: the kept set is a superset of the least member of each orbit
-    under relabelling [n]."""
+    value (solution count, image size, perfect hit) is the same for T and
+    each conjugate, so the least index attaining a value is kept: the kept
+    set is a superset of the least member of each orbit under relabelling
+    [n]."""
     keep = np.ones(len(swaps[0][1]), dtype=bool)
     for terms, excess, least, most in swaps:
         head = sum(weight * t[high_digits[q]] for weight, q, t in terms)
@@ -282,19 +280,6 @@ def _scan(kind: str, symbols, dag: TermDag, n: int,
         if target is not None and vals[at] >= target:
             return best_v, best_i, int(indices[np.argmax(vals >= target)])
     return best_v, best_i, None
-
-
-def _first_mismatch(symbols, dag_a: TermDag, dag_b: TermDag, n: int):
-    """The least index of `symbols` at which two systems' DAGs differ in
-    solution count, or None.  Both scans share one chunk size and pruning
-    decision, so keep the same indices, and the least mismatch is kept."""
-    low = min(_low_digits(symbols, n, len(d.inputs)) for d in (dag_a, dag_b))
-    a = _chunks("count", symbols, dag_a, n, low, [dag_b])
-    b = _chunks("count", symbols, dag_b, n, low, [dag_a])
-    for (indices, ca), (_, cb) in zip(a, b):
-        if (ca != cb).any():
-            return int(indices[(ca != cb).argmax()])
-    return None
 
 
 def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:

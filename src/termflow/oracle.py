@@ -26,13 +26,12 @@ every reported witness can be replayed through the scalar route to
 reproduce its value.
 
 Every search is one `_search` call: the budget check, then one
-`kernel._scan` and its `kernel._witness` decode; `check_counts_preserved`
-is one `kernel._first_mismatch`.  `sandwich_check` and `check_embedding`
-then re-count one witness each through the scalar route: the lift of the
-small diversified witness, and the dispersion witness with decoders that
-send each image point to its least preimage.  Those decoders admit one
-solution per image point, so the embedded count equals the image size
-under every interpretation and needs no scan of its own.
+`kernel._scan` and its `kernel._witness` decode.  `sandwich_check` and
+`check_embedding` then re-count one witness each through the scalar route:
+the lift of the small diversified witness, and the dispersion witness with
+decoders that send each image point to its least preimage.  Those decoders
+admit one solution per image point, so the embedded count equals the image
+size under every interpretation and needs no scan of its own.
 
 Every max search stops at its ceiling, the most its value can be by the
 object's shape alone: n^min(k, r) image points, and n^(|V| - |A|)
@@ -62,7 +61,7 @@ from dataclasses import dataclass, field
 from .depgraph import DependencyGraph, dependency_graph, graph_system
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
-from .terms import (DispersionSpec, Ident, Interpretation, Signature, TermDag,
+from .terms import (DispersionSpec, Interpretation, Signature, TermDag,
                     TermSystem, assignments, run_steps, table_index,
                     term_steps)
 
@@ -123,13 +122,6 @@ class EmbeddingCheck:
     equal: bool
     dispersion: OracleResult
     embedded: OracleResult
-
-
-@dataclass(frozen=True)
-class CountPreservation:
-    equal: bool
-    interpretations: int
-    first_mismatch: int | None
 
 
 @dataclass(frozen=True)
@@ -352,17 +344,19 @@ def _forced(dag: TermDag, n: int) -> int:
     return chosen
 
 
-def _search(kind: str, obj, k: int, n: int, budget: SearchBudget):
-    """The one kernel scan behind every search, over `obj`'s DAG with k
-    inputs: (best value, least witness attaining it, the closed-form
-    interpretation count, the index where the scan reached its ceiling or
-    None).  The budget is checked on the tables the scan reads before
-    anything else.  No value can exceed the ceiling read off the shape
-    alone: an image has at most n^min(k, r) points, and a system at most
-    n^(k - |A|) solutions for the variables A that `_forced` finds
-    forced by the others.  So a scan reaching it stops there (branch and
-    bound's stop-at-bound rule), and its value and witness are the full
-    scan's: a ceiling stop is not a truncation."""
+def _search(kind: str, obj, n: int, budget: SearchBudget):
+    """The one kernel scan behind every search, over `obj`'s DAG and its k
+    inputs: (the `OracleResult` of the best value, its least witness and
+    the closed-form evaluations; the closed-form interpretation count; the
+    index where the scan reached its ceiling or None).  The budget is
+    checked on the tables the scan reads before anything else.  No value
+    can exceed the ceiling read off the shape alone: an image has at most
+    n^min(k, r) points, and a system at most n^(k - |A|) solutions for the
+    variables A that `_forced` finds forced by the others.  So a scan
+    reaching it stops there (branch and bound's stop-at-bound rule), and
+    its value and witness are the full scan's: a ceiling stop is not a
+    truncation."""
+    k = len(obj.dag.inputs)
     symbols, total = _admit(obj.signature.symbols, n, k, budget, obj.dag)
     if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
@@ -371,24 +365,20 @@ def _search(kind: str, obj, k: int, n: int, budget: SearchBudget):
     from . import kernel
     value, index, hit = kernel._scan(kind, symbols, obj.dag, n, ceiling)
     witness = kernel._witness(obj.signature, symbols, n, index)
-    return value, witness, total, hit
+    return OracleResult(value, witness, total * n ** k), total, hit
 
 
 def brute_max_solutions(system, n: int,
                         budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum solution count over every interpretation, with the least
-    witness attaining it.  The budget is checked before the DAG is read."""
-    system = _system(system)
-    k = len(system.variables)
-    value, witness, total, _ = _search("count", system, k, n, budget)
-    return OracleResult(value, witness, total * n ** k)
+    witness attaining it.  The budget is checked before any scan."""
+    return _search("count", _system(system), n, budget)[0]
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
                      budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum image size of the dispersion map over every interpretation."""
-    value, witness, total, _ = _search("image", spec, spec.k, n, budget)
-    return OracleResult(value, witness, total * n ** spec.k)
+    return _search("image", spec, n, budget)[0]
 
 
 def check_perfect_fixed(spec: DispersionSpec, n: int,
@@ -401,10 +391,10 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
     interpretations).  Otherwise the refutation carries the best image
     and reports the whole space."""
     target = n ** spec.r
-    value, witness, total, hit = _search("image", spec, spec.k, n, budget)
-    perfect = value == target
+    best, total, hit = _search("image", spec, n, budget)
+    perfect = best.value == target
     scanned = hit + 1 if perfect else total
-    return PerfectDecision(perfect, target, value, witness, scanned,
+    return PerfectDecision(perfect, target, best.value, best.witness, scanned,
                            scanned * n ** spec.k)
 
 
@@ -443,23 +433,6 @@ def check_solutions_equal_winning(system: NormalSystem, n: int,
     return GuessingEquality(solutions.value == winning.value, solutions, winning)
 
 
-def check_counts_preserved(before, after, n: int,
-                           budget: SearchBudget = DEFAULT_BUDGET
-                           ) -> CountPreservation:
-    """Exhaustively compare per-interpretation solution counts of two
-    systems over the same signature (the normalization-preservation
-    oracle)."""
-    before, after = _system(before), _system(after)
-    if before.signature != after.signature:
-        raise PreconditionError("count comparison needs a shared signature")
-    per = n ** len(before.variables) + n ** len(after.variables)
-    used, total = _admit(before.signature.symbols, n, 0, budget, before.dag,
-                         after.dag, per_interp=per)
-    from . import kernel
-    first = kernel._first_mismatch(used, before.dag, after.dag, n)
-    return CountPreservation(first is None, total, first)
-
-
 # ---- constructions verified by re-counting ------------------------------------
 
 
@@ -483,27 +456,22 @@ def lift_interpretation(system: NormalSystem, small: Interpretation,
             f"{encoding.m}")
     vidx = {v: i for i, v in enumerate(system.variables)}
     n, m = encoding.n, encoding.m
-    by_symbol: dict[Ident, list] = {}
+    tables = {name: [0] * (n ** arity)
+              for name, arity in system.signature.symbols}
     for e_idx, eq in enumerate(system.equations):
-        by_symbol.setdefault(eq.symbol, []).append((e_idx, eq))
-    tables = {}
-    for name, arity in system.signature.symbols:
-        entries = [0] * (n ** arity)
-        for e_idx, eq in by_symbol.get(name, ()):
-            div_name = f"{name}@{e_idx}"
-            if div_name not in small.tables:
-                raise PreconditionError(
-                    f"small interpretation lacks a table for {div_name!r}")
-            sub = small.tables[div_name]
-            arg_blocks = [encoding.blocks[vidx[u]] for u in eq.args]
-            out_block = encoding.blocks[vidx[eq.defined]]
-            for small_args in itertools.product(range(m), repeat=arity):
-                big_args = tuple(arg_blocks[t][small_args[t]]
-                                 for t in range(arity))
-                value = sub[table_index(m, small_args)]
-                entries[table_index(n, big_args)] = out_block[value]
-        tables[name] = tuple(entries)
-    return Interpretation(n, tables)
+        div_name = f"{eq.symbol}@{e_idx}"
+        if div_name not in small.tables:
+            raise PreconditionError(
+                f"small interpretation lacks a table for {div_name!r}")
+        sub = small.tables[div_name]
+        arg_blocks = [encoding.blocks[vidx[u]] for u in eq.args]
+        out_block = encoding.blocks[vidx[eq.defined]]
+        for small_args in itertools.product(range(m), repeat=len(eq.args)):
+            big_args = [block[a] for block, a in zip(arg_blocks, small_args)]
+            tables[eq.symbol][table_index(n, big_args)] = \
+                out_block[sub[table_index(m, small_args)]]
+    return Interpretation(n, {name: tuple(entries)
+                              for name, entries in tables.items()})
 
 
 def sandwich_check(system: NormalSystem, n: int,
@@ -549,7 +517,8 @@ def check_embedding(spec: DispersionSpec, n: int,
     its solutions re-counted by the reference route.  `evaluations` stays
     the closed form of decoding and re-counting every interpretation."""
     per = n ** spec.k + n ** (spec.k + spec.r)
-    _admit(spec.signature.symbols, n, 0, budget, spec.dag, per_interp=per)
+    _, total = _admit(spec.signature.symbols, n, 0, budget, spec.dag,
+                      per_interp=per)
     dispersion = brute_dispersion(spec, n, budget)
 
     interp = dispersion.witness
@@ -568,6 +537,5 @@ def check_embedding(spec: DispersionSpec, n: int,
         tables[h] = tuple(entries)
     witness = Interpretation(n, tables)
     value = count_solutions(embedded, witness)
-    total = dispersion.evaluations // n ** spec.k
     result = OracleResult(value, witness, total * per)
     return EmbeddingCheck(dispersion.value == value, dispersion, result)

@@ -23,6 +23,7 @@ scalar route and the constructions build trees.  No term walk recurses.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Sequence, Union
@@ -40,6 +41,8 @@ KEYWORDS = frozenset("instance dispersion graph vars inputs outputs sig eq "
 
 def check_ident(name: str) -> None:
     """Accept exactly the names `dsl` reads back: IDENT_RE but no keyword."""
+    if not isinstance(name, str):
+        raise ValidationError(f"identifier is not a string: {name!r}")
     if not name:
         raise ValidationError("empty identifier")
     if name[0].isdigit():
@@ -333,13 +336,22 @@ class Interpretation:
     tables: Mapping[Ident, tuple[int, ...]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"alphabet size must be >= 1, got {self.n}")
+        try:  # operator.index passes ints and numpy integers, not floats
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValidationError(
+                f"alphabet size must be an integer, got {self.n!r}") from None
+        if n < 1:
+            raise ValidationError(f"alphabet size must be >= 1, got {n}")
         for name, table in self.tables.items():
-            for entry in table:
-                if not 0 <= entry < self.n:
-                    raise ValidationError(
-                        f"table entry {entry} for {name!r} outside [0,{self.n})")
+            try:
+                for entry in map(operator.index, table):
+                    if not 0 <= entry < n:
+                        raise ValidationError(f"table entry {entry} for "
+                                              f"{name!r} outside [0,{n})")
+            except TypeError:
+                raise ValidationError(
+                    f"table for {name!r} holds a non-integer entry") from None
 
     def validate_against(self, signature: Signature) -> None:
         for name, arity in signature.symbols:

@@ -334,17 +334,17 @@ def test_only_the_kernel_imports_numpy():
 
 
 _API = {
-    "App", "BlockEncoding", "BudgetError", "Classification",
-    "CountPreservation", "DEFAULT_BUDGET", "DependencyGraph", "DispersionSpec",
-    "EmbeddingCheck", "Equation", "EvalError", "ExponentResult", "FlowNetwork",
-    "GuessingEquality", "Interpretation", "NormalEquation", "NormalSystem",
-    "OracleResult", "ParseError", "PerfectDecision", "PipelineReport",
-    "PreconditionError", "SandwichReport", "SearchBudget", "Signature", "Term",
-    "TermDag", "TermSystem", "TermflowError", "ThresholdDecision",
-    "ValidationError", "Var", "add_source_loops", "assignments",
-    "brute_dispersion", "brute_guessing", "brute_max_solutions", "build_dag",
-    "build_network", "check_counts_preserved", "check_embedding",
-    "check_perfect_fixed", "check_solutions_equal_winning", "classify",
+    "App", "BlockEncoding", "BudgetError", "Classification", "DEFAULT_BUDGET",
+    "DependencyGraph", "DispersionSpec", "EmbeddingCheck", "Equation",
+    "EvalError", "ExponentResult", "FlowNetwork", "GuessingEquality",
+    "Interpretation", "NormalEquation", "NormalSystem", "OracleResult",
+    "ParseError", "PerfectDecision", "PipelineReport", "PreconditionError",
+    "SandwichReport", "SearchBudget", "Signature", "Term", "TermDag",
+    "TermSystem", "TermflowError", "ThresholdDecision", "ValidationError",
+    "Var", "add_source_loops", "assignments", "brute_dispersion",
+    "brute_guessing", "brute_max_solutions", "build_dag", "build_network",
+    "check_embedding", "check_perfect_fixed", "check_solutions_equal_winning",
+    "classify",
     "collision_quotient", "count_solutions", "count_winning",
     "decide_perfect_r1", "decide_threshold", "dependency_graph",
     "dispersion_exponent", "diversify", "embed_dispersion", "flatten",
@@ -365,8 +365,8 @@ def test_package_binds_exactly_the_public_api():
 
 
 def test_only_the_kernel_names_its_chunk_geometry():
-    # `oracle` calls `_scan`, `_first_mismatch` and `_witness`; how a scan
-    # splits into chunks and which n it prunes from stay inside `kernel`
+    # `oracle` calls `_scan` and `_witness`; how a scan splits into chunks
+    # and which n it prunes from stay inside `kernel`
     package = Path(termflow.__file__).parent
     private = {"_chunks", "_low_digits", "_CHUNK_CELLS", "_PRUNE_MIN_N"}
     readers = set()
@@ -403,7 +403,6 @@ def test_modules_read_few_private_names_of_each_other():
     assert reads == {
         ("dsl", "terms", "_from_dag"), ("dsl", "terms", "_from_arities"),
         ("dsl", "terms", "_Nodes"), ("oracle", "kernel", "_scan"),
-        ("oracle", "kernel", "_first_mismatch"),
         ("oracle", "kernel", "_witness")}
 
 

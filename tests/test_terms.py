@@ -1,15 +1,17 @@
 """Core data model: identifiers, signatures, terms, systems, interpretations."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from termflow.depgraph import DependencyGraph
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import EvalError, ValidationError
 from termflow.flownet import build_dag, dispersion_exponent
 from termflow.normalize import NormalEquation, flatten
-from termflow.oracle import (brute_dispersion, brute_max_solutions,
-                             count_solutions)
+from termflow.oracle import (brute_dispersion, brute_guessing,
+                             brute_max_solutions, count_solutions, image_of)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
                             Signature, TermSystem, Var, assignments,
                             check_ident, instance_size, is_reserved_ident,
@@ -29,6 +31,22 @@ def test_ident_rules():
                 "\u00b2x", "@x", "eq", "edge"):
         with pytest.raises(ValidationError):
             check_ident(bad)
+
+
+def test_identifiers_must_be_strings():
+    # the parser only makes strings, but an API-built object may carry any
+    # name: one that is not a string is invalid input, not a TypeError
+    for bad in (1, b"x", None, ("x",)):
+        with pytest.raises(ValidationError, match="not a string"):
+            check_ident(bad)
+    with pytest.raises(ValidationError, match="not a string"):
+        Signature(((1, 0),))
+    with pytest.raises(ValidationError, match="not a string"):
+        TermSystem(variables=(1,), signature=Signature(()), equations=())
+    # the game is admitted (one player of arity 1), then its symbol refused
+    graph = DependencyGraph((0, 1), frozenset({(0, 1)}), frozenset({0}))
+    with pytest.raises(ValidationError, match="not a string"):
+        brute_guessing(graph, 2)
 
 
 # names mixing the identifier class with non-ASCII letters and digits,
@@ -155,6 +173,22 @@ def test_interpretation_validation_and_run_steps():
         run_steps(term_steps(App("g", (Var("x"), Var("x")))), interp, {"x": 0})
     with pytest.raises(EvalError):
         run_steps(steps, interp, {"x": 0})
+
+
+def test_interpretation_needs_integers():
+    # a float alphabet size or table entry is refused at construction, so
+    # no route counts with it; numpy integers are integers
+    with pytest.raises(ValidationError, match="non-integer entry"):
+        Interpretation(2, {"f": (0.5, 1)})
+    with pytest.raises(ValidationError, match="non-integer entry"):
+        Interpretation(2, {"f": ("0", 1)})
+    with pytest.raises(ValidationError, match="alphabet size must be an int"):
+        Interpretation(2.0, {"f": (0, 1)})
+    flip = Interpretation(np.int64(2), {"f": tuple(np.array([1, 0]))})
+    spec = parse("dispersion { inputs x; sig f/1; outputs f(x); }")
+    assert image_of(spec, flip) == {(0,), (1,)}
+    system = parse("instance { vars x; sig f/1; eq f(f(x)) = x; }")
+    assert count_solutions(system, flip) == 2
 
 
 def test_count_solutions_of_one_interpretation():
