@@ -1459,6 +1459,23 @@ def test_pruned_scan_matches_unpruned(case, cells, data):
     assert got == want  # value, least index, perfect-hit index
 
 
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_cases(), st.integers(1, 2), st.sampled_from([1, 8, 64, 1 << 18]))
+def test_first_mismatch_aligns_systems_of_different_widths(case, extra, cells):
+    # extra free variables scale every count by n^extra; the two scans
+    # have different widths and chunk their index ranges differently, so
+    # the least mismatch must come from the indices both scans kept
+    kind, before, n = case
+    assume(kind == "count")
+    after = TermSystem(before.variables + tuple(f"w{i}" for i in range(extra)),
+                       before.signature, before.equations)
+    counts = [_kernel_values("count", s, n) for s in (before, after)]
+    diff = [i for i, (a, b) in enumerate(zip(*counts)) if a != b]
+    with patch.object(kernel, "_CHUNK_CELLS", cells):
+        first, _ = first_mismatch(before, after, n)
+    assert first == (diff[0] if diff else None)
+
+
 def _conjugate(interp, arities, sigma):
     """The tables of interp relabelled by the permutation sigma of [n]:
     entry sigma(args) of the new table is sigma(entry args)."""
@@ -1562,6 +1579,23 @@ def test_count_preservation_first_mismatch_pruned():
             with patch.object(kernel, "_transpositions", _no_swaps):
                 assert first_mismatch(before, after, 3) == chk
         assert chk == (first, 81)
+
+
+def test_first_mismatch_shares_one_pruning_decision():
+    # at n = 5 the filter pays for `after` only, so the two scans keep
+    # different indices; the least mismatch (f's second fixed point, at
+    # index 4) is S_n-invariant and must still be among the ones both keep
+    before = parse("instance { vars x; sig c/0, f/1; eq f(c()) = x; }")
+    after = parse("instance { vars x, y; sig c/0, f/1; "
+                  "eq f(c()) = x; eq f(y) = y; }")
+    assert not kernel._prunes(5, before.dag)
+    assert kernel._prunes(5, after.dag)
+    for cells in (1, 25, 1 << 18):
+        with patch.object(kernel, "_CHUNK_CELLS", cells):
+            chk = first_mismatch(before, after, 5)
+            with patch.object(kernel, "_transpositions", _no_swaps):
+                assert first_mismatch(before, after, 5) == chk
+        assert chk == (4, 5 ** 6)
 
 
 _NESTED300 = ("dispersion { inputs x; sig f/1; outputs "
