@@ -45,7 +45,6 @@ class FlowNetwork:
     """Split-node unit-capacity network between super-source and sink.
     Node v's in-half is network node 2 + 2v and its out-half 3 + 2v."""
 
-    node_count: int  # network nodes, including s and t
     source: int
     sink: int
     roots: tuple[int, ...]  # distinct output roots, in output order
@@ -67,7 +66,7 @@ class FlowNetwork:
 
 def build_network(dag: TermDag) -> FlowNetwork:
     roots = tuple(dict.fromkeys(dag.outputs))
-    return FlowNetwork(2 + 2 * dag.node_count, 0, 1, roots, len(roots) + 1, dag)
+    return FlowNetwork(0, 1, roots, len(roots) + 1, dag)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .depgraph import DependencyGraph, dependency_graph, graph_system
@@ -76,7 +77,12 @@ class SearchBudget:
     max_interpretations: int = 1 << 24
 
     def __post_init__(self):
-        if self.max_evaluations < 1 or self.max_interpretations < 1:
+        try:  # operator.index passes ints and numpy integers, not floats
+            limits = [operator.index(x) for x in (self.max_evaluations,
+                                                  self.max_interpretations)]
+        except TypeError:
+            raise ValidationError("budget limits must be integers") from None
+        if min(limits) < 1:
             raise ValidationError("budget limits must be positive")
 
 
@@ -131,30 +137,19 @@ class BlockEncoding:
 
     n: int
     v: int
-    m: int
-    blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.v < 1 or self.n < self.v:
+        if not 1 <= self.v <= self.n:
             raise ValidationError("block encoding needs 1 <= v <= n")
-        if self.m != self.n // self.v:
-            raise ValidationError("block size must be floor(n / v)")
-        if len(self.blocks) != self.v:
-            raise ValidationError("one block per variable required")
-        seen = set()
-        for block in self.blocks:
-            if len(block) != self.m:
-                raise ValidationError("blocks must all have size m")
-            for a in block:
-                if not 0 <= a < self.n or a in seen:
-                    raise ValidationError("blocks must be disjoint within [0,n)")
-                seen.add(a)
 
-    @classmethod
-    def canonical(cls, n: int, v: int) -> "BlockEncoding":
-        m = n // v
-        blocks = tuple(tuple(range(i * m, (i + 1) * m)) for i in range(v))
-        return cls(n, v, m, blocks)
+    @property
+    def m(self) -> int:
+        return self.n // self.v
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        m = self.m
+        return tuple(tuple(range(i * m, (i + 1) * m)) for i in range(self.v))
 
 
 @dataclass(frozen=True)
@@ -179,61 +174,59 @@ class SandwichReport:
 # ---- interpretation space ---------------------------------------------------
 
 
-def table_space(n: int, arity: int) -> int:
-    """Number of tables for one symbol: n^(n^arity)."""
-    return n ** (n ** arity)
-
-
 def interpretation_count(signature: Signature, n: int) -> int:
-    return math.prod(table_space(n, arity) for _, arity in signature.symbols)
+    return _tables(signature.symbols, n)
 
 
-def _space_log2(symbols, n: int) -> float:
-    if n == 1:
-        return 0.0
-    l2n = math.log2(n)
-    bits = 0.0
-    for _, arity in symbols:
-        if arity > _INDEX_BITS / l2n:  # an int arity may exceed any float
-            return float("inf")
-        bits += (n ** arity) * l2n
-    return bits
+def _tables(symbols, n: int) -> int:
+    """Interpretations of `symbols` over [n]: n^(n^arity) tables each."""
+    return math.prod(n ** n ** arity for _, arity in symbols)
 
 
-def _check_range(symbols, n: int, assign_vars: int = 0) -> None:
-    """Refuse unless every interpretation index of `symbols`, and every
-    (interpretation, assignment) pair over `assign_vars` variables, fits
-    the engine's index range.  Only logarithms are read, so a refusal
-    computes no n^(n^arity)."""
+def _check_range(symbols, n: int, per_interp: int = 1) -> int:
+    """n as an int, once it is an integer >= 1 and every interpretation
+    index of `symbols`, and every pair of one with one of its per_interp
+    evaluations, fits the engine's index range.  Only logarithms are read,
+    so a refusal computes no n^(n^arity)."""
+    try:  # operator.index passes ints and numpy integers, not floats
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(
+            f"alphabet size must be an integer, got {n!r}") from None
     if n < 1:
         raise PreconditionError(f"alphabet size must be >= 1, got {n}")
-    bits = _space_log2(symbols, n)
-    abits = assign_vars * (math.log2(n) if n > 1 else 0.0)
-    if bits > _INDEX_BITS or bits + abits > 2 * _INDEX_BITS:
+    bits, l2n = 0.0, math.log2(n)
+    for _, arity in symbols:
+        if n > 1 and arity > _INDEX_BITS / l2n:  # an int arity may exceed any float
+            bits = math.inf
+            break
+        bits += (n ** arity) * l2n
+    if bits > _INDEX_BITS or bits + math.log2(per_interp) > 2 * _INDEX_BITS:
         size = (f"~2^{bits:.0f}" if bits < math.inf
                 else f"above 2^{_INDEX_BITS}")
         raise BudgetError(
             f"interpretation space {size} exceeds the engine's index "
             "range; refusing")
+    return n
 
 
-def _admit(symbols, n: int, assign_vars: int, budget: SearchBudget,
-           *dags: TermDag, per_interp: int | None = None):
-    """Closed-form budget check on the tables a scan of `dags` reads:
-    returns the symbols some DAG applies (every symbol when no DAG is
-    given), in order, and their exact interpretation count.
+def _admit(symbols, n: int, per_interp: int, budget: SearchBudget, *ops):
+    """Closed-form budget check, charging per_interp evaluations per
+    interpretation: returns the symbols that `ops` apply (every symbol
+    when none is given), in order, and their exact interpretation count.
+    Each of `ops` lists items that start with a symbol: a DAG's `ops`, or
+    a normal system's `equations`, which name the symbols its DAG applies
+    without building it.
 
     The index-range check covers every symbol: the witness holds a table
     for each, all-zero off the scan, so this also bounds its size.  Only
-    the scanned tables are charged.  per_interp overrides the
-    assignments-per-interpretation factor (the default is n^assign_vars)."""
-    _check_range(symbols, n, assign_vars)
-    if dags:
-        applied = {symbol for dag in dags for symbol, _ in dag.ops}
+    the scanned tables are charged."""
+    _check_range(symbols, n, per_interp)
+    if ops:
+        applied = {op[0] for seq in ops for op in seq}
         symbols = tuple((s, a) for s, a in symbols if s in applied)
-    total = math.prod(table_space(n, arity) for _, arity in symbols)
-    factor = per_interp if per_interp is not None else n ** assign_vars
-    evals = total * factor
+    total = _tables(symbols, n)
+    evals = total * per_interp
     if total > budget.max_interpretations:
         raise BudgetError(
             f"{total} interpretations exceed the budget of "
@@ -249,7 +242,7 @@ def _admit(symbols, n: int, assign_vars: int, budget: SearchBudget,
 
 def interpretation_at(signature: Signature, n: int, index: int) -> Interpretation:
     """The index-th interpretation in canonical order."""
-    _check_range(signature.symbols, n)
+    n = _check_range(signature.symbols, n)
     if not 0 <= index < interpretation_count(signature, n):
         raise ValidationError("interpretation index out of range")
     from . import kernel
@@ -349,15 +342,18 @@ def _search(kind: str, obj, n: int, budget: SearchBudget):
     inputs: (the `OracleResult` of the best value, its least witness and
     the closed-form evaluations; the closed-form interpretation count; the
     index where the scan reached its ceiling or None).  The budget is
-    checked on the tables the scan reads before anything else.  No value
-    can exceed the ceiling read off the shape alone: an image has at most
-    n^min(k, r) points, and a system at most n^(k - |A|) solutions for the
-    variables A that `_forced` finds forced by the others.  So a scan
-    reaching it stops there (branch and bound's stop-at-bound rule), and
-    its value and witness are the full scan's: a ceiling stop is not a
-    truncation."""
-    k = len(obj.dag.inputs)
-    symbols, total = _admit(obj.signature.symbols, n, k, budget, obj.dag)
+    checked on the tables the scan reads before anything else, and a
+    normal system's applied symbols are read off its equations, so a
+    refusal never builds its DAG.  No value can exceed the ceiling read
+    off the shape alone: an image has at most n^min(k, r) points, and a
+    system at most n^(k - |A|) solutions for the variables A that
+    `_forced` finds forced by the others.  So a scan reaching it stops
+    there (branch and bound's stop-at-bound rule), and its value and
+    witness are the full scan's: a ceiling stop is not a truncation."""
+    k = obj.k if kind == "image" else len(obj.variables)
+    ops = obj.equations if isinstance(obj, NormalSystem) else obj.dag.ops
+    n = _check_range((), n)  # an integer n before n ** k is taken
+    symbols, total = _admit(obj.signature.symbols, n, n ** k, budget, ops)
     if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
         raise BudgetError("output tuple codes exceed the engine's index range")
     ceiling = n ** (min(k, obj.r) if kind == "image"
@@ -371,7 +367,8 @@ def _search(kind: str, obj, n: int, budget: SearchBudget):
 def brute_max_solutions(system, n: int,
                         budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum solution count over every interpretation, with the least
-    witness attaining it.  The budget is checked before any scan."""
+    witness attaining it.  The budget is checked before any scan, and for
+    a normal system before its DAG is built."""
     return _search("count", _system(system), n, budget)[0]
 
 
@@ -412,7 +409,8 @@ def brute_guessing(graph: DependencyGraph, n: int,
     vertex names `graph_system` would reject."""
     players = tuple((v, len(graph.in_neighbors(v))) for v in graph.vertices
                     if v not in graph.sources)
-    _admit(players, n, len(graph.vertices), budget)
+    n = _check_range((), n)
+    _admit(players, n, n ** len(graph.vertices), budget)
     return brute_max_solutions(graph_system(graph), n, budget)
 
 
@@ -455,7 +453,7 @@ def lift_interpretation(system: NormalSystem, small: Interpretation,
             f"small interpretation is over [{small.n}], blocks have size "
             f"{encoding.m}")
     vidx = {v: i for i, v in enumerate(system.variables)}
-    n, m = encoding.n, encoding.m
+    n, m, blocks = encoding.n, encoding.m, encoding.blocks
     tables = {name: [0] * (n ** arity)
               for name, arity in system.signature.symbols}
     for e_idx, eq in enumerate(system.equations):
@@ -464,8 +462,8 @@ def lift_interpretation(system: NormalSystem, small: Interpretation,
             raise PreconditionError(
                 f"small interpretation lacks a table for {div_name!r}")
         sub = small.tables[div_name]
-        arg_blocks = [encoding.blocks[vidx[u]] for u in eq.args]
-        out_block = encoding.blocks[vidx[eq.defined]]
+        arg_blocks = [blocks[vidx[u]] for u in eq.args]
+        out_block = blocks[vidx[eq.defined]]
         for small_args in itertools.product(range(m), repeat=len(eq.args)):
             big_args = [block[a] for block, a in zip(arg_blocks, small_args)]
             tables[eq.symbol][table_index(n, big_args)] = \
@@ -490,13 +488,12 @@ def sandwich_check(system: NormalSystem, n: int,
     div = diversify(system)
     original = brute_max_solutions(system, n, budget)
     div_same = brute_max_solutions(div, n, budget)
-    m = n // v
-    div_small = brute_max_solutions(div, m, budget)
-    encoding = BlockEncoding.canonical(n, v)
+    encoding = BlockEncoding(n, v)
+    div_small = brute_max_solutions(div, encoding.m, budget)
     lifted = lift_interpretation(system, div_small.witness, encoding)
     lifted_count = count_solutions(system, lifted)
     return SandwichReport(
-        n=n, v=v, m=m, original=original, diversified_same_n=div_same,
+        n=n, v=v, m=encoding.m, original=original, diversified_same_n=div_same,
         diversified_small=div_small, lifted_count=lifted_count,
         upper_ok=original.value <= div_same.value,
         lower_ok=original.value >= div_small.value,
@@ -516,9 +513,9 @@ def check_embedding(spec: DispersionSpec, n: int,
     value and witness.  That witness's decoders are synthesized once and
     its solutions re-counted by the reference route.  `evaluations` stays
     the closed form of decoding and re-counting every interpretation."""
+    n = _check_range((), n)
     per = n ** spec.k + n ** (spec.k + spec.r)
-    _, total = _admit(spec.signature.symbols, n, 0, budget, spec.dag,
-                      per_interp=per)
+    _, total = _admit(spec.signature.symbols, n, per, budget, spec.dag.ops)
     dispersion = brute_dispersion(spec, n, budget)
 
     interp = dispersion.witness

@@ -19,9 +19,9 @@ def first_mismatch(before, after, n):
     among the indices both scans evaluate.  A search over the default
     budget raises BudgetError."""
     per = n ** len(before.variables) + n ** len(after.variables)
-    used, total = oracle._admit(before.signature.symbols, n, 0,
-                                oracle.DEFAULT_BUDGET, before.dag, after.dag,
-                                per_interp=per)
+    used, total = oracle._admit(before.signature.symbols, n, per,
+                                oracle.DEFAULT_BUDGET, before.dag.ops,
+                                after.dag.ops)
     (ia, ca), (ib, cb) = (map(np.concatenate, zip(*kernel._chunks(
         "count", used, s.dag, n))) for s in (before, after))
     both, at_a, at_b = np.intersect1d(ia, ib, assume_unique=True,

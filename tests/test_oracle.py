@@ -35,7 +35,7 @@ from termflow.oracle import (BlockEncoding, EmbeddingCheck, OracleResult,
                              count_winning,
                              image_of, interpretation_at,
                              interpretation_count, lift_interpretation,
-                             sandwich_check, table_space)
+                             sandwich_check)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
                             Signature, TermDag, TermSystem, Var, assignments,
                             run_steps, table_index, term_dag, term_steps)
@@ -46,9 +46,10 @@ from preservation import first_mismatch
 # ---- enumeration ------------------------------------------------------------
 
 def test_spaces():
-    assert table_space(2, 2) == 16
-    assert table_space(3, 2) == 19683
-    assert table_space(2, 0) == 2  # a constant's table has one entry
+    assert interpretation_count(Signature(symbols=(("f", 2),)), 2) == 16
+    assert interpretation_count(Signature(symbols=(("f", 2),)), 3) == 19683
+    # a constant's table has one entry
+    assert interpretation_count(Signature(symbols=(("c", 0),)), 2) == 2
     sig = Signature(symbols=(("f", 1), ("g", 1)))
     assert interpretation_count(sig, 2) == 16
     assert interpretation_count(Signature(symbols=()), 2) == 1
@@ -127,6 +128,44 @@ def test_alphabet_preconditions():
     assert brute_dispersion(load("diamond.disp"), 1).value == 1
     with pytest.raises(ValidationError):
         SearchBudget(max_evaluations=0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0])
+def test_alphabet_size_must_be_an_integer(n):
+    # each search refuses a float n before anything else reads it
+    spec, fx = load("diamond.disp"), load("fx.inst")
+    loop, _ = pipeline(parse("instance { vars x; sig f/1; eq f(x) = x; }"))
+    searches = [
+        lambda: brute_dispersion(spec, n), lambda: check_perfect_fixed(spec, n),
+        lambda: check_embedding(spec, n), lambda: brute_max_solutions(fx, n),
+        lambda: brute_guessing(load("cycle3.graph"), n),
+        lambda: sandwich_check(loop, n),
+        lambda: check_solutions_equal_winning(diversify(loop), n),
+        lambda: interpretation_at(spec.signature, n, 0)]
+    for search in searches:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            search()
+
+
+def test_budget_limits_must_be_integers():
+    for limits in ((1.5, 1), ("a", 1), (1, 2.0)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            SearchBudget(*limits)
+
+
+def test_refusing_a_normal_system_builds_no_dag():
+    # a normal system builds its DAG on first use; admission reads its
+    # variables and equations instead, so a refused search builds none
+    coding = diversify(pipeline(load("index_coding.inst"))[0])
+    fx, _ = pipeline(load("fx.inst"))
+    with patch.object(normalize, "term_dag", wraps=normalize.term_dag) as build:
+        with pytest.raises(BudgetError):
+            brute_max_solutions(coding, 2, SearchBudget(10, 10))
+        with pytest.raises(BudgetError):
+            sandwich_check(fx, 40, SearchBudget(10, 10))
+        assert build.call_count == 0
+        brute_max_solutions(fx, 2)  # an admitted search builds it once
+        assert build.call_count == 1
 
 
 # ---- scalar evaluators -------------------------------------------------------
@@ -325,7 +364,7 @@ def _space(signature, n, *dags):
     interpretation count."""
     applied = {symbol for dag in dags for symbol, _ in dag.ops}
     used = tuple((s, a) for s, a in signature.symbols if s in applied)
-    return used, math.prod(table_space(n, arity) for _, arity in used)
+    return used, math.prod(n ** n ** arity for _, arity in used)
 
 
 def _pseudo_symbol_guessing(graph, n, budget):
@@ -337,7 +376,8 @@ def _pseudo_symbol_guessing(graph, n, budget):
     dag = term_dag(graph.vertices, [
         t for v, us in nbrs.items()
         for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
-    used, total = oracle._admit(pseudo.symbols, n, len(dag.inputs), budget)
+    used, total = oracle._admit(pseudo.symbols, n, n ** len(dag.inputs),
+                                budget)
     value, index, _ = kernel._scan("count", used, dag, n)
     return OracleResult(value, kernel._witness(pseudo, used, n, index),
                         total * n ** len(dag.inputs))
@@ -524,29 +564,24 @@ def test_count_preservation_detects_differences():
 # ---- block encodings and lifting ----------------------------------------------
 
 def test_canonical_block_encoding():
-    enc = BlockEncoding.canonical(4, 2)
+    enc = BlockEncoding(4, 2)
     assert enc.m == 2
     assert enc.blocks == ((0, 1), (2, 3))
-    enc5 = BlockEncoding.canonical(5, 2)
+    enc5 = BlockEncoding(5, 2)
     assert enc5.blocks == ((0, 1), (2, 3))  # element 4 stays unused
 
 
 def test_block_encoding_validation():
-    with pytest.raises(ValidationError):
-        BlockEncoding(4, 0, 0, ())
-    with pytest.raises(ValidationError):
-        BlockEncoding(4, 2, 1, ((0,), (1,)))  # m must be n // v
-    with pytest.raises(ValidationError):
-        BlockEncoding(4, 2, 2, ((0, 1), (1, 2)))  # overlap
-    with pytest.raises(ValidationError):
-        BlockEncoding(4, 2, 2, ((0, 1),))  # one block per variable
+    for n, v in ((4, 0), (4, -1), (2, 3)):  # v = 0 once divided by zero
+        with pytest.raises(ValidationError):
+            BlockEncoding(n, v)
 
 
 def test_lift_interpretation_recount():
     norm, _ = pipeline(load("fx.inst"))
     div = diversify(norm)
     small = brute_max_solutions(div, 2)
-    enc = BlockEncoding.canonical(4, 2)
+    enc = BlockEncoding(4, 2)
     lifted = lift_interpretation(norm, small.witness, enc)
     assert lifted.n == 4
     assert count_solutions(norm, lifted) >= small.value
@@ -567,7 +602,7 @@ def load(name):
 
 norm, _ = pipeline(load("fx.inst"))
 lifted = lift_interpretation(norm, Interpretation(2, {"f@0": (0, 1)}),
-                             BlockEncoding.canonical(4, 2))
+                             BlockEncoding(4, 2))
 copy = Interpretation(2, {"a": (0, 1), "b": (0, 1), "c": (0, 1)})
 meet = Interpretation(2, {"f": (0, 0, 0, 1)})
 print(len(image_of(load("diamond.disp"), meet)),
@@ -591,13 +626,13 @@ def test_lift_preconditions():
     div = diversify(norm)
     small = brute_max_solutions(div, 2).witness
     with pytest.raises(PreconditionError):
-        lift_interpretation(norm, small, BlockEncoding.canonical(6, 3))
+        lift_interpretation(norm, small, BlockEncoding(6, 3))
     wrong_sig = Interpretation(n=2, tables={"f": (0, 1)})
     with pytest.raises(PreconditionError):
-        lift_interpretation(norm, wrong_sig, BlockEncoding.canonical(4, 2))
+        lift_interpretation(norm, wrong_sig, BlockEncoding(4, 2))
     bad, _ = pipeline(load("two_sided.inst"))
     with pytest.raises(PreconditionError):
-        lift_interpretation(bad, small, BlockEncoding.canonical(4, 2))
+        lift_interpretation(bad, small, BlockEncoding(4, 2))
 
 
 def test_sandwich_fx():
@@ -669,8 +704,8 @@ def _embedding_by_recount(spec, n, budget):
     the first maximum wins."""
     embedded = embed_dispersion(spec)
     per = n ** spec.k + n ** (spec.k + spec.r)
-    used, total = oracle._admit(spec.signature.symbols, n, 0, budget,
-                                spec.dag, per_interp=per)
+    used, total = oracle._admit(spec.signature.symbols, n, per, budget,
+                                spec.dag.ops)
     dispersion = brute_dispersion(spec, n, budget)
     decoders = embedded.signature.names[len(spec.signature.names):]
     outputs = [term_steps(t) for t in spec.outputs]
@@ -1416,7 +1451,7 @@ def _symmetric_cases(draw):
     k = draw(st.integers(1 if kind == "image" else 0, 3))
     variables = _KERNEL_VARS[:k]
     arities = draw(st.lists(st.integers(0, 1), max_size=3))
-    while math.prod(table_space(n, a) for a in arities) > 1 << 11:
+    while math.prod(n ** n ** a for a in arities) > 1 << 11:
         arities.pop(0)
     symbols = [(f"s{i}", a) for i, a in enumerate(arities)]
     leaves = [Var(v) for v in variables] + [App(s, ()) for s, a in symbols
