@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .terms import DispersionSpec, TermDag
+from .terms import DispersionSpec, TermDag, check_int
 
 
 def build_dag(spec: DispersionSpec) -> TermDag:
@@ -267,6 +267,7 @@ def decide_threshold(spec: DispersionSpec, d: int) -> ThresholdDecision:
     Growth strictly between n^d and n^(d+1) is impossible: D is an integer,
     so either the exponent clears d+1 or dispersion stays <= n^d forever.
     """
+    d = check_int(d, "threshold degree")
     if d < 0:
         raise PreconditionError(f"threshold degree must be >= 0, got {d}")
     result = dispersion_exponent(spec)

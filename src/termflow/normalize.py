@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError, ValidationError
 from .terms import (App, DispersionSpec, Equation, Ident, Signature, TermDag,
-                    TermSystem, Var, term_dag)
+                    TermSystem, Var, check_int, term_dag)
 
 
 class NormalEquation(NamedTuple):
@@ -391,6 +391,7 @@ def pad_dispersion(spec: DispersionSpec, r2: int, k2: int) -> DispersionSpec:
     the dispersion exponent by exactly one per projection and keeps
     perfect dispersion equivalent to the original's.
     """
+    r2, k2 = check_int(r2, "output count r'"), check_int(k2, "input count k'")
     if r2 < spec.r or k2 < max(spec.k, r2):
         raise PreconditionError(
             f"padding needs r' >= r and k' >= max(k, r'); "

@@ -56,15 +56,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .depgraph import DependencyGraph, dependency_graph, graph_system
 from .errors import BudgetError, PreconditionError, ValidationError
 from .normalize import NormalSystem, classify, diversify, embed_dispersion
 from .terms import (DispersionSpec, Interpretation, Signature, TermDag,
-                    TermSystem, assignments, run_steps, table_index,
-                    term_steps)
+                    TermSystem, assignments, check_int, run_steps,
+                    table_index, term_steps)
 
 _INDEX_BITS = 62  # interpretation indices must stay int64-safe
 
@@ -77,12 +76,9 @@ class SearchBudget:
     max_interpretations: int = 1 << 24
 
     def __post_init__(self):
-        try:  # operator.index passes ints and numpy integers, not floats
-            limits = [operator.index(x) for x in (self.max_evaluations,
-                                                  self.max_interpretations)]
-        except TypeError:
-            raise ValidationError("budget limits must be integers") from None
-        if min(limits) < 1:
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_int(getattr(self, f.name), f.name))
+        if min(self.max_evaluations, self.max_interpretations) < 1:
             raise ValidationError("budget limits must be positive")
 
 
@@ -139,6 +135,8 @@ class BlockEncoding:
     v: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_int(getattr(self, f.name), f.name))
         if not 1 <= self.v <= self.n:
             raise ValidationError("block encoding needs 1 <= v <= n")
 
@@ -175,7 +173,7 @@ class SandwichReport:
 
 
 def interpretation_count(signature: Signature, n: int) -> int:
-    return _tables(signature.symbols, n)
+    return _tables(signature.symbols, _check_range((), n))
 
 
 def _tables(symbols, n: int) -> int:
@@ -188,11 +186,7 @@ def _check_range(symbols, n: int, per_interp: int = 1) -> int:
     index of `symbols`, and every pair of one with one of its per_interp
     evaluations, fits the engine's index range.  Only logarithms are read,
     so a refusal computes no n^(n^arity)."""
-    try:  # operator.index passes ints and numpy integers, not floats
-        n = operator.index(n)
-    except TypeError:
-        raise ValidationError(
-            f"alphabet size must be an integer, got {n!r}") from None
+    n = check_int(n, "alphabet size")
     if n < 1:
         raise PreconditionError(f"alphabet size must be >= 1, got {n}")
     bits, l2n = 0.0, math.log2(n)
@@ -243,6 +237,7 @@ def _admit(symbols, n: int, per_interp: int, budget: SearchBudget, *ops):
 def interpretation_at(signature: Signature, n: int, index: int) -> Interpretation:
     """The index-th interpretation in canonical order."""
     n = _check_range(signature.symbols, n)
+    index = check_int(index, "interpretation index")
     if not 0 <= index < interpretation_count(signature, n):
         raise ValidationError("interpretation index out of range")
     from . import kernel
@@ -387,6 +382,7 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
     its ceiling when k >= r; a hit reports the work up to it (hit + 1
     interpretations).  Otherwise the refutation carries the best image
     and reports the whole space."""
+    n = _check_range((), n)
     target = n ** spec.r
     best, total, hit = _search("image", spec, n, budget)
     perfect = best.value == target
@@ -477,6 +473,7 @@ def sandwich_check(system: NormalSystem, n: int,
     """Check S_n <= S_n(diversified) and S_n >= S_m(diversified) for
     m = floor(n / v), and verify the lower bound constructively by lifting
     the small witness and re-counting its solutions at n."""
+    n = check_int(n, "alphabet size")
     cls = classify(system)
     if not cls.is_cfnf:
         raise PreconditionError("sandwich check needs a collision-free FNF system")

@@ -4,7 +4,8 @@ A term system pairs a set of variables with a signature of fixed-arity
 function symbols and a list of term equations.  A dispersion spec names k
 input variables and r output terms over them.  Both are evaluated against an
 interpretation: one total function table per symbol over the alphabet
-[n] = {0, 1, ..., n-1}.
+[n] = {0, 1, ..., n-1}.  Names pass one gate, `check_ident`, and integer
+arguments another, `check_int`.
 
 Tables are stored row-major with argument tuples enumerated
 lexicographically (first argument most significant), which fixes a canonical
@@ -55,6 +56,14 @@ def check_ident(name: str) -> None:
         raise ValidationError(f"keyword used as identifier: {name!r}")
 
 
+def check_int(value, what: str) -> int:
+    """`value` as a plain int if it is an int, bool or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def is_reserved_ident(name: str) -> bool:
     """Names starting with '_' or containing '@' belong to the pipeline.
 
@@ -75,11 +84,13 @@ class Signature:
         seen: dict[Ident, int] = {}
         for name, arity in self.symbols:
             check_ident(name)
-            if not isinstance(arity, int) or arity < 0:
+            arity = check_int(arity, f"arity of {name!r}")
+            if arity < 0:
                 raise ValidationError(f"bad arity for {name!r}: {arity!r}")
             if name in seen:
                 raise ValidationError(f"duplicate symbol {name!r}")
             seen[name] = arity
+        object.__setattr__(self, "symbols", tuple(seen.items()))
         object.__setattr__(self, "_arity", seen)
 
     def arity(self, name: Ident) -> int:
@@ -336,13 +347,10 @@ class Interpretation:
     tables: Mapping[Ident, tuple[int, ...]]
 
     def __post_init__(self):
-        try:  # operator.index passes ints and numpy integers, not floats
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValidationError(
-                f"alphabet size must be an integer, got {self.n!r}") from None
+        n = check_int(self.n, "alphabet size")
         if n < 1:
             raise ValidationError(f"alphabet size must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
         for name, table in self.tables.items():
             try:
                 for entry in map(operator.index, table):
@@ -406,8 +414,9 @@ def run_steps(steps: tuple, interp: Interpretation,
 def assignments(variables: tuple[Ident, ...], n: int) -> Iterator[dict[Ident, int]]:
     """All assignments in lexicographic order (first variable most
     significant)."""
-    for values in itertools.product(range(n), repeat=len(variables)):
-        yield dict(zip(variables, values))
+    grid = itertools.product(range(check_int(n, "alphabet size")),
+                             repeat=len(variables))
+    return (dict(zip(variables, values)) for values in grid)
 
 
 def instance_size(obj: Union[TermSystem, DispersionSpec]) -> int:

@@ -333,6 +333,25 @@ def test_only_the_kernel_imports_numpy():
     assert importers == {"kernel.py"}
 
 
+def test_only_terms_decides_what_an_integer_is():
+    # `terms.check_int` is the one integer gate: no other module calls
+    # `operator.index` or catches the TypeError it raises
+    package = Path(termflow.__file__).parent
+    callers, catchers = set(), set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and getattr(node.value, "id", None) == "operator"
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "operator"
+                    and any(a.name == "index" for a in node.names)):
+                callers.add(source.name)
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "TypeError" in ast.dump(node.type)):
+                catchers.add(source.name)
+    assert callers == catchers == {"terms.py"}
+
+
 _API = {
     "App", "BlockEncoding", "BudgetError", "Classification", "DEFAULT_BUDGET",
     "DependencyGraph", "DispersionSpec", "EmbeddingCheck", "Equation",

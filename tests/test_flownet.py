@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from termflow import cli, flownet
 from termflow.corpus import corpus_names, corpus_path
 from termflow.dsl import parse, render
-from termflow.errors import PreconditionError
+from termflow.errors import PreconditionError, ValidationError
 from termflow.flownet import (build_dag, build_network, decide_perfect_r1,
                               decide_threshold, dispersion_exponent, max_flow,
                               network_dot)
@@ -331,6 +331,17 @@ def test_threshold_decisions():
     assert dec.exponent.D == 4 and dec.d == 3
     with pytest.raises(PreconditionError):
         decide_threshold(diamond, -1)
+
+
+def test_threshold_degree_must_be_an_integer():
+    # D = 2, so n^2 eventually exceeds every c*n^1.5; D >= d+1 holds only
+    # for an integer d, and 1.5 once got the answer "no"
+    spec = parse("dispersion { inputs x, y; sig ; outputs x, y; }")
+    assert decide_threshold(spec, 1).answer is True
+    assert decide_threshold(spec, 2).answer is False
+    for d in (1.5, "1"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            decide_threshold(spec, d)
 
 
 def test_perfect_r1_syntactic_decision():

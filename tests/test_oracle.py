@@ -53,6 +53,9 @@ def test_spaces():
     sig = Signature(symbols=(("f", 1), ("g", 1)))
     assert interpretation_count(sig, 2) == 16
     assert interpretation_count(Signature(symbols=()), 2) == 1
+    # an alphabet is never empty: n = 0 once counted 1 interpretation
+    with pytest.raises(PreconditionError):
+        interpretation_count(sig, 0)
 
 
 def test_enumeration_is_canonical_big_endian():
@@ -149,7 +152,7 @@ def test_alphabet_size_must_be_an_integer(n):
 
 def test_budget_limits_must_be_integers():
     for limits in ((1.5, 1), ("a", 1), (1, 2.0)):
-        with pytest.raises(ValidationError, match="must be integers"):
+        with pytest.raises(ValidationError, match="must be an integer"):
             SearchBudget(*limits)
 
 
@@ -569,10 +572,14 @@ def test_canonical_block_encoding():
     assert enc.blocks == ((0, 1), (2, 3))
     enc5 = BlockEncoding(5, 2)
     assert enc5.blocks == ((0, 1), (2, 3))  # element 4 stays unused
+    one = BlockEncoding(True, True)  # bools are integers, stored as ints
+    assert (one.n, one.v, one.blocks) == (1, 1, ((0,),))
+    assert type(one.n) is type(one.v) is int
 
 
 def test_block_encoding_validation():
-    for n, v in ((4, 0), (4, -1), (2, 3)):  # v = 0 once divided by zero
+    # v = 0 once divided by zero; v = 2.0 was built, then `blocks` failed
+    for n, v in ((4, 0), (4, -1), (2, 3), (4, 2.0)):
         with pytest.raises(ValidationError):
             BlockEncoding(n, v)
 

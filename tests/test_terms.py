@@ -1,5 +1,7 @@
 """Core data model: identifiers, signatures, terms, systems, interpretations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,14 +10,20 @@ from hypothesis import strategies as st
 from termflow.depgraph import DependencyGraph
 from termflow.dsl import KEYWORDS, parse, render
 from termflow.errors import EvalError, ValidationError
-from termflow.flownet import build_dag, dispersion_exponent
-from termflow.normalize import NormalEquation, flatten
-from termflow.oracle import (brute_dispersion, brute_guessing,
-                             brute_max_solutions, count_solutions, image_of)
+from termflow.flownet import build_dag, decide_threshold, dispersion_exponent
+from termflow.normalize import (NormalEquation, diversify, flatten,
+                                pad_dispersion, pipeline)
+from termflow.oracle import (BlockEncoding, SearchBudget, brute_dispersion,
+                             brute_guessing, brute_max_solutions,
+                             check_embedding, check_perfect_fixed,
+                             check_solutions_equal_winning, count_solutions,
+                             image_of, interpretation_at, interpretation_count,
+                             sandwich_check)
 from termflow.terms import (App, DispersionSpec, Equation, Interpretation,
                             Signature, TermSystem, Var, assignments,
-                            check_ident, instance_size, is_reserved_ident,
-                            run_steps, table_index, term_dag, term_steps)
+                            check_ident, check_int, instance_size,
+                            is_reserved_ident, run_steps, table_index,
+                            term_dag, term_steps)
 
 
 def test_ident_rules():
@@ -237,3 +245,78 @@ def test_600_deep_term_needs_no_recursion():
     assert flat.var_equalities == (("_z599", "y"),)
     assert brute_max_solutions(system, 2).value == 2
     assert brute_dispersion(spec, 2).value == 2
+
+
+# ---- integer arguments ---------------------------------------------------------
+
+_SIG = Signature((("f", 1),))
+_PAIR = parse("dispersion { inputs x, y; sig ; outputs x, y; }")
+_LOOP = pipeline(parse("instance { vars x; sig f/1; eq f(x) = x; }"))[0]
+_GRAPH = DependencyGraph(("a", "b"), frozenset({("a", "b"), ("b", "a")}),
+                         frozenset())
+
+# every public integer argument: a call passing x in its place, and an
+# integer that the call accepts there
+_INTEGER_ARGUMENTS = {
+    "Signature arity": (lambda x: Signature((("f", x),)), 1),
+    "Interpretation n": (lambda x: Interpretation(x, {"f": (1, 0)}), 2),
+    "assignments n": (lambda x: list(assignments(("x", "y"), x)), 2),
+    "SearchBudget max_evaluations": (lambda x: SearchBudget(x, 8), 16),
+    "SearchBudget max_interpretations": (lambda x: SearchBudget(16, x), 8),
+    "BlockEncoding n": (lambda x: BlockEncoding(x, 2), 5),
+    "BlockEncoding v": (lambda x: BlockEncoding(5, x), 2),
+    "interpretation_count n": (lambda x: interpretation_count(_SIG, x), 2),
+    "interpretation_at n": (lambda x: interpretation_at(_SIG, x, 2), 2),
+    "interpretation_at index": (lambda x: interpretation_at(_SIG, 2, x), 2),
+    "brute_dispersion n": (lambda x: brute_dispersion(_PAIR, x), 2),
+    "check_perfect_fixed n": (lambda x: check_perfect_fixed(_PAIR, x), 2),
+    "check_embedding n": (lambda x: check_embedding(_PAIR, x), 2),
+    "brute_max_solutions n": (lambda x: brute_max_solutions(_LOOP, x), 2),
+    "brute_guessing n": (lambda x: brute_guessing(_GRAPH, x), 2),
+    "check_solutions_equal_winning n": (
+        lambda x: check_solutions_equal_winning(diversify(_LOOP), x), 2),
+    "sandwich_check n": (lambda x: sandwich_check(_LOOP, x), 2),
+    "decide_threshold d": (lambda x: decide_threshold(_PAIR, x), 1),
+    "pad_dispersion r2": (lambda x: pad_dispersion(_PAIR, x, 4), 3),
+    "pad_dispersion k2": (lambda x: pad_dispersion(_PAIR, 3, x), 4),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("argument", sorted(_INTEGER_ARGUMENTS))
+def test_a_non_integer_argument_is_invalid_input(argument, value):
+    # refused by the one gate before anything is computed from it, never
+    # a bare TypeError from deep inside, nor an answer
+    call, _ = _INTEGER_ARGUMENTS[argument]
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(value)
+
+
+def _numpy_scalars(obj) -> list:
+    """The numpy scalars anywhere in a result's fields and containers."""
+    if isinstance(obj, np.generic):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (tuple, list)):
+        return []
+    return [s for item in obj for s in _numpy_scalars(item)]
+
+
+@pytest.mark.parametrize("argument", sorted(_INTEGER_ARGUMENTS))
+def test_numpy_integer_arguments_are_plain_ints(argument):
+    # a numpy integer gives the int's result, and records store the int
+    call, good = _INTEGER_ARGUMENTS[argument]
+    got = call(np.int64(good))
+    assert got == call(good)
+    assert _numpy_scalars(got) == []
+
+
+def test_check_int_returns_a_plain_int():
+    for value, want in ((3, 3), (True, 1), (np.int64(-4), -4), (np.uint8(7), 7)):
+        got = check_int(value, "x")
+        assert got == want and type(got) is int
+    with pytest.raises(ValidationError, match=r"^x must be an integer, got 2\.0$"):
+        check_int(2.0, "x")
