@@ -52,17 +52,20 @@ from .terms import (IDENT_RE, KEYWORDS, DispersionSpec, Ident, Signature,
                     TermSystem, _from_arities, _from_dag, _Nodes,
                     is_reserved_ident)
 
-# comment | identifier | arity | arrow | any other visible character
-_TOKEN_RE = re.compile(rf"#[^\n]*|{IDENT_RE.pattern}|[0-9]+|->|\S")
-_ID_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_ONE_CHAR = _ID_START | frozenset("0123456789{}();,=/")
-_COMMENT_RE = re.compile(r"#[^\n]*")
-_PADDED = [(p, f" {p} ") for p in ("->", *"(){};,=/")]
+# Each token kind, written once: everything below is built from these
+_COMMENT, _NUMBER, _ARROW, _PUNCT = r"#[^\n]*", "[0-9]+", "->", "(){};,=/"
+# identifier | arity | arrow | punctuation
+_WORD = rf"{IDENT_RE.pattern}|{_NUMBER}|{_ARROW}|[{re.escape(_PUNCT)}]"
+# comment | a word | any other visible character
+_TOKEN_RE = re.compile(rf"{_COMMENT}|{_WORD}|\S")
+_ID_START = frozenset(filter(IDENT_RE.fullmatch, map(chr, range(128))))
+_ONE_CHAR = frozenset(filter(re.compile(_WORD).fullmatch, map(chr, range(128))))
+_COMMENT_RE = re.compile(_COMMENT)
+_PADDED = [(p, f" {p} ") for p in (_ARROW, *_PUNCT)]
 # the first of some newline-joined words that is not one whole token: a
 # search, since a fullmatch repeating over the words keeps one backtracking
 # frame per word
-_NOT_A_TOKEN_RE = re.compile(
-    rf"^(?!(?:{IDENT_RE.pattern}|[0-9]+|->|[(){{}};,=/])$|\Z)", re.MULTILINE)
+_NOT_A_TOKEN_RE = re.compile(rf"^(?!(?:{_WORD})$|\Z)", re.MULTILINE)
 
 
 def _position(text: str, index: int) -> tuple[int, int]:

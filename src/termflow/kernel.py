@@ -17,9 +17,8 @@ built once per scan.  Both reductions accumulate in the narrowest unsigned
 dtype that holds n^k and return int64, so no caller depends on numpy's
 promotion rules.  `_scan` runs once, in this process, over the whole index
 range.  Chunks reduce in index order to (max value, least index attaining
-it), and a scan stops at the first chunk reaching its target (a search's
-ceiling), with the least index reaching it, so no result depends on
-chunking.
+it), and a scan stops at the first chunk reaching its ceiling, a value no
+interpretation exceeds, so no result depends on chunking.
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant.  Conjugating every table by one permutation s of
@@ -28,9 +27,9 @@ image sizes and perfect hits are all S_n-invariant.  So the least index
 attaining a value is the least member of its orbit, and is <= its
 conjugate by each of the n(n-1)/2 transpositions.  A scan evaluates only
 the indices T that are <= each transposition conjugate (`_least_in_orbit`),
-a superset of those least indices: values, witnesses and perfect-hit
-indices are those of the unpruned scan.  At n = 2 the one swap often costs
-more than it saves; from n = 5 `_prunes` weighs the swaps.
+a superset of those least indices: values and witnesses are those of
+the unpruned scan.  At n = 2 the one swap often costs more than it saves;
+from n = 5 `_prunes` weighs the swaps.
 """
 
 from __future__ import annotations
@@ -110,8 +109,8 @@ def _chunks(kind: str, symbols, dag: TermDag, n: int):
     sides are the DAG's outputs, (lhs, rhs) in turn; "image" counts the
     distinct output tuples.  If `_prunes(n, dag)` only the indices
     `_least_in_orbit` keeps are evaluated, and a chunk it empties yields
-    nothing: the max value, its least index and the least index reaching a
-    target stay those of the unpruned scan."""
+    nothing: the max value and its least index stay those of the unpruned
+    scan."""
     k = len(dag.inputs)
     low = _low_digits(symbols, n, k)
     digits = _Digits(symbols, n, low)
@@ -265,21 +264,20 @@ def _distinct(dag: TermDag, vals, n: int, k: int, c: int) -> np.ndarray:
 
 
 def _scan(kind: str, symbols, dag: TermDag, n: int,
-          target: int | None = None) -> tuple[int, int, int | None]:
+          ceiling: int | None = None) -> tuple[int, int]:
     """Scan every interpretation of `symbols`; returns (best value, least
-    index of it, least index reaching `target` or None).  A hit ends the
-    scan at its chunk, so the best value then covers only the chunks up to
-    the hit.  When `target` is a ceiling no value exceeds, as every
-    `oracle` search passes, that is the full scan's best value, and its
-    least index is the hit."""
+    index of it).  `ceiling`, a value no interpretation exceeds, is the
+    only stop: the scan ends at the first chunk reaching it, whose least
+    index reaching it is then the least index of the best value, so a hit
+    is `value == ceiling` and the result is the full scan's."""
     best_v, best_i = -1, -1
     for indices, vals in _chunks(kind, symbols, dag, n):
         at = int(vals.argmax())
         if vals[at] > best_v:
             best_v, best_i = int(vals[at]), int(indices[at])
-        if target is not None and vals[at] >= target:
-            return best_v, best_i, int(indices[np.argmax(vals >= target)])
-    return best_v, best_i, None
+            if best_v == ceiling:
+                break
+    return best_v, best_i
 
 
 def _witness(signature: Signature, used, n: int, index: int) -> Interpretation:

@@ -3,11 +3,11 @@
 Everything here is ground truth by enumeration: interpretations are counted
 through the canonical table encoding (first symbol's table most significant,
 within a table the all-zero argument row most significant), so the stream is
-lexicographic and deterministic.  Budgets are enforced up front from the
-closed-form space size prod_f n^(n^arity(f)) * n^|V|, over the symbols f
-that the scan reads (those its DAG applies); a search either fits or is
-refused whole.  The index-range check covers every declared symbol, since
-the witness holds a table for each.
+lexicographic and deterministic.  A scan is charged its closed-form space
+size prod_f n^(n^arity(f)) * n^|V| over the symbols f it reads (those its
+DAG applies).  The admission rule: every scan of a check is admitted, each
+against the whole budget, before the first one runs.  The index-range
+check covers every declared symbol: the witness holds a table for each.
 
 Two evaluation routes coexist on purpose, in two modules.  The scalar
 route, here (`count_solutions`, `image_of`, `count_winning`, and the
@@ -16,18 +16,18 @@ search with `term_steps` and runs the steps per assignment; it is the
 reference semantics, needs no numpy and shares no code with the DAG.  The
 engine route is the numpy scan kernel in `kernel`, which evaluates the
 system's or spec's term DAG (`.dag`) over the whole grid of
-interpretations x assignments.  Every search here checks its budget first
-and only then loads `kernel`, so parsing, the polynomial commands, input
-errors and budget refusals never import numpy.  Term and normal systems
-enter the kernel alike, through `brute_max_solutions`; a guessing game
-enters as the normal system `graph_system(graph)`, whose interpretations
-are the strategies.  Tests pin the two routes against each other, and
-every reported witness can be replayed through the scalar route to
-reproduce its value.
+interpretations x assignments.  Only an admitted check loads `kernel`, so
+parsing, the polynomial commands, input errors and budget refusals never
+import numpy.  Term and normal systems enter the kernel alike; a guessing
+game enters as the normal system `graph_system(graph)`, whose
+interpretations are the strategies.  Tests pin the two routes against
+each other, and every reported witness can be replayed through the scalar
+route to reproduce its value.
 
-Every search is one `_search` call: the budget check, then one
-`kernel._scan` and its `kernel._witness` decode.  `sandwich_check` and
-`check_embedding` then re-count one witness each through the scalar route:
+Every check is one `_search` call, which admits its scans, then runs each
+as one `kernel._scan` and one `kernel._witness` decode.  `sandwich_check`
+and `check_embedding` then re-count one witness each through the scalar
+route (`check_embedding` admits that work with its scan, summed):
 the lift of the small diversified witness, and the dispersion witness with
 decoders that send each image point to its least preimage.  Those decoders
 admit one solution per image point, so the embedded count equals the image
@@ -41,10 +41,9 @@ variables outside A, so a solution's values outside A fix its values on
 A, in reverse join order.  The value is then the maximum and the witness
 the least index attaining it, so a ceiling stop is not a truncation, and
 `evaluations` and `interpretations` stay the closed forms of the whole
-space.  The ceiling
-never comes from `flownet`'s exponent, so the two routes stay independent
-checks on each other.  Only a perfect hit reports the work up to it
-(witness index + 1).
+space; only a perfect hit reports the work up to it (witness index + 1).
+The ceiling never comes from `flownet`'s exponent, so the two routes stay
+independent checks on each other.
 
 From n = 3 the kernel skips interpretations that a relabelling of the
 alphabet makes redundant (see `kernel`); reported `evaluations` and
@@ -332,45 +331,51 @@ def _forced(dag: TermDag, n: int) -> int:
     return chosen
 
 
-def _search(kind: str, obj, n: int, budget: SearchBudget):
-    """The one kernel scan behind every search, over `obj`'s DAG and its k
-    inputs: (the `OracleResult` of the best value, its least witness and
-    the closed-form evaluations; the closed-form interpretation count; the
-    index where the scan reached its ceiling or None).  The budget is
-    checked on the tables the scan reads before anything else, and a
-    normal system's applied symbols are read off its equations, so a
-    refusal never builds its DAG.  No value can exceed the ceiling read
-    off the shape alone: an image has at most n^min(k, r) points, and a
-    system at most n^(k - |A|) solutions for the variables A that
-    `_forced` finds forced by the others.  So a scan reaching it stops
-    there (branch and bound's stop-at-bound rule), and its value and
-    witness are the full scan's: a ceiling stop is not a truncation."""
-    k = obj.k if kind == "image" else len(obj.variables)
-    ops = obj.equations if isinstance(obj, NormalSystem) else obj.dag.ops
-    n = _check_range((), n)  # an integer n before n ** k is taken
-    symbols, total = _admit(obj.signature.symbols, n, n ** k, budget, ops)
-    if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
-        raise BudgetError("output tuple codes exceed the engine's index range")
-    ceiling = n ** (min(k, obj.r) if kind == "image"
-                    else k - _forced(obj.dag, n).bit_count())
+def _search(budget: SearchBudget, *scans):
+    """Every scan of one check, each `(kind, obj, n)` over `obj`'s DAG and
+    its k inputs, admitted before the first runs; per scan, its
+    `OracleResult`, closed-form interpretation count and witness index.
+    Admission reads the scanned tables without building anything: a spec's
+    or term system's `dag.ops`, a normal system's `equations`, a graph's
+    players (its game, `graph_system`, is built once admitted).  A scan
+    stops at its ceiling, the most its value can be by the shape alone."""
+    admitted = []
+    for kind, obj, n in scans:
+        if isinstance(obj, DependencyGraph):  # its game reads every player
+            symbols = ops = tuple((v, len(obj.in_neighbors(v))) for v in
+                                  obj.vertices if v not in obj.sources)
+            k = len(obj.vertices)
+        else:
+            symbols = obj.signature.symbols
+            k = obj.k if kind == "image" else len(obj.variables)
+            ops = obj.equations if isinstance(obj, NormalSystem) else obj.dag.ops
+        n = _check_range((), n)  # an integer n before n ** k is taken
+        used, total = _admit(symbols, n, n ** k, budget, ops)
+        if kind == "image" and n > 1 and obj.r * math.log2(n) > _INDEX_BITS:
+            raise BudgetError("output tuple codes exceed the engine's index range")
+        admitted.append((kind, obj, n, k, used, total))
     from . import kernel
-    value, index, hit = kernel._scan(kind, symbols, obj.dag, n, ceiling)
-    witness = kernel._witness(obj.signature, symbols, n, index)
-    return OracleResult(value, witness, total * n ** k), total, hit
+    results = []
+    for kind, obj, n, k, used, total in admitted:
+        obj = graph_system(obj) if isinstance(obj, DependencyGraph) else obj
+        ceiling = n ** (min(k, obj.r) if kind == "image"
+                        else k - _forced(obj.dag, n).bit_count())
+        value, index = kernel._scan(kind, used, obj.dag, n, ceiling)
+        witness = kernel._witness(obj.signature, used, n, index)
+        results.append((OracleResult(value, witness, total * n ** k), total, index))
+    return results
 
 
 def brute_max_solutions(system, n: int,
                         budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
-    """Maximum solution count over every interpretation, with the least
-    witness attaining it.  The budget is checked before any scan, and for
-    a normal system before its DAG is built."""
-    return _search("count", _system(system), n, budget)[0]
+    """Max solution count over all interpretations, with its least witness."""
+    return _search(budget, ("count", _system(system), n))[0][0]
 
 
 def brute_dispersion(spec: DispersionSpec, n: int,
                      budget: SearchBudget = DEFAULT_BUDGET) -> OracleResult:
     """Maximum image size of the dispersion map over every interpretation."""
-    return _search("image", spec, n, budget)[0]
+    return _search(budget, ("image", spec, n))[0][0]
 
 
 def check_perfect_fixed(spec: DispersionSpec, n: int,
@@ -379,14 +384,14 @@ def check_perfect_fixed(spec: DispersionSpec, n: int,
     """Does some interpretation make the map surjective onto [n]^r?
 
     The answer is yes exactly when the image search reaches n^r, which is
-    its ceiling when k >= r; a hit reports the work up to it (hit + 1
-    interpretations).  Otherwise the refutation carries the best image
-    and reports the whole space."""
-    n = _check_range((), n)
+    its ceiling when k >= r; a hit reports the work up to it (witness
+    index + 1 interpretations).  Otherwise the refutation carries the best
+    image and reports the whole space."""
+    [(best, total, index)] = _search(budget, ("image", spec, n))
+    n = best.witness.n
     target = n ** spec.r
-    best, total, hit = _search("image", spec, n, budget)
     perfect = best.value == target
-    scanned = hit + 1 if perfect else total
+    scanned = index + 1 if perfect else total
     return PerfectDecision(perfect, target, best.value, best.witness, scanned,
                            scanned * n ** spec.k)
 
@@ -400,14 +405,11 @@ def brute_guessing(graph: DependencyGraph, n: int,
     include itself if a loop is present).  The game is the system
     `graph_system(graph)`: a strategy is an interpretation of its player
     symbols, keyed by player, and the configurations it wins are its
-    solutions.  The budget is checked on the players' arities before the
-    game is built, so a refusal builds nothing, even for a graph whose
-    vertex names `graph_system` would reject."""
-    players = tuple((v, len(graph.in_neighbors(v))) for v in graph.vertices
-                    if v not in graph.sources)
-    n = _check_range((), n)
-    _admit(players, n, n ** len(graph.vertices), budget)
-    return brute_max_solutions(graph_system(graph), n, budget)
+    solutions.  The game is built only once admitted: a refusal builds
+    nothing, even for a graph whose vertex names `graph_system` rejects."""
+    if not isinstance(graph, DependencyGraph):
+        raise PreconditionError(f"not a dependency graph: {type(graph).__name__}")
+    return _search(budget, ("count", graph, n))[0][0]
 
 
 def check_solutions_equal_winning(system: NormalSystem, n: int,
@@ -422,8 +424,8 @@ def check_solutions_equal_winning(system: NormalSystem, n: int,
         raise PreconditionError(
             "solutions-vs-winning needs a diversified system "
             "(one fresh symbol per equation)")
-    solutions = brute_max_solutions(system, n, budget)
-    winning = brute_guessing(dependency_graph(system), n, budget)
+    (solutions, *_), (winning, *_) = _search(
+        budget, ("count", system, n), ("count", dependency_graph(system), n))
     return GuessingEquality(solutions.value == winning.value, solutions, winning)
 
 
@@ -482,11 +484,10 @@ def sandwich_check(system: NormalSystem, n: int,
         raise PreconditionError("sandwich check needs at least one variable")
     if n < v:
         raise PreconditionError(f"sandwich check needs n >= v; got n={n}, v={v}")
-    div = diversify(system)
-    original = brute_max_solutions(system, n, budget)
-    div_same = brute_max_solutions(div, n, budget)
-    encoding = BlockEncoding(n, v)
-    div_small = brute_max_solutions(div, encoding.m, budget)
+    div, encoding = diversify(system), BlockEncoding(n, v)
+    (original, *_), (div_same, *_), (div_small, *_) = _search(
+        budget, ("count", system, n), ("count", div, n),
+        ("count", div, encoding.m))
     lifted = lift_interpretation(system, div_small.witness, encoding)
     lifted_count = count_solutions(system, lifted)
     return SandwichReport(

@@ -15,8 +15,8 @@ from termflow import cli, flownet
 from termflow.corpus import corpus_names, corpus_path
 from termflow.dsl import parse, render
 from termflow.errors import PreconditionError, ValidationError
-from termflow.flownet import (build_dag, build_network, decide_perfect_r1,
-                              decide_threshold, dispersion_exponent, max_flow,
+from termflow.flownet import (FlowNetwork, build_dag, build_network,
+                              decide_perfect_r1, decide_threshold, dispersion_exponent, max_flow,
                               network_dot)
 from termflow.normalize import pad_dispersion
 from termflow.terms import App, DispersionSpec, Signature, Var
@@ -220,6 +220,19 @@ def test_network_shape_for_diamond():
     assert len(unit_edges) == 12
     sink_edges = [e for e in net.edges if e[1] == net.sink]
     assert len(sink_edges) == 4
+
+
+def test_network_is_a_function_of_its_dag():
+    # the solver always runs from node 0 to node 1, so the network takes
+    # only its DAG: source, sink, roots and capacity cannot disagree with it
+    dag = parse("dispersion { inputs x, y; sig ; outputs x, y; }").dag
+    net = FlowNetwork(dag)
+    assert net == build_network(dag) and max_flow(net).D == 2
+    assert (net.source, net.sink, net.roots, net.inf) == (0, 1, (0, 1), 3)
+    assert net.edges == ((2, 3, 1), (4, 5, 1), (0, 2, 3), (0, 4, 3),
+                         (3, 1, 1), (5, 1, 1))
+    with pytest.raises(TypeError):
+        FlowNetwork(5, 7, (0, 1), 99, dag)
 
 
 def test_duplicate_outputs_share_one_sink_edge():

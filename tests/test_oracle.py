@@ -171,6 +171,59 @@ def test_refusing_a_normal_system_builds_no_dag():
         assert build.call_count == 1
 
 
+def test_a_refused_check_runs_no_scan(monkeypatch):
+    # every scan of a check is admitted before the first runs: sandwich's
+    # second scan, of f@0 and f@1 at n = 5 (1.2e9 evaluations), is refused,
+    # so its first, of f alone, never runs.  A game has one player table
+    # per diversified symbol, over that symbol's distinct arguments, so it
+    # is never charged more than its system: the budget refuses both.
+    system, _ = pipeline(parse("instance { vars a, b, c; sig f/1; "
+                               "eq f(a) = b; eq f(b) = c; }"))
+    calls = []
+
+    def counting(name, run):
+        def wrapper(*args):
+            calls.append(name)
+            return run(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "_chunks", counting("scan", kernel._chunks))
+    monkeypatch.setattr(normalize, "term_dag", counting("dag", term_dag))
+    monkeypatch.setattr(oracle, "graph_system", counting("game", graph_system))
+    tight = SearchBudget(max_evaluations=1000)
+    for check, obj, n, budget in [
+            (sandwich_check, system, 5, oracle.DEFAULT_BUDGET),
+            (check_solutions_equal_winning, diversify(system), 3, tight),
+            (brute_guessing, dependency_graph(system), 3, tight)]:
+        with pytest.raises(BudgetError):
+            check(obj, n, budget)
+    assert calls == []
+
+
+def test_each_scan_is_admitted_against_the_whole_budget():
+    # fx's sandwich scans charge 16, 16 and 1 evaluations over 4, 4 and 1
+    # interpretations at n = 2: each fits (16, 4), their sum would not
+    fx, _ = pipeline(load("fx.inst"))
+    assert sandwich_check(fx, 2, SearchBudget(16, 4)).ok
+    with pytest.raises(BudgetError) as exc:
+        sandwich_check(fx, 2, SearchBudget(15, 4))
+    assert (exc.value.interpretations, exc.value.evaluations) == (4, 16)
+
+
+def test_only_search_admits_and_scans():
+    # one admission per check: `_search` admits and runs every scan of a
+    # check, and `check_embedding` admits its recount before its search
+    callers = {"_admit": set(), "_scan": set()}
+    for top in ast.parse(Path(oracle.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers:
+                    callers[name].add(getattr(top, "name", None))
+    assert callers == {"_admit": {"_search", "check_embedding"},
+                       "_scan": {"_search"}}
+
+
 # ---- scalar evaluators -------------------------------------------------------
 
 def test_count_solutions_scalar():
@@ -381,7 +434,7 @@ def _pseudo_symbol_guessing(graph, n, budget):
         for t in (App(v, tuple(Var(u) for u in us)), Var(v))])
     used, total = oracle._admit(pseudo.symbols, n, n ** len(dag.inputs),
                                 budget)
-    value, index, _ = kernel._scan("count", used, dag, n)
+    value, index = kernel._scan("count", used, dag, n)
     return OracleResult(value, kernel._witness(pseudo, used, n, index),
                         total * n ** len(dag.inputs))
 
@@ -512,6 +565,9 @@ def test_budget_refusal_wins_over_a_bad_vertex_name():
     with pytest.raises(ValidationError):
         brute_guessing(_chain(2, "not a name"), 2)
     brute_guessing(_chain(2), 2)
+    # a system is no game: it is refused, not scanned for its solutions
+    with pytest.raises(PreconditionError, match="not a dependency graph"):
+        brute_guessing(load("fx.inst"), 2)
 
 
 # ---- solutions vs winning -----------------------------------------------------
@@ -869,19 +925,9 @@ def _scalar_values(kind, obj, n):
     return [len(image_of(obj, it)) for it in interps]
 
 
-def _reference_scan(values, target):
-    """What `_scan` must find: the least index reaching `target`, where the
-    scan stops, or else the max and its least index."""
-    for i, v in enumerate(values):
-        if target is not None and v >= target:
-            return i
-    best = max(values)
-    return best, values.index(best)
-
-
-def _kernel_scan(kind, obj, n, target=None):
+def _kernel_scan(kind, obj, n, ceiling=None):
     used, _ = _space(obj.signature, n, obj.dag)
-    return kernel._scan(kind, used, obj.dag, n, target)
+    return kernel._scan(kind, used, obj.dag, n, ceiling)
 
 
 def _no_swaps(symbols, digits):
@@ -954,15 +1000,13 @@ def _subterms(t):
 def test_grid_kernel_matches_scalar_route(case, cells, data):
     kind, obj, n = case
     values = _scalar_values(kind, obj, n)
-    target = data.draw(st.none() | st.integers(0, max(values) + 1))
+    best = max(values)
+    # a ceiling no value exceeds: the max itself, where the scan stops at
+    # the chunk of its least index, or one above it, never reached
+    ceiling = data.draw(st.sampled_from([None, best, best + 1]))
     with patch.object(kernel, "_CHUNK_CELLS", cells):
         assert _kernel_values(kind, obj, n) == values
-        best_v, best_i, hit = _kernel_scan(kind, obj, n, target)
-    want = _reference_scan(values, target)
-    if isinstance(want, int):
-        assert hit == want
-    else:
-        assert hit is None and (best_v, best_i) == want
+        assert _kernel_scan(kind, obj, n, ceiling) == (best, values.index(best))
 
 
 def test_chunk_cells_patch_reaches_the_kernel():
@@ -1065,15 +1109,14 @@ def _check_ceiling_search(kind, obj, n):
                     else k - oracle._forced(obj.dag, n).bit_count())
     search = brute_dispersion if kind == "image" else brute_max_solutions
     res = search(obj, n)  # first, so that a refusal scans nothing
-    *_, stop = oracle._search(kind, obj, n, oracle.DEFAULT_BUDGET)
+    [(found, count, at)] = oracle._search(oracle.DEFAULT_BUDGET, (kind, obj, n))
     used, total = _space(obj.signature, n, obj.dag)
-    value, index, _ = kernel._scan(kind, used, obj.dag, n, target=None)
+    value, index = kernel._scan(kind, used, obj.dag, n)
     witness = kernel._witness(obj.signature, used, n, index)
     # the closed-form evaluations, stop or not
-    assert res == OracleResult(value, witness, total * n ** k)
-    assert value <= ceiling and (stop is not None) == (value == ceiling)
-    assert stop in (None, index)
-    return stop is not None
+    assert res == found == OracleResult(value, witness, total * n ** k)
+    assert (count, at) == (total, index) and value <= ceiling
+    return value == ceiling
 
 
 @st.composite
@@ -1195,8 +1238,9 @@ def test_game_ceiling_is_the_game_value(name, n):
     k = len(game.variables)
     ceiling = n ** (k - oracle._forced(game.dag, n).bit_count())
     assert brute_guessing(graph, n).value == ceiling
-    assert oracle._search("count", game, n, oracle.DEFAULT_BUDGET)[-1] \
-        is not None
+    [(res, _, index)] = oracle._search(oracle.DEFAULT_BUDGET, ("count", game, n))
+    assert res.value == ceiling
+    assert res.witness == interpretation_at(game.signature, n, index)
 
 
 def _corpus_searches(name):
@@ -1494,11 +1538,12 @@ def test_pruned_scan_matches_unpruned(case, cells, data):
         pruned = _kernel_values(kind, obj, n, pruned=True)
         values = _kernel_values(kind, obj, n)
         assert all(p in (-1, v) for p, v in zip(pruned, values))
-        target = data.draw(st.none() | st.integers(0, max(values) + 1))
-        got = _kernel_scan(kind, obj, n, target)
+        best = max(values)
+        ceiling = data.draw(st.sampled_from([None, best, best + 1]))
+        got = _kernel_scan(kind, obj, n, ceiling)
         with patch.object(kernel, "_transpositions", _no_swaps):
-            want = _kernel_scan(kind, obj, n, target)
-    assert got == want  # value, least index, perfect-hit index
+            want = _kernel_scan(kind, obj, n, ceiling)
+    assert got == want == (best, values.index(best))  # value, least index
 
 
 @settings(max_examples=60, deadline=None)
