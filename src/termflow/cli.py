@@ -2,9 +2,10 @@
 
 Every command prints one JSON report on stdout, byte-identical across runs
 and written by `_write` as `json.dumps(report, indent=2, sort_keys=True)`
-would, and its wall-clock time on stderr.  `_write` hands each scalar to a
-C-level encoder, and writes a list of uniform rows (the `graph` edge pairs,
-the certificate's bottleneck dicts) with one %-template (`_rows`).
+would, and its wall-clock time on stderr.  `_write` writes a record as its
+fields, so the record types are the report schema; each scalar through a
+C-level encoder; and a list of uniform rows (edge pairs, bottlenecks,
+merges) with one %-template (`_rows`).
 `_parse` reads argv with one table, `_COMMANDS`; `_USAGE` is the -h/--help
 text.  Exit codes: 0 success (also -h/--help and --version), 2 usage,
 parse or input error, 3 precondition violation, 4 budget refusal, 1
@@ -45,7 +46,7 @@ from .normalize import diversify, pipeline
 from .oracle import (DEFAULT_BUDGET, SearchBudget, brute_dispersion,
                      brute_guessing, brute_max_solutions, check_embedding,
                      check_perfect_fixed, sandwich_check)
-from .terms import Interpretation, TermSystem, instance_size
+from .terms import TermSystem, instance_size
 
 
 def _load(path: Path, kind: str):
@@ -83,22 +84,6 @@ def _budget(args) -> SearchBudget:
             f"bad budget {text!r}; expected EVALS or EVALS:INTERPS") from None
 
 
-def _json(record):
-    """A result record as its report: an interpretation is its tables, a
-    tuple a list, and any other dataclass its fields, so the record types
-    define the report schema.  A name is its own report and skips the
-    call: a pipeline report can list thousands."""
-    if isinstance(record, tuple):
-        return [x if isinstance(x, str) else _json(x) for x in record]
-    if isinstance(record, Interpretation):
-        return {"n": record.n, "tables": {name: list(table) for name, table
-                                          in record.tables.items()}}
-    if dataclasses.is_dataclass(record):
-        return {key: x if isinstance(x, str) else _json(x)
-                for key, x in vars(record).items()}
-    return record
-
-
 def _as_graph(obj) -> DependencyGraph:
     """Graphs pass through.  A term system's graph is read off its DAG when
     the pipeline would leave it unchanged (`passthrough_graph`); any other
@@ -115,8 +100,7 @@ def _as_graph(obj) -> DependencyGraph:
 def cmd_normalize(args) -> tuple[dict, int]:
     system, meta = _load(args.file, "system")
     norm, rep = pipeline(system)
-    result = _json(rep) | {"input_size": instance_size(system),
-                           "system": render(norm)}
+    result = vars(rep) | {"input_size": instance_size(system), "system": render(norm)}
     if args.diversify:
         result["diversified"] = render(diversify(norm))
     if args.dot is not None:
@@ -130,7 +114,7 @@ def cmd_normalize(args) -> tuple[dict, int]:
 def cmd_exponent(args) -> tuple[dict, int]:
     spec, meta = _load(args.file, "dispersion")
     res = dispersion_exponent(spec)
-    result = {"D": res.D, "max_flow_value": res.D, "min_cut": list(res.min_cut)}
+    result = {"D": res.D, "max_flow_value": res.D, "min_cut": res.min_cut}
     if args.certificate:
         result["certificate"] = res.certificate()
     if args.dot is not None:
@@ -149,8 +133,8 @@ def cmd_brute(args) -> tuple[dict, int]:
               "guess": brute_guessing, "perfect": check_perfect_fixed,
               "embed": check_embedding, "sandwich": sandwich_check}[args.mode]
     return _report(f"brute {args.mode}", meta,
-                   {"mode": args.mode, "n": args.n, "budget": _json(budget)},
-                   _json(search(obj, args.n, budget))), 0
+                   {"mode": args.mode, "n": args.n, "budget": budget},
+                   search(obj, args.n, budget)), 0
 
 
 def cmd_threshold(args) -> tuple[dict, int]:
@@ -158,14 +142,14 @@ def cmd_threshold(args) -> tuple[dict, int]:
     dec = decide_threshold(spec, args.d)
     result = {"answer": "yes" if dec.answer else "no", "d": dec.d,
               "D": dec.exponent.D, "criterion": "D >= d+1",
-              "min_cut": list(dec.exponent.min_cut)}
+              "min_cut": dec.exponent.min_cut}
     return _report("threshold", meta, {"d": args.d}, result), 0
 
 
 def cmd_graph(args) -> tuple[dict, int]:
     obj, meta = _load(args.file, "auto")
     graph = add_source_loops(_as_graph(obj)) if args.loops else _as_graph(obj)
-    result = {"vertices": list(graph.vertices),
+    result = {"vertices": graph.vertices,
               "sources": [v for v in graph.vertices if v in graph.sources],
               "edges": graph.sorted_edges,
               "vertex_count": len(graph.vertices),
@@ -223,9 +207,10 @@ def _rows(rows, indent: str) -> str | None:
 
 
 def _write(obj, indent: str = "\n") -> str:
-    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it.
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, and
+    a dataclass as its fields.
 
-    A list or tuple whose items are uniform rows (see `_rows`) is written
+    A list or tuple of uniform rows (see `_rows`) or of records is written
     with one %-template; anything else item by item.  A float, a subclass
     or anything else goes through `json.dumps`.  A non-`str` key raises
     `TypeError`, where json would coerce it and sort it differently."""
@@ -240,12 +225,16 @@ def _write(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if len(obj) > 1 and dataclasses.is_dataclass(obj[0]):
+            obj = [vars(x) if dataclasses.is_dataclass(x) else x for x in obj]
         if (len(obj) > 1 and type(obj[0]) in (list, tuple, dict)
                 and (text := _rows(obj, inner)) is not None):
             return "[" + inner + text + indent + "]"
         return "[" + inner + ("," + inner).join([
             _SCALARS[type(x)](x) if type(x) in _SCALARS else _write(x, inner)
             for x in obj]) + indent + "]"
+    if dataclasses.is_dataclass(obj):
+        return _write(vars(obj), indent)
     return json.dumps(obj)
 
 

@@ -43,9 +43,11 @@ class DependencyGraph:
         declared = set(self.vertices)
         if len(declared) != len(self.vertices):
             raise ValidationError("duplicate vertex")
-        for u, v in self.edges:
-            if u not in declared or v not in declared:
-                raise ValidationError(f"edge ({u!r}, {v!r}) off the vertex set")
+        off = [(u, v) for u, v in self.edges
+               if u not in declared or v not in declared]
+        if off:  # the least by repr: the message never hangs on hash order
+            u, v = min(off, key=repr)
+            raise ValidationError(f"edge ({u!r}, {v!r}) off the vertex set")
         if not self.sources <= declared:
             raise ValidationError("sources must be vertices")
         at = {v: i for i, v in enumerate(self.vertices)}

@@ -87,13 +87,17 @@ class SplitFlow:
     split edge carries flow, `sunk[v]` when its sink edge does, and
     `feed[v]` the child whose out-half feeds a used op (-1 otherwise).
     `level` is the last residual BFS distance from the source of each
-    network node, -1 where unreachable: the canonical cut's source side."""
+    network node, -1 where unreachable: the canonical cut's source side.
+    The cut is the edges leaving it, the split edges of `split_cut`'s
+    nodes and the sink edges of `sink_cut`'s roots."""
 
     value: int
     used: list[bool]
     sunk: list[bool]
     feed: list[int]
     level: list[int]
+    split_cut: list[int]
+    sink_cut: list[int]
 
 
 def split_flow(network: FlowNetwork) -> SplitFlow:
@@ -196,7 +200,10 @@ def split_flow(network: FlowNetwork) -> SplitFlow:
     used = [back[w] != w + 1 for w in range(2, 2 + 2 * n, 2)]
     feed = [(back[2 + 2 * v] - 3) >> 1 if used[v] and v >= k else -1
             for v in range(n)]
-    return SplitFlow(value, used, sunk, feed, level)
+    split_cut = [v for v, (a, b) in enumerate(zip(level[2::2], level[3::2]))
+                 if a >= 0 > b]
+    sink_cut = [r for r in network.roots if level[3 + 2 * r] >= 0]
+    return SplitFlow(value, used, sunk, feed, level, split_cut, sink_cut)
 
 
 @dataclass(frozen=True)
@@ -211,15 +218,14 @@ class ExponentResult:
         (split edges by node, then sink edges by root) with its saturation
         and cut membership."""
         dag, flow = self.network.dag, self.flow
-        level, roots = flow.level, self.network.roots
+        split, sink = set(flow.split_cut), set(flow.sink_cut)
         texts = dag.labels(range(dag.node_count))
         rows = [{"id": text, "capacity": 1, "saturated": sat,
-                 "in_cut": a >= 0 > b}
-                for text, sat, a, b in zip(texts, flow.used, level[2::2],
-                                           level[3::2])]
+                 "in_cut": v in split}
+                for v, (text, sat) in enumerate(zip(texts, flow.used))]
         rows += [{"id": f"sink:{texts[r]}", "capacity": 1,
-                  "saturated": flow.sunk[r], "in_cut": level[3 + 2 * r] >= 0}
-                 for r in roots]
+                  "saturated": flow.sunk[r], "in_cut": r in sink}
+                 for r in self.network.roots]
         return {"flow_value": self.D, "cut": list(self.min_cut),
                 "bottlenecks": rows}
 
@@ -228,11 +234,7 @@ def max_flow(network: FlowNetwork) -> ExponentResult:
     """Integral max flow plus the canonical min-cut witness; the same run
     records every bottleneck's saturation and cut membership."""
     flow = split_flow(network)
-    level = flow.level
-    # edges leaving the residual source side; the sink is not on it
-    split = [v for v, (a, b) in enumerate(zip(level[2::2], level[3::2]))
-             if a >= 0 > b]
-    sink = [r for r in network.roots if level[3 + 2 * r] >= 0]
+    split, sink = flow.split_cut, flow.sink_cut
     # a crossing edge of the canonical cut is always saturated
     assert all(flow.used[v] for v in split) and all(flow.sunk[r] for r in sink)
     texts = network.dag.labels(split + sink)

@@ -454,8 +454,8 @@ def lift_interpretation(system: NormalSystem, small: Interpretation,
     n, m, blocks = encoding.n, encoding.m, encoding.blocks
     tables = {name: [0] * (n ** arity)
               for name, arity in system.signature.symbols}
-    for e_idx, eq in enumerate(system.equations):
-        div_name = f"{eq.symbol}@{e_idx}"
+    for eq, div_eq in zip(system.equations, diversify(system).equations):
+        div_name = div_eq.symbol
         if div_name not in small.tables:
             raise PreconditionError(
                 f"small interpretation lacks a table for {div_name!r}")

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -19,7 +20,10 @@ from hypothesis import strategies as st
 
 import termflow
 from termflow import cli, kernel, normalize, oracle
-from termflow.corpus import corpus_names, corpus_path
+from termflow.corpus import corpus_dir, corpus_names, corpus_path
+from termflow.errors import TermflowError
+from termflow.terms import Interpretation
+from corpus_loader import load
 
 
 def run_cli(*args, env_extra=None):
@@ -79,6 +83,39 @@ def test_stdout_is_canonical_json():
     parsed = json.loads(text)
     assert text == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
     assert parsed["result"]["answer"] == "yes"
+
+
+_REPORT_DIGESTS = Path(__file__).with_name("report_digests.txt")
+# The pinned commands beyond `_FORMS`, by the file's kind
+_PINNED = {".disp": [("brute", "embed", "-n", "2")],
+           ".inst": [("brute", "sandwich", "-n", "2")], ".graph": []}
+
+
+def _report_digests() -> str:
+    """`report_digests.txt` as the code writes it: one line per pinned
+    command, the sha256 of its exit code and stdout, then the command, with
+    the corpus directory written `<corpus>`."""
+    lines = ["# sha256 of f'{exit code}\\n{stdout}' per command; the corpus "
+             "directory is written <corpus>.",
+             "# Regenerate after a deliberate report change with",
+             "# PYTHONPATH=src:tests python -c 'import test_cli as t; "
+             "t._REPORT_DIGESTS.write_text(t._report_digests())'"]
+    corpus = str(corpus_dir())
+    for name in corpus_names():
+        suffix = Path(name).suffix
+        for form in _FORMS[suffix] + _PINNED[suffix]:
+            code, out, _ = _main(*form, path(name))
+            digest = hashlib.sha256(
+                f"{code}\n{out}".replace(corpus, "<corpus>").encode()).hexdigest()
+            lines.append(f"{digest}  {' '.join(form)} <corpus>/{name}")
+    return "\n".join(lines) + "\n"
+
+
+def test_reports_match_their_pinned_digests():
+    """Every corpus report is byte-identical to the pinned one: a change
+    that alters a report on purpose regenerates the file (see its head)."""
+    assert (_report_digests().splitlines()
+            == _REPORT_DIGESTS.read_text().splitlines())
 
 
 _TEXT = st.text(st.characters()
@@ -197,8 +234,8 @@ def test_near_miss_rows_fall_back(rows, miss, spot):
 
 
 def test_reports_take_the_row_template(monkeypatch, tmp_path):
-    """The `graph` edge list and the certificate's bottlenecks are each
-    written as one template."""
+    """The `graph` edge list, the certificate's bottlenecks and a
+    pipeline's merges are each written as one template."""
     taken, rows_of = [], cli._rows
 
     def counting(rows, indent):
@@ -219,6 +256,53 @@ def test_reports_take_the_row_template(monkeypatch, tmp_path):
     bottlenecks = json.loads(out)["result"]["certificate"]["bottlenecks"]
     assert code == 0 and taken == [(len(bottlenecks), True)]
     assert len(bottlenecks) > 1
+    taken.clear()
+    code, out, _ = _main("normalize", path("cascade.inst"))
+    assert code == 0 and taken == [(2, True)]
+    assert len(json.loads(out)["result"]["merges"]) == 2
+
+
+def _reference_json(record):
+    """A result record as plain lists and dicts, as the CLI converted it
+    before `_write` wrote records itself: an interpretation is its tables,
+    a tuple a list, and any other dataclass its fields."""
+    if isinstance(record, tuple):
+        return [x if isinstance(x, str) else _reference_json(x) for x in record]
+    if isinstance(record, Interpretation):
+        return {"n": record.n, "tables": {name: list(table) for name, table
+                                          in record.tables.items()}}
+    if dataclasses.is_dataclass(record):
+        return {key: x if isinstance(x, str) else _reference_json(x)
+                for key, x in vars(record).items()}
+    return record
+
+
+# Each `brute` mode's search on a parsed corpus file, as `cmd_brute` runs it,
+# by the kinds of file the mode accepts
+_SEARCHES = {
+    ".disp": [oracle.brute_dispersion, oracle.check_perfect_fixed,
+              oracle.check_embedding],
+    ".inst": [oracle.brute_max_solutions,
+              lambda system, n: oracle.brute_guessing(cli._as_graph(system), n),
+              lambda system, n: oracle.sandwich_check(
+                  normalize.pipeline(system)[0], n)],
+    ".graph": [oracle.brute_guessing]}
+
+
+def test_writer_writes_records_as_the_reference_converter():
+    records = [oracle.DEFAULT_BUDGET, oracle.SearchBudget(100, 10)]
+    for name in corpus_names():
+        obj, suffix = load(name), Path(name).suffix
+        if suffix == ".inst":
+            records.append(normalize.pipeline(obj)[1])
+        for search in _SEARCHES[suffix]:
+            try:
+                records.append(search(obj, 2))
+            except TermflowError:  # a precondition the file fails
+                pass
+    assert len(records) > 50
+    for record in records:
+        assert cli._write(record) == cli._write(_reference_json(record))
 
 
 def _call_name(node):

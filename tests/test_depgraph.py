@@ -1,5 +1,9 @@
 """Dependency graphs: extraction, source loops, DOT export."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +80,30 @@ def test_graph_validation():
     with pytest.raises(ValidationError):
         DependencyGraph(vertices=("a",), edges=frozenset(),
                         sources=frozenset({"q"}))
+
+
+_OFF_EDGES = """
+from termflow.depgraph import DependencyGraph
+from termflow.errors import ValidationError
+try:
+    DependencyGraph(("a",), frozenset({("x", "y"), ("p", "q"), ("m", "n")}),
+                    frozenset())
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_off_vertex_edge_message_ignores_hash_order():
+    # each of the three edges comes first out of the frozenset under some
+    # hash seed in 0-5; the message names the least by repr under all
+    messages = set()
+    for seed in range(6):
+        proc = subprocess.run([sys.executable, "-c", _OFF_EDGES],
+                              capture_output=True, text=True,
+                              env=os.environ | {"PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 0, proc.stderr
+        messages.add(proc.stdout)
+    assert messages == {"edge ('m', 'n') off the vertex set\n"}
 
 
 def test_to_dot_is_deterministic_and_marks_sources():

@@ -691,7 +691,8 @@ def test_lift_preconditions():
     with pytest.raises(PreconditionError):
         lift_interpretation(norm, small, BlockEncoding(6, 3))
     wrong_sig = Interpretation(n=2, tables={"f": (0, 1)})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^small interpretation lacks a table for 'f@0'$"):
         lift_interpretation(norm, wrong_sig, BlockEncoding(4, 2))
     bad, _ = pipeline(load("two_sided.inst"))
     with pytest.raises(PreconditionError):
